@@ -20,13 +20,12 @@ import json
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.constants import c as C_VAC
 from scipy.integrate import trapezoid
-from scipy.interpolate import PchipInterpolator  # noqa: F401  (re-exported type hints)
 from scipy.optimize import brentq
 
 from . import __version__
@@ -37,9 +36,10 @@ from .dispersion import (
     NeffTable,
     NoGuidedModeError,
     _lp_order,
+    _solve_many,
+    _transverse_params,
     batch_field_matrix,
     neff_table,
-    solve_mode,
 )
 from .profile import SegmentedProfile
 
@@ -300,17 +300,11 @@ def delta_k(
     if tables is not None:
         k = lambda om, lab: tables.table(cross_section, lab).k(om)  # noqa: E731
     else:
-        cache: dict[tuple[float, ModeLabel], float] = {}
-
         def k(om, lab):
-            om_arr = np.asarray(om, dtype=float)
-            out = np.empty(om_arr.shape)
-            for idx in np.ndindex(om_arr.shape):
-                key = (float(om_arr[idx]), lab)
-                if key not in cache:
-                    cache[key] = solve_mode(cross_section, key[0], lab).beta
-                out[idx] = cache[key]
-            return out if om_arr.shape else float(out)
+            om = np.asarray(om, dtype=float)
+            nodes, inverse = np.unique(om, return_inverse=True)
+            beta = nodes * _solve_many(cross_section, nodes, lab) / C_VAC
+            return beta[inverse].reshape(om.shape)
 
     mismatch = (
         k(omega_p, modes.pump)
@@ -370,15 +364,6 @@ def overlap_integral(mode_p, mode_p2, mode_s, mode_i) -> float:
     return float(np.sum(weights * prod))
 
 
-def _w_param(cross_section: CrossSection, omega, n_eff):
-    """Cladding decay parameter w = a k0 sqrt(n_eff^2 - n2^2)."""
-    lam = 2.0 * np.pi * C_VAC / np.asarray(omega, dtype=float)
-    n2 = np.asarray(cross_section.cladding_index(lam), dtype=float)
-    return (cross_section.diameter / 2.0) * np.asarray(omega) / C_VAC * np.sqrt(
-        np.asarray(n_eff) ** 2 - n2**2
-    )
-
-
 def _eta_factory(cross_section, omega_p, modes, bank):
     """Return eta(ws_array, wi_array) -> matrix for one cross-section.
 
@@ -394,9 +379,9 @@ def _eta_factory(cross_section, omega_p, modes, bank):
     lo, hi = bank.omega_range
     mid = 0.5 * (lo + hi)
     w_total = float(
-        2.0 * _w_param(cross_section, omega_p, n_p)
-        + _w_param(cross_section, mid, tab_s(mid))
-        + _w_param(cross_section, mid, tab_i(mid))
+        2.0 * _transverse_params(cross_section, omega_p, n_p)[1]
+        + _transverse_params(cross_section, mid, tab_s(mid))[1]
+        + _transverse_params(cross_section, mid, tab_i(mid))[1]
     )
     r, weights = _quad_nodes(cross_section.diameter / 2.0, w_total)
     u_p = batch_field_matrix(

@@ -26,15 +26,15 @@ from scipy.constants import c as C_VAC
 from . import __version__
 from .dispersion import (
     FUSED_SILICA,
+    HE11,
     CrossSection,
     DispersionError,
+    _solve_many,
     load_glass,
-    solve_mode,
 )
 from .profile import load_profile, parse_profile, segment
 from .biphoton import (
     JsaGrid,
-    ModeBank,
     PumpSpec,
     SpectralGrid,
     phase_matching,
@@ -172,7 +172,10 @@ class RunConfig:
         """Load the JSON config document (if any), then apply flag overrides."""
         values: dict = {}
         if config_path is not None:
-            text = Path(config_path).read_text()
+            try:
+                text = Path(config_path).read_text(encoding="utf-8")
+            except UnicodeDecodeError as err:
+                raise ConfigError(f"{config_path}: not UTF-8 text: {err}") from None
             try:
                 document = json.loads(text)
             except json.JSONDecodeError as err:
@@ -207,7 +210,10 @@ def _resolve_glass(config: RunConfig):
     name = config.get("glass")
     if name in ("fused-silica", "fused_silica"):
         return FUSED_SILICA
-    return load_glass(Path(name))
+    try:
+        return load_glass(Path(name))
+    except ValueError as err:
+        raise InputDataError(str(err)) from None
 
 
 def _resolve_segmented(config: RunConfig):
@@ -215,7 +221,10 @@ def _resolve_segmented(config: RunConfig):
     glass = _resolve_glass(config)
     n_segments = config.get("n_segments")
     if config.get("profile") is not None:
-        profile = load_profile(Path(config.get("profile")))
+        try:
+            profile = load_profile(Path(config.get("profile")))
+        except ValueError as err:
+            raise InputDataError(str(err)) from None
     else:
         if config.get("diameter_nm") is None or config.get("length_mm") is None:
             raise ConfigError(
@@ -242,15 +251,6 @@ def _resolve_grid(config: RunConfig) -> SpectralGrid:
     signal = tuple(v * 1e-9 for v in config.get("signal_window_nm"))
     idler = tuple(v * 1e-9 for v in config.get("idler_window_nm"))
     return SpectralGrid.from_wavelength_windows(signal, idler, n_signal=config.get("grid_points"))
-
-
-def _bank_for(grid: SpectralGrid, omega_p: float) -> ModeBank:
-    # One shared table bank spanning the grid and the returned pump line,
-    # so the phase-matching pass and any reuse hit the same cached tables.
-    ws, wi = grid.signal_omega, grid.idler_omega
-    span = [ws[0], ws[-1], wi[0], wi[-1], omega_p,
-            ws[0] + wi[0] - omega_p, ws[-1] + wi[-1] - omega_p]
-    return ModeBank(min(span), max(span))
 
 
 def _out_dir(config: RunConfig) -> Path:
@@ -284,10 +284,8 @@ def cmd_modes(config: RunConfig) -> int:
     glass = _resolve_glass(config)
     cross_section = CrossSection(diameter, core=glass)
 
-    rows = []
-    for wavelength in np.linspace(lo * 1e-9, hi * 1e-9, n_points):
-        solution = solve_mode(cross_section, 2.0 * np.pi * C_VAC / wavelength)
-        rows.append((float(wavelength * 1e9), float(solution.n_eff)))
+    wavelengths = np.linspace(lo * 1e-9, hi * 1e-9, n_points)
+    n_effs = _solve_many(cross_section, 2.0 * np.pi * C_VAC / wavelengths, HE11)
 
     path = _out_dir(config) / "modes.csv"
     lines = [
@@ -296,7 +294,7 @@ def cmd_modes(config: RunConfig) -> int:
         f"# glass {glass.name}",
         "wavelength_nm,n_eff",
     ]
-    lines += [f"{wl!r},{neff!r}" for wl, neff in rows]
+    lines += [f"{float(wl * 1e9)!r},{float(neff)!r}" for wl, neff in zip(wavelengths, n_effs)]
     path.write_text("\n".join(lines) + "\n")
     print(f"wrote {path}")
     return EXIT_OK
@@ -309,8 +307,7 @@ def cmd_jsi(config: RunConfig) -> int:
     grid = _resolve_grid(config)
     eta_mode = config.get("eta_mode")
 
-    bank = _bank_for(grid, pump.omega0)
-    matched = phase_matching(segmented, grid, pump.omega0, eta_mode=eta_mode, tables=bank)
+    matched = phase_matching(segmented, grid, pump.omega0, eta_mode=eta_mode)
     envelope = pump_function(pump, grid)
     amplitude = envelope * matched
     intensity = np.abs(amplitude) ** 2

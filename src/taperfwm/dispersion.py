@@ -332,19 +332,46 @@ def _scan_points(v_max: float) -> int:
     return max(512, int(np.ceil(0.5 * v_max * v_max)))
 
 
-def _bisect_refine(h, lo, hi, flo, iters: int = _BISECT_ITERS):
-    """Vectorized bisection; (lo, hi) must bracket a sign change with h(lo)=flo."""
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
-    flo = np.array(flo, dtype=float)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        fm = h(mid)
-        same = np.signbit(fm) == np.signbit(flo)
-        lo = np.where(same, mid, lo)
-        flo = np.where(same, fm, flo)
-        hi = np.where(same, hi, mid)
-    return 0.5 * (lo + hi)
+def _guide_params(cross_section: CrossSection, omegas):
+    """Core index n1, cladding index n2 and a*k0 at each angular frequency."""
+    omegas = np.asarray(omegas, dtype=float)
+    lam = 2.0 * np.pi * C_VAC / omegas
+    n1 = np.asarray(cross_section.core_index(lam), dtype=float)
+    n2 = np.asarray(cross_section.cladding_index(lam), dtype=float)
+    return n1, n2, (cross_section.diameter / 2.0) * omegas / C_VAC
+
+
+def _transverse_params(cross_section: CrossSection, omegas, n_effs):
+    """Core parameter u = a k0 sqrt(n1^2 - n_eff^2) and cladding decay w = a k0 sqrt(n_eff^2 - n2^2)."""
+    n1, n2, ak0 = _guide_params(cross_section, omegas)
+    n_effs = np.asarray(n_effs, dtype=float)
+    return ak0 * np.sqrt(n1**2 - n_effs**2), ak0 * np.sqrt(n_effs**2 - n2**2)
+
+
+def _refine(label: ModeLabel, n1, n2, ak0, lo, hi, flo, scale) -> np.ndarray:
+    """Bisect brackets [lo, hi] with h(lo) = flo to roots that pass the residual check.
+
+    ``scale`` is the local magnitude of h at each bracket; a root whose
+    residual exceeds ``_RESIDUAL_RTOL * scale`` raises SolverConvergenceError.
+    """
+    h = _char_fn(label.family, label.m, n1, n2, ak0)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        for _ in range(_BISECT_ITERS):
+            mid = 0.5 * (lo + hi)
+            fm = h(mid)
+            same = np.signbit(fm) == np.signbit(flo)
+            lo = np.where(same, mid, lo)
+            flo = np.where(same, fm, flo)
+            hi = np.where(same, hi, mid)
+        roots = 0.5 * (lo + hi)
+        resid = np.abs(h(roots))
+    if np.any(resid > _RESIDUAL_RTOL * scale):
+        i = int(np.argmax(resid / scale))
+        raise SolverConvergenceError(
+            f"root residual {resid[i]:.3e} exceeds {_RESIDUAL_RTOL:g} x local scale "
+            f"{scale[i]:.3e} for {label}"
+        )
+    return roots
 
 
 def _solve_many(cross_section: CrossSection, omegas: np.ndarray, label: ModeLabel) -> np.ndarray:
@@ -355,17 +382,13 @@ def _solve_many(cross_section: CrossSection, omegas: np.ndarray, label: ModeLabe
     fails its residual check.
     """
     omegas = np.asarray(omegas, dtype=float)
-    lam = 2.0 * np.pi * C_VAC / omegas
-    n1 = np.asarray(cross_section.core_index(lam), dtype=float)
-    n2 = np.asarray(cross_section.cladding_index(lam), dtype=float)
+    n1, n2, ak0 = _guide_params(cross_section, omegas)
     if np.any(n1 <= n2):
         i = int(np.argmax(n1 <= n2))
         raise NoGuidedModeError(
             f"guidance condition violated: core index {n1.flat[i]:.6f} <= cladding "
-            f"index {n2.flat[i]:.6f} at wavelength {lam.flat[i]*1e9:.1f} nm"
+            f"index {n2.flat[i]:.6f} at wavelength {2*np.pi*C_VAC/omegas.flat[i]*1e9:.1f} nm"
         )
-    a = cross_section.diameter / 2.0
-    ak0 = a * omegas / C_VAC
     v = ak0 * np.sqrt(n1**2 - n2**2)
 
     n_eff = np.empty_like(omegas)
@@ -415,22 +438,9 @@ def _solve_chunk(cross_section, label, omegas, n1, n2, ak0, v, missing):
         lo[j], hi[j] = grid[r, j], grid[r + 1, j]
         flo[j] = vals[r, j]
         scale[j] = max(abs(vals[r, j]), abs(vals[r + 1, j]))
-    if not np.all(ok):
-        lo, hi, flo, scale = lo[ok], hi[ok], flo[ok], scale[ok]
-        n1, n2, ak0 = n1[ok], n2[ok], ak0[ok]
     out = np.full(omegas.size, np.nan)
-    if lo.size:
-        h1 = _char_fn(label.family, label.m, n1, n2, ak0)
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            roots = _bisect_refine(h1, lo, hi, flo)
-            resid = np.abs(h1(roots))
-        if np.any(resid > _RESIDUAL_RTOL * scale):
-            i = int(np.argmax(resid / scale))
-            raise SolverConvergenceError(
-                f"root residual {resid[i]:.3e} exceeds {_RESIDUAL_RTOL:g} x local scale "
-                f"{scale[i]:.3e} for {label}"
-            )
-        out[ok] = roots
+    if np.any(ok):
+        out[ok] = _refine(label, n1[ok], n2[ok], ak0[ok], lo[ok], hi[ok], flo[ok], scale[ok])
     return out
 
 
@@ -473,24 +483,14 @@ class ModeSolution:
     u: float  # core transverse parameter a*k0*sqrt(n1^2 - n_eff^2)
     w: float  # cladding decay parameter a*k0*sqrt(n_eff^2 - n2^2)
     ell: int
-    _amplitude: float
 
     def field_at(self, r):
         """Normalized profile u(rho) at radius ``r`` (meters; scalar or array)."""
         r = np.asarray(r, dtype=float)
-        scalar = r.ndim == 0
-        r = np.atleast_1d(r)
         if np.any(r < 0):
             raise ValueError("radius must be >= 0")
-        a, u, w, ell = self.cross_section.diameter / 2.0, self.u, self.w, self.ell
-        out = np.empty_like(r)
-        inside = r <= a
-        out[inside] = jv(ell, u * r[inside] / a)
-        rr = r[~inside]
-        # K_l(w r/a)/K_l(w) via scaled kve; explicit exponent avoids underflow
-        out[~inside] = jv(ell, u) / kve(ell, w) * kve(ell, w * rr / a) * np.exp(-w * (rr / a - 1.0))
-        out *= self._amplitude
-        return out[0].item() if scalar else out
+        row = batch_field_matrix(self.cross_section, [self.omega], [self.n_eff], self.ell, r.ravel())[0]
+        return row[0].item() if r.ndim == 0 else row.reshape(r.shape)
 
     def normalization_integral(self) -> float:
         """Numerical check of ``integral |u|^2 2 pi r dr`` over the stored samples."""
@@ -521,27 +521,21 @@ def _norm_amplitude(a: float, u, w, ell: int):
 def batch_field_matrix(cross_section: CrossSection, omegas, n_effs, ell: int, r) -> np.ndarray:
     """Normalized profiles for many frequencies of one cross-section.
 
-    Vectorized equivalent of ``ModeSolution.field_at``: returns a matrix of
-    shape ``(len(omegas), len(r))`` where row f samples the normalized
-    quasi-LP profile of the mode with effective index ``n_effs[f]`` at
-    ``omegas[f]``.  Radii in meters.
+    Returns a matrix of shape ``(len(omegas), len(r))`` where row f samples
+    the normalized quasi-LP profile of the mode with effective index
+    ``n_effs[f]`` at ``omegas[f]``; ``ModeSolution.field_at`` is one such
+    row.  Radii in meters.
     """
-    omegas = np.asarray(omegas, dtype=float)
-    n_effs = np.asarray(n_effs, dtype=float)
     r = np.asarray(r, dtype=float)
-    lam = 2.0 * np.pi * C_VAC / omegas
     a = cross_section.diameter / 2.0
-    ak0 = a * omegas / C_VAC
-    n1 = np.asarray(cross_section.core_index(lam), dtype=float)
-    n2 = np.asarray(cross_section.cladding_index(lam), dtype=float)
-    u = ak0 * np.sqrt(n1**2 - n_effs**2)
-    w = ak0 * np.sqrt(n_effs**2 - n2**2)
+    u, w = _transverse_params(cross_section, omegas, n_effs)
     amp = _norm_amplitude(a, u, w, ell)
 
-    out = np.empty((omegas.size, r.size))
+    out = np.empty((u.size, r.size))
     inside = r <= a
     out[:, inside] = jv(ell, u[:, None] * r[None, inside] / a)
     rr = r[~inside]
+    # K_l(w r/a)/K_l(w) via scaled kve; explicit exponent avoids underflow
     out[:, ~inside] = (
         jv(ell, u)[:, None]
         / kve(ell, w)[:, None]
@@ -573,38 +567,28 @@ def solve_mode(cross_section: CrossSection, omega: float, mode_label: ModeLabel 
     if isinstance(mode_label, str):
         mode_label = ModeLabel.parse(mode_label)
     n_eff = float(_solve_many(cross_section, np.array([omega]), mode_label)[0])
-
-    lam = 2.0 * np.pi * C_VAC / omega
-    a = cross_section.diameter / 2.0
-    ak0 = a * omega / C_VAC
-    n1 = float(cross_section.core_index(lam))
-    n2 = float(np.asarray(cross_section.cladding_index(lam)))
-    u = ak0 * np.sqrt(n1 * n1 - n_eff * n_eff)
-    w = ak0 * np.sqrt(n_eff * n_eff - n2 * n2)
+    u, w = (float(x) for x in _transverse_params(cross_section, omega, n_eff))
     ell = _lp_order(mode_label)
-    amplitude = _norm_amplitude(a, u, w, ell)
 
+    a = cross_section.diameter / 2.0
     r_core = np.linspace(0.0, a, _CORE_SAMPLES)
     # geometric cladding grid: resolves the power-law region near r=a for
     # near-cutoff modes (small w) as well as the exponential tail
     r_clad = a * np.exp(np.linspace(0.0, np.log1p(_TAIL_XI / w), _CLAD_SAMPLES + 1)[1:])
     r = np.concatenate([r_core, r_clad])
 
-    sol = ModeSolution(
+    return ModeSolution(
         label=mode_label,
         omega=float(omega),
         n_eff=n_eff,
         beta=float(omega) * n_eff / C_VAC,
         cross_section=cross_section,
         r=r,
-        field=np.empty(0),
-        u=float(u),
-        w=float(w),
+        field=batch_field_matrix(cross_section, [omega], [n_eff], ell, r)[0],
+        u=u,
+        w=w,
         ell=ell,
-        _amplitude=amplitude,
     )
-    object.__setattr__(sol, "field", sol.field_at(r))
-    return sol
 
 
 # --------------------------------------------------------------------------
@@ -713,10 +697,7 @@ def _solve_dense(cross_section, label, coarse_grid, coarse_neff, dense):
     _solve_many, and the bisected roots pass the same residual check.
     """
     pred = PchipInterpolator(coarse_grid, coarse_neff, extrapolate=False)(dense)
-    lam = 2.0 * np.pi * C_VAC / dense
-    n1 = np.asarray(cross_section.core_index(lam), dtype=float)
-    n2 = np.asarray(cross_section.cladding_index(lam), dtype=float)
-    ak0 = (cross_section.diameter / 2.0) * dense / C_VAC
+    n1, n2, ak0 = _guide_params(cross_section, dense)
     idx = np.clip(np.searchsorted(coarse_grid, dense, side="right") - 1, 0, coarse_grid.size - 2)
     delta = 1e-7 + 0.25 * np.abs(np.diff(coarse_neff))[idx]
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
@@ -730,18 +711,8 @@ def _solve_dense(cross_section, label, coarse_grid, coarse_neff, dense):
     )
     out = np.empty_like(dense)
     if np.any(good):
-        hg = _char_fn(label.family, label.m, n1[good], n2[good], ak0[good])
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            roots = _bisect_refine(hg, lo[good], hi[good], flo[good])
-            resid = np.abs(hg(roots))
         scale = np.maximum(np.abs(flo[good]), np.abs(fhi[good]))
-        if np.any(resid > _RESIDUAL_RTOL * scale):
-            i = int(np.argmax(resid / scale))
-            raise SolverConvergenceError(
-                f"root residual {resid[i]:.3e} exceeds {_RESIDUAL_RTOL:g} x local scale "
-                f"{scale[i]:.3e} for {label}"
-            )
-        out[good] = roots
+        out[good] = _refine(label, n1[good], n2[good], ak0[good], lo[good], hi[good], flo[good], scale)
     if not np.all(good):
         out[~good] = _solve_many(cross_section, dense[~good], label)
     return out

@@ -200,6 +200,8 @@ def _parse_text(data: bytes, channels):
             m = re.match(r"#\s*tick_ps\s+(\d+)\s*$", line)
             if m:
                 declared = int(m.group(1)) * 1e-12
+                if declared == 0:
+                    raise TagParseError(f"line {lineno}: tick_ps must be positive")
                 if tick is not None and declared != tick:
                     raise TagParseError(f"line {lineno}: conflicting tick_ps declaration")
                 tick = declared

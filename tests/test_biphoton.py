@@ -259,6 +259,17 @@ class TestDeltaK:
         slow = delta_k(cs, w0, ws, wi)
         assert fast == pytest.approx(slow, abs=0.01)  # rad/m; values are O(1e3)
 
+    def test_direct_path_matches_per_point_solves(self):
+        cs = CrossSection(890e-9)
+        w0 = omega(LAMBDA_PUMP)
+        ws = omega(np.array([950e-9, 900e-9, 880e-9, 850e-9]))
+        wi = omega(np.array([1450e-9, 1310e-9, 1250e-9]))
+        got = delta_k(cs, w0, ws[:, None], wi[None, :])
+        beta = lambda w: solve_mode(cs, w).beta  # noqa: E731
+        want = np.array([[beta(w0) + beta(s + i - w0) - beta(s) - beta(i) for i in wi] for s in ws])
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
     def test_cutoff_propagates(self):
         with pytest.raises(NoGuidedModeError):
             delta_k(CrossSection(200e-9), omega(LAMBDA_PUMP), omega(880e-9), omega(1310e-9))

@@ -109,6 +109,12 @@ class TestConfigHandling:
     def test_missing_config_file_is_io_error(self, tmp_path):
         assert run("jsi", "-c", tmp_path / "absent.json") == EXIT_IO
 
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_bytes(b"\xff\xfe{}")
+        assert run("jsi", "-c", cfg) == EXIT_CONFIG
+        assert "run.json" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "payload",
         [
@@ -175,17 +181,22 @@ class TestConfigHandling:
 
 
 class TestModes:
-    def test_table_matches_solver(self, tmp_path):
+    @pytest.mark.parametrize("diameter_nm", [890.0, 50000.0])
+    def test_table_matches_solver(self, tmp_path, diameter_nm):
+        # one batched solve over the scan gives each point's single-point root
         out = tmp_path / "out"
         assert run(
-            "modes", "--diameter_nm", 890, "--wavelength_range_nm", "[800, 1400]",
+            "modes", "--diameter_nm", diameter_nm, "--wavelength_range_nm", "[800, 1400]",
             "--wavelength_points", 5, "--out_dir", out,
         ) == EXIT_OK
-        cs = CrossSection(890e-9)
-        for row in data_rows(out / "modes.csv"):
+        cs = CrossSection(diameter_nm * 1e-9)
+        wavelengths = np.linspace(800.0 * 1e-9, 1400.0 * 1e-9, 5)  # as cmd_modes scales them
+        rows = data_rows(out / "modes.csv")
+        assert len(rows) == wavelengths.size
+        for row, wavelength in zip(rows, wavelengths):
             wl_nm, n_eff = (float(v) for v in row.split(","))
-            omega = 2.0 * np.pi * 299792458.0 / (wl_nm * 1e-9)
-            assert n_eff == pytest.approx(solve_mode(cs, omega).n_eff, rel=1e-12)
+            assert wl_nm == float(wavelength * 1e9)
+            assert n_eff == solve_mode(cs, 2.0 * np.pi * 299792458.0 / wavelength).n_eff
             assert 1.0 < n_eff < 1.46
 
     def test_below_cutoff_is_domain_error(self, tmp_path, capsys):
@@ -316,6 +327,19 @@ class TestJsi:
         code = run("jsi", "--profile", tmp_path / "absent.profile", "--grid_points", 8)
         assert code == EXIT_IO
         assert "absent.profile" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, text",
+        [("--profile", "0 900e-9\nfoo bar\n"), ("--glass", "name x\nB 0.5\n")],
+        ids=["profile", "glass"],
+    )
+    def test_malformed_data_file_is_input_error(self, tmp_path, capsys, flag, text):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        code = run("jsi", "--diameter_nm", 900, "--length_mm", 1, flag, bad,
+                   "--grid_points", 8, "--out_dir", tmp_path / "out")
+        assert code == EXIT_IO
+        assert "bad.txt" in capsys.readouterr().err
 
     def test_center_eta_mode_accepted(self, tmp_path):
         assert run(*JSI_ARGS, "--eta_mode", "center",
@@ -466,6 +490,12 @@ class TestTagsG2h:
                    "--out_dir", out) == EXIT_OK
         rows = data_rows(out / "g2h.csv")
         assert len(rows) == 5  # separations 0..4
+
+    def test_zero_text_tick_is_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "zero_tick.txt"
+        bad.write_text("#tick_ps 0\n1\t5\n2\t7\n")
+        assert run("tags", "g2h", "--tags_in", bad, "--out_dir", tmp_path / "out") == EXIT_IO
+        assert "line 1" in capsys.readouterr().err
 
     def test_no_heralds_is_domain_error(self, tmp_path, capsys):
         stream = TagStream.from_records([(1, 0), (1, 100), (3, 200)])
