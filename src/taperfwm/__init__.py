@@ -32,7 +32,6 @@ from .dispersion import (
     SellmeierGlass,
     load_glass,
     neff_table,
-    refractive_index,
     solve_mode,
 )
 from .profile import SegmentedProfile, TaperProfile, load_profile, parse_profile, segment
@@ -61,7 +60,6 @@ __all__ = [
     "FUSED_SILICA",
     "CrossSection",
     "HE11",
-    "refractive_index",
     "solve_mode",
     "neff_table",
     "load_glass",

@@ -25,7 +25,6 @@ from typing import Optional
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.constants import c as C_VAC
-from scipy.integrate import trapezoid
 from scipy.optimize import brentq
 
 from . import __version__
@@ -35,6 +34,7 @@ from .dispersion import (
     ModeLabel,
     NeffTable,
     NoGuidedModeError,
+    _TABLE_TOL,
     _lp_order,
     _solve_many,
     _transverse_params,
@@ -65,6 +65,7 @@ __all__ = [
 ]
 
 _LN2 = float(np.log(2.0))
+_BANK_NODES = 48  # table nodes across a ModeBank's frequency span
 
 
 class GridCoverageWarning(UserWarning):
@@ -246,13 +247,10 @@ class ModeBank:
     span, so a bank built for a grid serves every segment of a taper.
     """
 
-    def __init__(self, omega_lo: float, omega_hi: float, *, nodes: int = 48, refine: int = 16):
+    def __init__(self, omega_lo: float, omega_hi: float):
         if not 0 < omega_lo < omega_hi:
             raise ValueError("need 0 < omega_lo < omega_hi")
-        if nodes < 2:
-            raise ValueError("need at least two table nodes")
-        self._grid = np.linspace(omega_lo, omega_hi, nodes)
-        self._refine = refine
+        self._grid = np.linspace(omega_lo, omega_hi, _BANK_NODES)
         self._tables: dict[tuple[CrossSection, ModeLabel], NeffTable] = {}
 
     @property
@@ -262,13 +260,8 @@ class ModeBank:
     def table(self, cross_section: CrossSection, label: ModeLabel = HE11) -> NeffTable:
         key = (cross_section, label)
         if key not in self._tables:
-            self._tables[key] = neff_table(
-                cross_section, self._grid, label, refine=self._refine
-            )
+            self._tables[key] = neff_table(cross_section, self._grid, label)
         return self._tables[key]
-
-    def k(self, cross_section: CrossSection, omega, label: ModeLabel = HE11):
-        return self.table(cross_section, label).k(omega)
 
 
 def delta_k(
@@ -417,6 +410,7 @@ def _auto_bank(grid: SpectralGrid, omega_p: float) -> ModeBank:
 
 
 def _phase_matching_info(segmented, grid, omega_p, modes, eta_mode, bank):
+    """Phase-matching sum and the corner-sampled eta bound (None unless eta_mode='center')."""
     if eta_mode not in ("per_point", "center"):
         raise ValueError(f"eta_mode must be 'per_point' or 'center', got {eta_mode!r}")
     ws, wi = grid.signal_omega, grid.idler_omega
@@ -466,12 +460,7 @@ def _phase_matching_info(segmented, grid, omega_p, modes, eta_mode, bank):
         total += base * suffix
         suffix = suffix * step
 
-    info = {
-        "eta_mode": eta_mode,
-        "eta_center_relative_error_bound": eta_bound if eta_mode == "center" else None,
-        "bank": bank,
-    }
-    return total, info
+    return total, (eta_bound if eta_mode == "center" else None)
 
 
 def phase_matching(
@@ -500,15 +489,13 @@ def phase_matching(
     return total
 
 
-def pump_function(pump: PumpSpec, grid: SpectralGrid, *, method: str = "analytic") -> np.ndarray:
+def pump_function(pump: PumpSpec, grid: SpectralGrid) -> np.ndarray:
     """Pump spectral autoconvolution on the grid (complex matrix).
 
     For a unit-amplitude Gaussian pump spectrum the convolution
     ``int E(w) E(ws + wi - w) dw`` has the closed form
-    ``sigma sqrt(pi) exp(-(ws + wi - 2 w0)^2 / (4 sigma^2))`` used by
-    ``method='analytic'``; ``method='quadrature'`` integrates the product
-    numerically (to cross-check the closed form) and agrees to better than
-    1e-6 relative.  Warns :class:`GridCoverageWarning` when the energy band
+    ``sigma sqrt(pi) exp(-(ws + wi - 2 w0)^2 / (4 sigma^2))``, which is what
+    is returned.  Warns :class:`GridCoverageWarning` when the energy band
     is clipped: the band runs along the anti-diagonal, so the corner sums
     ``ws_min + wi_min`` and ``ws_max + wi_max`` must lie in its far tails.
     """
@@ -525,25 +512,7 @@ def pump_function(pump: PumpSpec, grid: SpectralGrid, *, method: str = "analytic
             break
 
     total = ws[:, None] + wi[None, :]
-    if method == "analytic":
-        vals = peak * np.exp(-((total - 2.0 * w0) ** 2) / (4.0 * sigma**2))
-    elif method == "quadrature":
-        # The integrand is a Gaussian of width sigma/sqrt(2) centered at
-        # omega = (ws + wi)/2, so the window must track that center or the
-        # far-detuned cells lose all relative accuracy.
-        t = np.linspace(-15.0, 15.0, 4097)
-        flat = total.ravel()
-        vals = np.empty(flat.size)
-        for start in range(0, flat.size, 2048):
-            block = flat[start : start + 2048, None]
-            om = 0.5 * block + t[None, :] * sigma
-            integrand = np.exp(
-                -((om - w0) ** 2 + (block - om - w0) ** 2) / (2.0 * sigma**2)
-            )
-            vals[start : start + 2048] = trapezoid(integrand, dx=float(t[1] - t[0]) * sigma, axis=1)
-        vals = vals.reshape(total.shape)
-    else:
-        raise ValueError(f"method must be 'analytic' or 'quadrature', got {method!r}")
+    vals = peak * np.exp(-((total - 2.0 * w0) ** 2) / (4.0 * sigma**2))
     return vals.astype(complex)
 
 
@@ -564,7 +533,7 @@ def jsa(
     the exporters.
     """
     envelope = pump_function(pump, grid)
-    matched, info = _phase_matching_info(segmented, grid, pump.omega0, modes, eta_mode, tables)
+    matched, eta_bound = _phase_matching_info(segmented, grid, pump.omega0, modes, eta_mode, tables)
     amplitude = envelope * matched
     raw_peak = float(np.max(np.abs(amplitude)))
     metadata = {
@@ -587,8 +556,8 @@ def jsa(
             "signal": str(modes.signal),
             "idler": str(modes.idler),
         },
-        "eta_mode": info["eta_mode"],
-        "eta_center_relative_error_bound": info["eta_center_relative_error_bound"],
+        "eta_mode": eta_mode,
+        "eta_center_relative_error_bound": eta_bound,
         "raw_peak_amplitude": raw_peak,
         "grid": {
             "n_signal": grid.n_signal,
@@ -598,7 +567,7 @@ def jsa(
             "idler_omega_min": float(grid.idler_omega[0]),
             "idler_omega_max": float(grid.idler_omega[-1]),
         },
-        "tolerances": {"neff_table_midpoint_abs": 5e-9},
+        "tolerances": {"neff_table_midpoint_abs": _TABLE_TOL},
         "version": __version__,
     }
     return JsaGrid(grid, amplitude, metadata)

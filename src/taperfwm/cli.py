@@ -552,10 +552,7 @@ def main(argv=None) -> int:
     except (TagParseError, InputDataError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_IO
-    except DispersionError as err:
-        print(f"domain error: {err}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except ValueError as err:
+    except (DispersionError, ValueError) as err:
         print(f"domain error: {err}", file=sys.stderr)
         return EXIT_DOMAIN
     except OSError as err:

@@ -20,7 +20,6 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 from scipy.constants import c as C_VAC
-from scipy.integrate import simpson
 from scipy.interpolate import PchipInterpolator
 from scipy.special import jv, jvp, kve
 
@@ -37,7 +36,6 @@ __all__ = [
     "HE11",
     "ModeSolution",
     "NeffTable",
-    "refractive_index",
     "solve_mode",
     "neff_table",
     "load_glass",
@@ -139,11 +137,6 @@ FUSED_SILICA = SellmeierGlass(
     ),
     validity_um=(0.21, 3.71),
 )
-
-
-def refractive_index(glass: SellmeierGlass, wavelength: Union[float, np.ndarray]):
-    """Evaluate ``glass`` at vacuum ``wavelength`` in meters.  See ``SellmeierGlass.index``."""
-    return glass.index(wavelength)
 
 
 _GLASS_KEYS = {"name", "B", "C", "validity_um"}
@@ -458,19 +451,13 @@ def _lp_order(label: ModeLabel) -> int:
     return 1  # TE0n / TM0n
 
 
-_CORE_SAMPLES = 601
-_CLAD_SAMPLES = 2400
-_TAIL_XI = 37.0  # field sampled out to K_l(w r/a) ~ e^-37; truncated tail < 1e-32 of the norm
-
-
 @dataclass(frozen=True)
 class ModeSolution:
     """One guided mode at one cross-section and frequency.
 
     The scalar profile ``u(rho)`` (quasi-LP dominant transverse component) is
     normalized so that ``integral |u|^2 d^2 rho = 1``; units of ``u`` are 1/m.
-    ``r`` and ``field`` hold radial samples; ``field_at`` evaluates the
-    closed-form profile anywhere.
+    ``field_at`` evaluates the closed-form profile at any radius.
     """
 
     label: ModeLabel
@@ -478,8 +465,6 @@ class ModeSolution:
     n_eff: float
     beta: float
     cross_section: CrossSection
-    r: np.ndarray
-    field: np.ndarray
     u: float  # core transverse parameter a*k0*sqrt(n1^2 - n_eff^2)
     w: float  # cladding decay parameter a*k0*sqrt(n_eff^2 - n2^2)
     ell: int
@@ -491,13 +476,6 @@ class ModeSolution:
             raise ValueError("radius must be >= 0")
         row = batch_field_matrix(self.cross_section, [self.omega], [self.n_eff], self.ell, r.ravel())[0]
         return row[0].item() if r.ndim == 0 else row.reshape(r.shape)
-
-    def normalization_integral(self) -> float:
-        """Numerical check of ``integral |u|^2 2 pi r dr`` over the stored samples."""
-        y = 2.0 * np.pi * self.r * self.field**2
-        core = simpson(y[:_CORE_SAMPLES], x=self.r[:_CORE_SAMPLES])
-        clad = simpson(y[_CORE_SAMPLES - 1 :], x=self.r[_CORE_SAMPLES - 1 :])
-        return float(core + clad)
 
 
 def _norm_amplitude(a: float, u, w, ell: int):
@@ -568,32 +546,27 @@ def solve_mode(cross_section: CrossSection, omega: float, mode_label: ModeLabel 
         mode_label = ModeLabel.parse(mode_label)
     n_eff = float(_solve_many(cross_section, np.array([omega]), mode_label)[0])
     u, w = (float(x) for x in _transverse_params(cross_section, omega, n_eff))
-    ell = _lp_order(mode_label)
-
-    a = cross_section.diameter / 2.0
-    r_core = np.linspace(0.0, a, _CORE_SAMPLES)
-    # geometric cladding grid: resolves the power-law region near r=a for
-    # near-cutoff modes (small w) as well as the exponential tail
-    r_clad = a * np.exp(np.linspace(0.0, np.log1p(_TAIL_XI / w), _CLAD_SAMPLES + 1)[1:])
-    r = np.concatenate([r_core, r_clad])
-
     return ModeSolution(
         label=mode_label,
         omega=float(omega),
         n_eff=n_eff,
         beta=float(omega) * n_eff / C_VAC,
         cross_section=cross_section,
-        r=r,
-        field=batch_field_matrix(cross_section, [omega], [n_eff], ell, r)[0],
         u=u,
         w=w,
-        ell=ell,
+        ell=_lp_order(mode_label),
     )
 
 
 # --------------------------------------------------------------------------
 # tabulated effective index
 # --------------------------------------------------------------------------
+
+# Largest |n_eff| gap allowed between a table and direct solves at held-out
+# midpoints, and the solver-grid density relative to the table grid (doubled
+# once if the gap check fails).
+_TABLE_TOL = 5e-9
+_TABLE_REFINE = 16
 
 
 @dataclass(frozen=True)
@@ -609,7 +582,7 @@ class NeffTable:
     label: ModeLabel
     omega: np.ndarray
     n_eff: np.ndarray
-    _interp: object
+    _interp: PchipInterpolator
 
     def __call__(self, omega):
         omega_arr = np.asarray(omega, dtype=float)
@@ -618,10 +591,7 @@ class NeffTable:
             raise ExtrapolationError(
                 f"query outside tabulated range [{lo:.6e}, {hi:.6e}] rad/s for {self.label}"
             )
-        if self._interp is None:  # single-point table degenerates to a constant
-            out = np.full(omega_arr.shape, self.n_eff[0])
-        else:
-            out = self._interp(omega_arr)
+        out = self._interp(omega_arr)
         return out.item() if np.ndim(omega) == 0 else out
 
     def k(self, omega):
@@ -633,51 +603,46 @@ def neff_table(
     cross_section: CrossSection,
     omega_grid: Sequence[float],
     mode_label: ModeLabel = HE11,
-    *,
-    refine: int = 16,
 ) -> NeffTable:
     """Tabulate ``n_eff(omega)`` on ``omega_grid`` with PCHIP interpolation.
 
-    The solver runs on an internally ``refine``-times denser grid so that the
-    interpolant reproduces direct solves at held-out midpoints to 1e-8; this
-    is verified internally at five midpoints and the refinement is doubled
-    once if the check fails.
+    The solver runs on an internal grid 16 times denser than ``omega_grid``
+    so that the interpolant reproduces direct solves at held-out midpoints to
+    5e-9 (``_TABLE_TOL``); this is verified internally at five midpoints and
+    the refinement is doubled once if the check fails.
 
     Args:
         cross_section: Waveguide geometry.
-        omega_grid: Strictly increasing angular frequencies (rad/s), all guided.
+        omega_grid: Strictly increasing angular frequencies (rad/s), at least
+            two, all guided.
         mode_label: Mode to tabulate.
-        refine: Internal grid refinement factor (>= 1).
 
     Raises:
         NoGuidedModeError: Any grid point below cutoff (message lists them).
         ExtrapolationError: On later queries outside the grid range.
     """
     omega_grid = np.asarray(omega_grid, dtype=float)
-    if omega_grid.ndim != 1 or omega_grid.size < 1:
-        raise ValueError("omega_grid must be a 1-D array with at least one point")
+    if omega_grid.ndim != 1 or omega_grid.size < 2:
+        raise ValueError("omega_grid must be a 1-D array with at least two points")
     if np.any(np.diff(omega_grid) <= 0):
         raise ValueError("omega_grid must be strictly increasing")
     if isinstance(mode_label, str):
         mode_label = ModeLabel.parse(mode_label)
 
-    if omega_grid.size == 1:
-        value = _solve_many(cross_section, omega_grid, mode_label)
-        return NeffTable(cross_section, mode_label, omega_grid.copy(), value, None)
-
     coarse = _solve_many(cross_section, omega_grid, mode_label)
-    for factor in (refine, 2 * refine):
+    for factor in (_TABLE_REFINE, 2 * _TABLE_REFINE):
         dense = _refined_grid(omega_grid, factor)
         n_dense = _solve_dense(cross_section, mode_label, omega_grid, coarse, dense)
         interp = PchipInterpolator(dense, n_dense, extrapolate=False)
         checks = dense[:-1] + 0.5 * np.diff(dense)
         checks = checks[np.linspace(0, checks.size - 1, 5).astype(int)]
         direct = _solve_many(cross_section, checks, mode_label)
-        if np.max(np.abs(interp(checks) - direct)) <= 5e-9:
+        if np.max(np.abs(interp(checks) - direct)) <= _TABLE_TOL:
             break
     else:
         raise SolverConvergenceError(
-            f"neff_table failed its held-out midpoint check for {mode_label} even at refine={2*refine}"
+            f"neff_table failed its held-out midpoint check for {mode_label} "
+            f"even at refine={2 * _TABLE_REFINE}"
         )
     return NeffTable(cross_section, mode_label, omega_grid.copy(), interp(omega_grid), interp)
 

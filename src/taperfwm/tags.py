@@ -27,7 +27,6 @@ __all__ = [
     "TICK_SECONDS",
     "TagParseError",
     "TagOrderWarning",
-    "TagRecord",
     "TagStream",
     "CoincidenceHistogram",
     "HeraldedG2Histogram",
@@ -60,16 +59,6 @@ class TagParseError(ValueError):
 
 class TagOrderWarning(UserWarning):
     """Input records were not time-ordered and have been sorted."""
-
-
-@dataclass(frozen=True)
-class TagRecord:
-    channel: int
-    timestamp: int  # ticks
-
-    def __post_init__(self):
-        if self.timestamp < 0:
-            raise ValueError("timestamp must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -117,19 +106,13 @@ class TagStream:
     def from_records(cls, records, tick_duration: float = TICK_SECONDS,
                      channel_set=DEFAULT_CHANNELS, metadata=None) -> "TagStream":
         """Build a stream from (channel, timestamp) pairs, sorting as needed."""
-        ch = np.array([r[0] if not isinstance(r, TagRecord) else r.channel for r in records],
-                      dtype=np.int64)
-        ts = np.array([r[1] if not isinstance(r, TagRecord) else r.timestamp for r in records],
-                      dtype=np.int64)
+        pairs = np.array([(c, t) for c, t in records], dtype=np.int64).reshape(-1, 2)
+        ch, ts = pairs[:, 0], pairs[:, 1]
         order = np.lexsort((ch, ts))
         return cls(ch[order], ts[order], tick_duration, channel_set, dict(metadata or {}))
 
     def __len__(self) -> int:
         return int(self.timestamps.size)
-
-    def records(self):
-        for ch, ts in zip(self.channels, self.timestamps):
-            yield TagRecord(int(ch), int(ts))
 
     def channel_timestamps(self, channel: int) -> np.ndarray:
         """Sorted tick timestamps of one channel."""
@@ -161,7 +144,8 @@ def parse_tags(source, *, channels=DEFAULT_CHANNELS) -> TagStream:
 
     Binary payloads are recognized by the ``TTAG1`` magic; everything else is
     treated as UTF-8 text with lines ``channel<TAB>ticks``, ``#`` comments and
-    an optional ``#tick_ps <int>`` header.  Out-of-order records are sorted
+    an optional ``#tick_ps <int>`` header; a comment whose first word is
+    ``tick_ps`` must be that header.  Out-of-order records are sorted
     and counted in ``metadata["out_of_order_records"]`` with a
     :class:`TagOrderWarning`.
     """
@@ -197,11 +181,14 @@ def _parse_text(data: bytes, channels):
         if not line:
             continue
         if line.startswith("#"):
-            m = re.match(r"#\s*tick_ps\s+(\d+)\s*$", line)
-            if m:
-                declared = int(m.group(1)) * 1e-12
-                if declared == 0:
-                    raise TagParseError(f"line {lineno}: tick_ps must be positive")
+            if line[1:].split()[:1] == ["tick_ps"]:
+                m = re.fullmatch(r"#\s*tick_ps\s+(\d+)", line)
+                if not m:
+                    raise TagParseError(
+                        f"line {lineno}: tick_ps takes one bare positive integer, got {raw!r}")
+                declared = float(m.group(1)) * 1e-12
+                if not 0.0 < declared < math.inf:
+                    raise TagParseError(f"line {lineno}: tick_ps must be positive and finite")
                 if tick is not None and declared != tick:
                     raise TagParseError(f"line {lineno}: conflicting tick_ps declaration")
                 tick = declared
@@ -218,6 +205,8 @@ def _parse_text(data: bytes, channels):
                 f"line {lineno}: unknown channel {chan} (declared {sorted(channels)})")
         if t < 0:
             raise TagParseError(f"line {lineno}: negative timestamp {t}")
+        if t > _INT64_MAX:
+            raise TagParseError(f"line {lineno}: timestamp overflows signed 64-bit ticks")
         chs.append(chan)
         ts.append(t)
     return (np.asarray(chs, dtype=np.int64), np.asarray(ts, dtype=np.int64),

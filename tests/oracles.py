@@ -67,6 +67,27 @@ def dense_scan_he11(diameter: float, lam: float, points: int = 1_000_000) -> flo
     return 0.5 * (lo + hi)
 
 
+# --- pump envelope by quadrature ----------------------------------------------
+
+
+def pump_autoconvolution(omega0, sigma, ws, wi):
+    """|int E(w) E(ws + wi - w) dw| on the (ws, wi) grid for the unit-amplitude
+    Gaussian spectrum E(w) = exp(-(w - omega0)^2 / (2 sigma^2)), by the
+    trapezoid rule.  The integrand is a Gaussian of width sigma/sqrt(2)
+    centred on (ws + wi)/2, so each cell's +-15 sigma window tracks that
+    centre; a fixed window would lose all relative accuracy in the
+    far-detuned cells."""
+    total = (np.asarray(ws)[:, None] + np.asarray(wi)[None, :]).ravel()
+    t = np.linspace(-15.0, 15.0, 4097)
+    out = np.empty(total.size)
+    for start in range(0, total.size, 2048):  # bounds the (cells x nodes) block
+        pair_sum = total[start : start + 2048, None]
+        w = 0.5 * pair_sum + sigma * t[None, :]
+        integrand = np.exp(-((w - omega0) ** 2 + (pair_sum - w - omega0) ** 2) / (2.0 * sigma**2))
+        out[start : start + 2048] = np.trapezoid(integrand, dx=sigma * (t[1] - t[0]), axis=1)
+    return out.reshape(len(ws), len(wi))
+
+
 # --- pulsed pair-source statistics ------------------------------------------
 # Closed forms for per-pulse click probabilities when the pair number N has a
 # known generating function E[x^N], the idler is detected with probability q

@@ -497,6 +497,20 @@ class TestTagsG2h:
         assert run("tags", "g2h", "--tags_in", bad, "--out_dir", tmp_path / "out") == EXIT_IO
         assert "line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("#tick_ps 81\n1\t99999999999999999999\n", "line 2"),
+            ("#tick_ps 40.5\n1\t5\n2\t7\n", "line 1"),
+        ],
+        ids=["timestamp_overflow", "fractional_tick"],
+    )
+    def test_malformed_text_tags_are_input_errors(self, tmp_path, capsys, text, line):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        assert run("tags", "g2h", "--tags_in", bad, "--out_dir", tmp_path / "out") == EXIT_IO
+        assert line in capsys.readouterr().err
+
     def test_no_heralds_is_domain_error(self, tmp_path, capsys):
         stream = TagStream.from_records([(1, 0), (1, 100), (3, 200)])
         tags = tmp_path / "noherald.txt"

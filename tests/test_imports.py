@@ -1,6 +1,9 @@
-"""Every name a package module imports is used in that module or listed in its ``__all__``."""
+"""Package imports: no unused names, and no heavy module the package does not need."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,3 +39,12 @@ def test_detects_unused_import():
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    probe = "import sys, taperfwm.cli; print('scipy.integrate' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"

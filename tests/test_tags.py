@@ -15,7 +15,6 @@ from taperfwm.tags import (
     SimulationConfig,
     TagOrderWarning,
     TagParseError,
-    TagRecord,
     TagStream,
     coincidence_histogram,
     heralded_g2,
@@ -58,12 +57,13 @@ def random_stream(seed, n=1500, span=20_000):
 class TestTagRecordAndStream:
     def test_negative_timestamp_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
-            TagRecord(1, -1)
+            TagStream.from_records([(1, -1)])
 
     def test_sorted_stream_accepted(self):
         s = TagStream(np.array([2, 1, 3]), np.array([0, 5, 5]))
         assert len(s) == 3
-        assert list(s.records()) == [TagRecord(2, 0), TagRecord(1, 5), TagRecord(3, 5)]
+        assert s.channels.tolist() == [2, 1, 3]
+        assert s.timestamps.tolist() == [0, 5, 5]
 
     def test_unsorted_timestamps_rejected(self):
         with pytest.raises(ValueError, match="non-decreasing"):
@@ -139,6 +139,27 @@ class TestParseTags:
     def test_tick_header_honored(self):
         s = parse_tags(b"#tick_ps 50\n1\t4\n")
         assert s.tick_duration == pytest.approx(50e-12)
+
+    @pytest.mark.parametrize(
+        "header", [b"#tick_ps 40.5", b"#tick_ps 1e3", b"# tick_ps 27 # note", b"#tick_ps"]
+    )
+    def test_malformed_tick_header_has_line_number(self, header):
+        with pytest.raises(TagParseError, match="line 2: tick_ps takes one bare positive integer"):
+            parse_tags(b"1\t4\n" + header + b"\n2\t9\n")
+
+    def test_other_first_words_stay_comments(self):
+        s = parse_tags(b"# tick_psx 40.5\n# ticks 1e3\n1\t4\n")
+        assert s.tick_duration == TICK_SECONDS
+
+    def test_unrepresentable_tick_header_rejected(self):
+        with pytest.raises(TagParseError, match="line 1: tick_ps must be positive and finite"):
+            parse_tags(b"#tick_ps " + b"9" * 400 + b"\n1\t4\n")
+
+    def test_timestamp_beyond_int64_has_line_number(self):
+        largest = parse_tags(b"1\t9223372036854775807\n")
+        assert largest.timestamps.tolist() == [2**63 - 1]
+        with pytest.raises(TagParseError, match="line 3: timestamp overflows signed 64-bit"):
+            parse_tags(b"#tick_ps 81\n1\t5\n1\t9223372036854775808\n")
 
     def test_conflicting_tick_headers_rejected(self):
         with pytest.raises(TagParseError, match="conflicting tick_ps"):
