@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.constants import c as C_VAC
-from scipy.integrate import quad
+from scipy.integrate import quad, simpson
 
 from taperfwm.dispersion import (
     FUSED_SILICA,
@@ -200,8 +200,19 @@ class TestSolveMode:
 class TestModeField:
     @pytest.mark.parametrize("name", ["HE11", "TE01", "HE21"])
     def test_normalization_within_tolerance(self, name):
-        # dual route: adaptive quadrature of the closed-form profile
+        # Simpson rule over sampled profiles: uniform core grid, geometric
+        # cladding grid out to K_l(w r/a) ~ e^-37
         sol = solve_mode(WAIST, OM_PUMP, ModeLabel.parse(name))
+        a = WAIST.diameter / 2.0
+        r_core = np.linspace(0.0, a, 601)
+        r_clad = a * np.exp(np.linspace(0.0, np.log1p(37.0 / sol.w), 2401))
+        core = simpson(2.0 * np.pi * r_core * sol.field_at(r_core) ** 2, x=r_core)
+        clad = simpson(2.0 * np.pi * r_clad * sol.field_at(r_clad) ** 2, x=r_clad)
+        assert core + clad == pytest.approx(1.0, abs=1e-6)
+
+    def test_normalization_independent_quadrature(self):
+        # dual route: adaptive quadrature of the closed-form profile
+        sol = solve_mode(WAIST, OM_PUMP, HE11)
         a = WAIST.diameter / 2.0
         integrand = lambda r: sol.field_at(r) ** 2 * 2.0 * np.pi * r
         core, _ = quad(integrand, 0.0, a, limit=200)
