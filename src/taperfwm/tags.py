@@ -14,6 +14,7 @@ surfaces both readings.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import re
@@ -51,6 +52,11 @@ DEFAULT_CHANNELS = frozenset({1, 2, 3})
 
 _BINARY_MAGIC = b"TTAG1"
 _INT64_MAX = np.iinfo(np.int64).max
+# A text field: ASCII digits with an optional minus sign, which is parsed
+# only so that a negative value gets its own message.
+_INTEGER = re.compile(r"-?[0-9]+")
+# Pairs handled per block of coincidence_histogram; bounds its working set.
+_PAIR_BLOCK = 1 << 16
 
 
 class TagParseError(ValueError):
@@ -156,7 +162,7 @@ def parse_tags(source, *, channels=DEFAULT_CHANNELS) -> TagStream:
     if data.startswith(_BINARY_MAGIC):
         ch, ts, tick = _parse_binary(data, channels)
     else:
-        ch, ts, tick = _parse_text(data, channels)
+        ch, ts, tick = _parse_plain(data, channels) or _parse_lines(data, channels)
     out_of_order = 0
     if ts.size > 1:
         later = (ts[1:] < ts[:-1]) | ((ts[1:] == ts[:-1]) & (ch[1:] < ch[:-1]))
@@ -169,7 +175,35 @@ def parse_tags(source, *, channels=DEFAULT_CHANNELS) -> TagStream:
                      {"out_of_order_records": out_of_order})
 
 
-def _parse_text(data: bytes, channels):
+def _parse_plain(data: bytes, channels):
+    """Fast path for a body of plain ``channel<TAB>ticks`` lines after the
+    leading comment lines, through ``np.loadtxt``; the comment lines go
+    through the line loop.  Returns None for any other input and for any
+    fault, which the line loop then reports with its line number."""
+    head_end = 0
+    while data.startswith(b"#", head_end) and (nl := data.find(b"\n", head_end)) >= 0:
+        head_end = nl + 1
+    body = data[head_end:]
+    if not _is_plain_body(body):
+        return None
+    head_ch, _, tick = _parse_lines(data[:head_end], channels)
+    try:
+        fields = np.loadtxt(io.BytesIO(body), dtype=np.int64, delimiter="\t", ndmin=2)
+    except ValueError:  # an empty field, or a value of 2**63 or more
+        return None
+    if head_ch.size or not np.isin(fields[:, 0], list(channels)).all():
+        return None
+    return fields[:, 0], fields[:, 1].copy(), tick
+
+
+def _is_plain_body(body: bytes) -> bool:
+    """Whether ``body`` is lines of ``[0-9]*\\t[0-9]*\\n``: it ends in a newline
+    and with the digits removed only tab-newline pairs remain."""
+    skeleton = body.translate(None, b"0123456789")
+    return body.endswith(b"\n") and skeleton == b"\t\n" * (len(skeleton) // 2)
+
+
+def _parse_lines(data: bytes, channels):
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as err:
@@ -196,10 +230,13 @@ def _parse_text(data: bytes, channels):
         parts = line.split("\t")
         if len(parts) != 2:
             raise TagParseError(f"line {lineno}: expected 'channel<TAB>ticks', got {raw!r}")
+        if not (_INTEGER.fullmatch(parts[0]) and _INTEGER.fullmatch(parts[1])):
+            raise TagParseError(
+                f"line {lineno}: non-integer field in {raw!r} (fields are ASCII digits)")
         try:
             chan, t = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise TagParseError(f"line {lineno}: non-integer field in {raw!r}") from None
+        except ValueError:  # more digits than int() converts
+            raise TagParseError(f"line {lineno}: integer field out of range in {raw!r}") from None
         if chan not in channels:
             raise TagParseError(
                 f"line {lineno}: unknown channel {chan} (declared {sorted(channels)})")
@@ -290,26 +327,16 @@ class CoincidenceHistogram:
         return np.arange(-half, half + 1, dtype=np.int64) * self.bin_width
 
 
-def _pair_indices(ta: np.ndarray, tb: np.ndarray, reach: int):
-    """Indices of all (a, b) pairs with |tb - ta| <= reach, via a merge-style
-    sliding window over the two sorted arrays."""
-    lo = np.searchsorted(ta, tb - reach, side="left")
-    hi = np.searchsorted(ta, tb + reach, side="right")
-    per_b = hi - lo
-    total = int(per_b.sum())
-    b_idx = np.repeat(np.arange(tb.size), per_b)
-    starts = np.concatenate(([0], np.cumsum(per_b)[:-1]))
-    a_idx = np.arange(total) - np.repeat(starts, per_b) + np.repeat(lo, per_b)
-    return a_idx, b_idx
-
-
 def coincidence_histogram(stream: TagStream, ch_a: int = 1, ch_b: int = 2, *,
                           bin_width: int, delay_range: int) -> CoincidenceHistogram:
     """Histogram of delays t_b - t_a over all cross-channel pairs in range.
 
     Every (a, b) pair with |t_b - t_a| <= delay_range contributes once; when
     ch_a == ch_b the self-pairing of a record with itself is excluded.  Cost
-    is O(tags + pairs in range).
+    is O(tags + pairs in range).  Pairs are binned over blocks of channel-b
+    tags holding at most ``_PAIR_BLOCK`` pairs each (a block is never less
+    than one tag), so the working set beyond the per-tag arrays is
+    O(block + bins) however many pairs fall in range.
     """
     if bin_width < 1:
         raise ValueError("bin_width must be at least one tick")
@@ -320,14 +347,25 @@ def coincidence_histogram(stream: TagStream, ch_a: int = 1, ch_b: int = 2, *,
     half = delay_range // bin_width
     counts = np.zeros(2 * half + 1, dtype=np.int64)
     if ta.size and tb.size:
-        a_idx, b_idx = _pair_indices(ta, tb, delay_range)
-        if ch_a == ch_b:
-            keep = a_idx != b_idx
-            a_idx, b_idx = a_idx[keep], b_idx[keep]
-        delays = tb[b_idx] - ta[a_idx]
-        # round-half-up binning keeps bin k centred on k*bin_width
-        k = np.floor_divide(2 * delays + bin_width, 2 * bin_width)
-        counts = np.bincount((k + half).astype(np.intp), minlength=2 * half + 1).astype(np.int64)
+        # the per_b[j] channel-a tags within reach of tb[j] start at ta[lo[j]]; in
+        # the list of all pairs, ordered by b, pair p of tb[j] is with ta[p - shift[j]]
+        lo = np.searchsorted(ta, tb - delay_range, side="left")
+        per_b = np.searchsorted(ta, tb + delay_range, side="right") - lo
+        pairs_through = np.cumsum(per_b)
+        shift = pairs_through - per_b - lo
+        j0 = 0
+        while j0 < tb.size:
+            done = int(pairs_through[j0 - 1]) if j0 else 0
+            j1 = max(int(np.searchsorted(pairs_through, done + _PAIR_BLOCK, side="right")), j0 + 1)
+            per = per_b[j0:j1]
+            a_idx = np.arange(done, int(pairs_through[j1 - 1])) - np.repeat(shift[j0:j1], per)
+            delays = np.repeat(tb[j0:j1], per) - ta[a_idx]
+            if ch_a == ch_b:  # a record does not pair with itself
+                delays = delays[a_idx != np.repeat(np.arange(j0, j1), per)]
+            # round-half-up binning keeps bin k centred on k*bin_width
+            k = np.floor_divide(2 * delays + bin_width, 2 * bin_width)
+            counts += np.bincount(k + half, minlength=counts.size)
+            j0 = j1
     return CoincidenceHistogram(
         bin_width=int(bin_width), delay_range=int(delay_range), counts=counts,
         tick_duration=stream.tick_duration, duration_ticks=stream.duration_ticks,
@@ -492,7 +530,7 @@ class SimulationConfig:
                 raise ValueError(f"{name} must be a probability in [0, 1]")
         if len(self.dark_rates) != 3 or any(r < 0 for r in self.dark_rates):
             raise ValueError("dark_rates must be three non-negative rates (Hz)")
-        if self.dead_time < 0 or self.jitter_std < 0:
+        if not (self.dead_time >= 0 and self.jitter_std >= 0):
             raise ValueError("dead_time and jitter_std must be non-negative")
         if self.pair_statistics not in ("poisson", "thermal"):
             raise ValueError("pair_statistics must be 'poisson' or 'thermal'")
@@ -506,16 +544,28 @@ class SimulationConfig:
 
 def _dead_time_filter(ticks: np.ndarray, dead_ticks: float) -> np.ndarray:
     """Non-paralyzable dead time: keep a click iff it falls at least
-    dead_ticks after the previously kept one."""
+    dead_ticks after the previously kept one.
+
+    ``ticks`` are sorted, unique and non-negative.  For integer ticks
+    ``t - last >= dead_ticks`` holds iff ``t - last >= ceil(dead_ticks)``, so
+    the threshold is exact in integers however large the ticks.  The click
+    kept after a kept click t is the first one at or past
+    ``t + ceil(dead_ticks)``; the walk from the first click along those jumps
+    runs once per kept click.  Offsets from the first click are unsigned, so
+    adding the threshold cannot overflow.
+    """
     if dead_ticks <= 0 or ticks.size == 0:
         return ticks
-    keep = np.zeros(ticks.size, dtype=bool)
-    last = -math.inf
-    for i, t in enumerate(ticks):
-        if t - last >= dead_ticks:
-            keep[i] = True
-            last = t
-    return ticks[keep]
+    if dead_ticks > int(ticks[-1]) - int(ticks[0]):
+        return ticks[:1]
+    offsets = (ticks - ticks[0]).view(np.uint64)
+    nxt = np.searchsorted(offsets, offsets + np.uint64(math.ceil(dead_ticks)), side="left")
+    kept = []
+    i = 0
+    while i < ticks.size:
+        kept.append(i)
+        i = int(nxt[i])
+    return ticks[kept]
 
 
 def simulate_tags(config: SimulationConfig) -> TagStream:
@@ -563,8 +613,11 @@ def simulate_tags(config: SimulationConfig) -> TagStream:
     for channel in (1, 2, 3):
         if not clicks[channel]:
             continue
-        ticks = np.unique(np.concatenate(clicks[channel]))  # collapse same-tick arrivals
-        ticks = _dead_time_filter(ticks, dead_ticks)
+        # jitter and darks arrive unsorted; same-tick arrivals collapse to one click
+        ticks = np.sort(np.concatenate(clicks[channel]))
+        first = np.ones(ticks.size, dtype=bool)
+        np.not_equal(ticks[1:], ticks[:-1], out=first[1:])
+        ticks = _dead_time_filter(ticks[first], dead_ticks)
         all_ch.append(np.full(ticks.size, channel, dtype=np.int64))
         all_ts.append(ticks)
 

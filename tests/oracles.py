@@ -187,3 +187,44 @@ def brute_force_g2(stream, herald_ch, ch_a, ch_b, window, m_max):
         triples = sum(a_flags[i] * b_flags[i + m] for i in range(n_h - m))
         out.append((m, triples, triples * n_h / (sum_a * sum_b)))
     return out
+
+
+# --- unvectorised twins of the tag pipeline's fast paths ----------------------
+
+
+def dead_time_loop(ticks, dead_ticks):
+    """Non-paralyzable dead time, one click at a time: keep a click iff it
+    falls at least dead_ticks after the previously kept one.  Python ints
+    compare with the float dead_ticks exactly."""
+    if dead_ticks <= 0:
+        return np.asarray(ticks)
+    kept = []
+    last = -math.inf
+    for t in np.asarray(ticks).tolist():
+        if t - last >= dead_ticks:
+            kept.append(t)
+            last = t
+    return np.array(kept, dtype=np.int64)
+
+
+def all_pairs_histogram(stream, ch_a, ch_b, bin_width, delay_range):
+    """Delay histogram from the index arrays of every pair in range at once
+    (memory grows with the number of pairs); self-pairs excluded when the
+    channels coincide."""
+    ta = stream.timestamps[stream.channels == ch_a]
+    tb = stream.timestamps[stream.channels == ch_b]
+    half = delay_range // bin_width
+    if not (ta.size and tb.size):
+        return np.zeros(2 * half + 1, dtype=np.int64)
+    lo = np.searchsorted(ta, tb - delay_range, side="left")
+    hi = np.searchsorted(ta, tb + delay_range, side="right")
+    per_b = hi - lo
+    b_idx = np.repeat(np.arange(tb.size), per_b)
+    starts = np.concatenate(([0], np.cumsum(per_b)[:-1]))
+    a_idx = np.arange(int(per_b.sum())) - np.repeat(starts, per_b) + np.repeat(lo, per_b)
+    if ch_a == ch_b:
+        keep = a_idx != b_idx
+        a_idx, b_idx = a_idx[keep], b_idx[keep]
+    delays = tb[b_idx] - ta[a_idx]
+    k = np.floor_divide(2 * delays + bin_width, 2 * bin_width)
+    return np.bincount((k + half).astype(np.intp), minlength=2 * half + 1).astype(np.int64)

@@ -502,12 +502,16 @@ class TestTagsG2h:
         [
             ("#tick_ps 81\n1\t99999999999999999999\n", "line 2"),
             ("#tick_ps 40.5\n1\t5\n2\t7\n", "line 1"),
+            ("#tick_ps 81\n1\t5\n2\t1_000\n", "line 3"),
+            ("1\t5\n2\t+7\n", "line 2"),
+            ("1\t5\n2\t7\n3\t\u0661\u0662\n", "line 3"),
         ],
-        ids=["timestamp_overflow", "fractional_tick"],
+        ids=["timestamp_overflow", "fractional_tick", "underscore_digits", "plus_sign",
+             "non_ascii_digits"],
     )
     def test_malformed_text_tags_are_input_errors(self, tmp_path, capsys, text, line):
         bad = tmp_path / "bad.txt"
-        bad.write_text(text)
+        bad.write_text(text, encoding="utf-8")
         assert run("tags", "g2h", "--tags_in", bad, "--out_dir", tmp_path / "out") == EXIT_IO
         assert line in capsys.readouterr().err
 

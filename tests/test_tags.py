@@ -1,7 +1,10 @@
 """Tag streams: parsing, coincidence/g2 analyses, synthetic source statistics."""
 
+import hashlib
 import json
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from taperfwm import tags
 from taperfwm.tags import (
     TICK_SECONDS,
     CoincidenceHistogram,
@@ -231,6 +235,76 @@ class TestParseTags:
         with pytest.raises(TagParseError, match="not UTF-8"):
             parse_tags(b"\xff\xfe\x00garbage")
 
+    @pytest.mark.parametrize("field", ["1_000", "+5", "\u0661\u0662", "\uff15"],
+                             ids=["underscore", "plus", "arabic_indic", "fullwidth"])
+    def test_only_ascii_digit_fields(self, field):
+        for record in (f"1\t{field}", f"{field}\t1"):
+            with pytest.raises(TagParseError, match="line 2: non-integer field"):
+                parse_tags(f"1\t4\n{record}\n2\t9\n".encode())
+
+    @pytest.mark.parametrize("record", [b"1 \t5", b"1\t 5"])
+    def test_no_spaces_around_the_tab(self, record):
+        with pytest.raises(TagParseError, match="line 1: non-integer field"):
+            parse_tags(record + b"\n")
+        assert parse_tags(b"  1\t5 \n").timestamps.tolist() == [5]
+
+
+def tag_text(records, head=b"", newline=b"\n"):
+    return head + b"".join(b"%d\t%d" % (c, t) + newline for c, t in records)
+
+
+record_lists = st.lists(
+    st.tuples(st.integers(1, 3), st.integers(0, 2**63 - 1) | st.integers(0, 50)), min_size=1)
+heads = st.sampled_from([b"", b"#tick_ps 50\n", b"# run 7\n#tick_ps 81\n# \xc2\xb5s\n"])
+
+
+class TestTextFastPath:
+    """The loadtxt path against the line loop that it shortcuts."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(records=record_lists, head=heads)
+    def test_fast_path_equals_line_loop(self, records, head):
+        data = tag_text(records, head)
+        fast = tags._parse_plain(data, tags.DEFAULT_CHANNELS)
+        assert fast is not None
+        ch, ts, tick = tags._parse_lines(data, tags.DEFAULT_CHANNELS)
+        assert fast[0].tolist() == ch.tolist()
+        assert fast[1].tolist() == ts.tolist()
+        assert fast[2] == tick
+
+    @settings(max_examples=40, deadline=None)
+    @given(records=record_lists, head=heads)
+    def test_fallback_inputs_parse_alike(self, records, head):
+        plain = tag_text(records, head)
+        trailing_comment = plain + b"# end\n"
+        crlf = tag_text(records, head, newline=b"\r\n")
+        assert tags._parse_plain(trailing_comment, tags.DEFAULT_CHANNELS) is None
+        assert tags._parse_plain(crlf, tags.DEFAULT_CHANNELS) is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TagOrderWarning)
+            streams = [parse_tags(d) for d in (plain, trailing_comment, crlf)]
+        for other in streams[1:]:
+            assert np.array_equal(other.channels, streams[0].channels)
+            assert np.array_equal(other.timestamps, streams[0].timestamps)
+            assert other.tick_duration == streams[0].tick_duration
+            assert other.metadata == streams[0].metadata
+
+    @pytest.mark.parametrize("body, plain, message", [
+        (b"1\t5\n2\n", False, "line 3: expected 'channel<TAB>ticks'"),
+        (b"1\t5\n2\t7\t9\n", False, "line 3: expected 'channel<TAB>ticks'"),
+        (b"1\t5\n2\t\n", True, "line 3: expected 'channel<TAB>ticks'"),
+        (b"1\t5\n1\t9223372036854775808\n", True, "line 3: timestamp overflows"),
+        (b"1\t5\n1\t" + b"9" * 400 + b"\n", True, "line 3: timestamp overflows"),
+        (b"1\t5\n7\t9\n", True, "line 3: unknown channel 7"),
+    ], ids=["missing_field", "three_fields", "empty_field", "int64_overflow", "400_digits",
+            "unknown_channel"])
+    def test_malformed_body_reports_its_line(self, body, plain, message):
+        data = b"#tick_ps 81\n" + body
+        assert tags._is_plain_body(body) is plain
+        assert tags._parse_plain(data, tags.DEFAULT_CHANNELS) is None
+        with pytest.raises(TagParseError, match=message):
+            parse_tags(data)
+
 
 class TestCoincidenceHistogram:
     @pytest.mark.parametrize("seed,bin_width,delay_range", [(1, 7, 140), (2, 1, 64), (3, 10, 500)])
@@ -246,6 +320,38 @@ class TestCoincidenceHistogram:
         hist = coincidence_histogram(stream, 2, 2, bin_width=7, delay_range=140)
         _, counts = oracles.brute_force_coincidences(stream, 2, 2, 7, 140)
         assert hist.counts.tolist() == counts
+
+    @pytest.mark.parametrize("block", [1, 7, 500])
+    @pytest.mark.parametrize("ch_a,ch_b", [(1, 2), (3, 1), (2, 2)])
+    def test_blocks_equal_all_pairs(self, monkeypatch, block, ch_a, ch_b):
+        monkeypatch.setattr(tags, "_PAIR_BLOCK", block)
+        stream = random_stream(block, n=3000, span=40_000)
+        hist = coincidence_histogram(stream, ch_a, ch_b, bin_width=5, delay_range=400)
+        expected = oracles.all_pairs_histogram(stream, ch_a, ch_b, 5, 400)
+        assert hist.counts.sum() > 10 * block  # the pairs span many blocks
+        assert hist.counts.tolist() == expected.tolist()
+
+    def test_memory_bounded_by_block(self):
+        # 20 000 tags per channel over 1e8 ticks, +-125 000 ticks: about 1e6 pairs
+        stream = random_stream(21, n=60_000, span=100_000_000)
+        budget = 16e6  # bytes; the all-pairs index arrays need about 5e7
+
+        def traced_peak(histogram):
+            tracemalloc.start()
+            try:
+                counts = histogram()
+                return counts, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        counts, peak = traced_peak(lambda: coincidence_histogram(
+            stream, 1, 2, bin_width=10, delay_range=125_000).counts)
+        expected, all_pairs_peak = traced_peak(lambda: oracles.all_pairs_histogram(
+            stream, 1, 2, 10, 125_000))
+        assert 5e5 < counts.sum() < 2e6
+        assert np.array_equal(counts, expected)
+        assert all_pairs_peak > budget
+        assert peak < budget
 
     def test_single_event_self_pair_excluded(self):
         stream = TagStream.from_records([(1, 100)])
@@ -456,6 +562,36 @@ class TestHeraldedG2:
         np.testing.assert_allclose(a.g2, b.g2, rtol=0)
 
 
+sorted_ticks = st.lists(st.integers(0, 2**63 - 1) | st.integers(0, 400),
+                        min_size=1, max_size=300, unique=True).map(
+    lambda t: np.array(sorted(t), dtype=np.int64))
+
+
+class TestDeadTimeFilter:
+    """The jump walk against the per-click loop."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ticks=sorted_ticks,
+           dead=st.integers(1, 60).map(float) | st.floats(1.0, 60.0) | st.floats(0.0, 1.0)
+           | st.floats(1.0, 2.0**64) | st.integers(1, 2**63 - 1).map(float))
+    def test_jump_walk_equals_loop(self, ticks, dead):
+        kept = tags._dead_time_filter(ticks, dead)
+        assert kept.tolist() == oracles.dead_time_loop(ticks, dead).tolist()
+
+    @settings(max_examples=50, deadline=None)
+    @given(ticks=sorted_ticks, extra=st.floats(0.0, 1e30) | st.just(math.inf))
+    def test_longer_than_span_keeps_first_click(self, ticks, extra):
+        dead = float(int(ticks[-1]) - int(ticks[0])) + 0.5 + extra
+        kept = tags._dead_time_filter(ticks, dead)
+        assert kept.tolist() == ticks[:1].tolist() == oracles.dead_time_loop(ticks, dead).tolist()
+
+    def test_fractional_threshold_rounds_up(self):
+        ticks = np.array([0, 2, 3, 5, 6, 9], dtype=np.int64)
+        assert tags._dead_time_filter(ticks, 2.5).tolist() == [0, 3, 6, 9]
+        assert tags._dead_time_filter(ticks, 3.0).tolist() == [0, 3, 6, 9]
+        assert tags._dead_time_filter(ticks, 0.25).tolist() == ticks.tolist()
+
+
 class TestSimulateTags:
     def test_deterministic_given_seed(self):
         cfg = SimulationConfig(duration=5000 * REP, mean_pairs_per_pulse=0.05,
@@ -530,6 +666,18 @@ class TestSimulateTags:
         expected = math.sqrt(jitter**2 + TICK_SECONDS**2 / 12.0)
         assert measured == pytest.approx(expected, rel=0.1)
 
+    def test_unsorted_clicks_with_same_tick_arrivals_are_pinned(self):
+        # 10 ns ticks, 20 ns jitter and MHz darks: clicks arrive unsorted and
+        # some share a tick; the stream is pinned to its np.unique-based bytes
+        stream = simulate_tags(SimulationConfig(
+            duration=20_000 * REP, mean_pairs_per_pulse=0.2, herald_transmittance=0.3,
+            signal_transmittance=0.5, dark_rates=(2e6, 5e6, 2e6), jitter_std=20e-9,
+            dead_time=50e-9, tick_duration=10e-9, seed=3))
+        digest = hashlib.sha256(stream.channels.tobytes() + stream.timestamps.tobytes())
+        assert stream.counts_by_channel() == {1: 2754, 2: 5107, 3: 2812}
+        assert digest.hexdigest() == (
+            "944d0bcd19581e57b3ababfd268d109818681179a69b4f74208e31b5f46e43a3")
+
     def test_thermal_statistics_differ_from_poisson(self):
         a = sim(200_000, pair_statistics="poisson", seed=31)
         b = sim(200_000, pair_statistics="thermal", seed=31)
@@ -548,6 +696,7 @@ class TestSimulateTags:
         {"rep_period": 0.0},
         {"tick_duration": 0.0},
         {"duration": -1.0},
+        {"dead_time": math.nan},
     ])
     def test_invalid_config_rejected(self, overrides):
         base = dict(duration=100 * REP, mean_pairs_per_pulse=0.05)
