@@ -24,11 +24,11 @@ from typing import Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.constants import c as C_VAC
 from scipy.optimize import brentq
 
 from . import __version__
 from .dispersion import (
+    C_VAC,
     HE11,
     CrossSection,
     ModeLabel,

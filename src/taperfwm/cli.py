@@ -21,10 +21,10 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy.constants import c as C_VAC
 
 from . import __version__
 from .dispersion import (
+    C_VAC,
     FUSED_SILICA,
     HE11,
     CrossSection,

@@ -9,6 +9,13 @@ with monotone cubic interpolation for fast downstream evaluation.
 Effective indices are found by bracketing sign changes of a pole-free form of
 the characteristic equation on a uniform ``n_eff`` scan and refining by
 bisection, which converges even arbitrarily close to cutoff.
+
+Bessel values come from order-specialised kernels: J_0 and J_1 from ``j0`` and
+``j1`` (J_-1 = -J_1), derivatives from J'_m = J_{m-1} - (m/u) J_m (Abramowitz &
+Stegun 9.1.27), and every exponentially scaled K_n e^w from ``k0e`` and ``k1e``
+by the upward recurrence K_{n+1} = K_{n-1} + (2n/w) K_n (A&S 9.6.26), which is
+stable for K.  ``jv`` remains only for J orders |n| >= 2, where upward
+recurrence is unstable.
 """
 
 from __future__ import annotations
@@ -19,11 +26,11 @@ from pathlib import Path
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy.constants import c as C_VAC
 from scipy.interpolate import PchipInterpolator
-from scipy.special import jv, jvp, kve
+from scipy.special import j0, j1, jv, k0e, k1e
 
 __all__ = [
+    "C_VAC",
     "DispersionError",
     "WavelengthRangeError",
     "NoGuidedModeError",
@@ -41,6 +48,10 @@ __all__ = [
     "load_glass",
     "parse_glass",
 ]
+
+
+#: Speed of light in vacuum, m/s (exact by the SI definition of the metre).
+C_VAC = 299792458.0
 
 
 class DispersionError(Exception):
@@ -281,13 +292,46 @@ _BISECT_ITERS = 46
 _RESIDUAL_RTOL = 1e-8
 
 
+def _bessel_j(x, lo: int, hi: int) -> list:
+    """[J_lo(x), ..., J_hi(x)] for lo >= -1, each order evaluated once.
+
+    Orders 0 and +-1 come from ``j0``/``j1`` (J_-1 = -J_1); ``jv`` is used only
+    for orders >= 2, where upward recurrence would be unstable.
+    """
+    j1x = j1(x) if lo == -1 or lo <= 1 <= hi else None
+    out = []
+    for n in range(lo, hi + 1):
+        if n == 0:
+            out.append(j0(x))
+        elif abs(n) == 1:
+            out.append(j1x if n == 1 else -j1x)
+        else:
+            out.append(jv(n, x))
+    return out
+
+
+def _bessel_ke(x, hi: int) -> list:
+    """[K_0(x) e^x, ..., K_hi(x) e^x] from ``k0e``/``k1e`` by upward recurrence.
+
+    K_{n+1} = K_{n-1} + (2n/x) K_n is stable for K, and the common e^x factor
+    obeys the same recurrence.  K_-n = K_n, so index by |n|.
+    """
+    out = [k0e(x)]
+    if hi >= 1:
+        out.append(k1e(x))
+    for n in range(1, hi):
+        out.append(out[n - 1] + (2.0 * n / x) * out[n])
+    return out
+
+
 def _char_fn(family: str, m: int, n1, n2, ak0) -> Callable[[np.ndarray], np.ndarray]:
     """Pole-free characteristic function h(n_eff); h = 0 at guided modes.
 
     ``n1``, ``n2``, ``ak0`` may be scalars or arrays broadcastable against the
-    ``n_eff`` argument.  Modified Bessel factors use the exponentially scaled
-    ``kve``; the e^{-w} factors cancel in every ratio (hybrid) or are a common
-    positive factor (TE/TM), so signs and zeros are unaffected.
+    ``n_eff`` argument.  J_m and J_{m-1} come from ``_bessel_j``, with
+    J'_m = J_{m-1} - (m/u) J_m; the scaled K_{m-1}, K_m, K_{m+1} come from
+    ``_bessel_ke``.  The e^w factors cancel in every ratio (hybrid) or are a
+    common positive factor (TE/TM), so signs and zeros are unaffected.
     """
     n1sq = np.asarray(n1, dtype=float) ** 2
     n2sq = np.asarray(n2, dtype=float) ** 2
@@ -297,17 +341,21 @@ def _char_fn(family: str, m: int, n1, n2, ak0) -> Callable[[np.ndarray], np.ndar
         neff = np.asarray(neff, dtype=float)
         u = ak0 * np.sqrt(n1sq - neff**2)
         w = ak0 * np.sqrt(neff**2 - n2sq)
-        if family == "TE":
-            return jv(1, u) * w * kve(0, w) + kve(1, w) * u * jv(0, u)
-        if family == "TM":
-            return n1sq * jv(1, u) * w * kve(0, w) + n2sq * kve(1, w) * u * jv(0, u)
-        kk = -(kve(m - 1, w) + kve(m + 1, w)) / (2.0 * w * kve(m, w))  # K'_m/(w K_m)
+        if family in ("TE", "TM"):
+            ju0, ju1 = _bessel_j(u, 0, 1)
+            kw0, kw1 = _bessel_ke(w, 1)
+            if family == "TE":
+                return ju1 * w * kw0 + kw1 * u * ju0
+            return n1sq * ju1 * w * kw0 + n2sq * kw1 * u * ju0
+        jprev, jm = _bessel_j(u, m - 1, m)
+        k = _bessel_ke(w, m + 1)
+        kk = -(k[m - 1] + k[m + 1]) / (2.0 * w * k[m])  # K'_m/(w K_m)
         nu = n2sq / n1sq
         csq = m * m * (1.0 / u**2 + 1.0 / w**2) * (1.0 / u**2 + nu / w**2)
         mid = -kk * (1.0 + nu) / 2.0
         split = np.sqrt((kk * (1.0 - nu) / 2.0) ** 2 + csq)
         x = mid - split if family == "HE" else mid + split
-        return jvp(m, u) - x * u * jv(m, u)
+        return (jprev - (m / u) * jm) - x * u * jm
 
     return h
 
@@ -478,18 +526,21 @@ class ModeSolution:
         return row[0].item() if r.ndim == 0 else row.reshape(r.shape)
 
 
-def _norm_amplitude(a: float, u, w, ell: int):
+def _norm_amplitude(a: float, j, k, ell: int):
     """Amplitude A with A^2 * 2 pi * int |g|^2 r dr = 1 for the piecewise Bessel g.
 
-    Uses the closed forms
+    ``j`` holds [J_{l-1}(u), J_l(u), J_{l+1}(u)] from ``_bessel_j`` and ``k``
+    the scaled K_0(w) ... K_{l+1}(w) from ``_bessel_ke``.  Uses the closed forms
       int_0^a J_l(ur/a)^2 r dr           = a^2/2 [J_l(u)^2 - J_{l-1}(u) J_{l+1}(u)]
       int_a^inf K_l(wr/a)^2 r dr         = a^2/2 [K_{l-1}(w) K_{l+1}(w) - K_l(w)^2]
     with the outside term rescaled by (J_l(u)/K_l(w))^2 for continuity at r=a.
-    ``u``/``w`` may be arrays (one amplitude per frequency).
+    The arrays may hold one value per frequency.
     """
-    i_core = 0.5 * a * a * (jv(ell, u) ** 2 - jv(ell - 1, u) * jv(ell + 1, u))
-    k_ratio = (kve(ell - 1, w) * kve(ell + 1, w) - kve(ell, w) ** 2) / kve(ell, w) ** 2
-    i_clad = 0.5 * a * a * jv(ell, u) ** 2 * k_ratio
+    jl = j[1]
+    kl = k[ell]
+    i_core = 0.5 * a * a * (jl**2 - j[0] * j[2])
+    k_ratio = (k[abs(ell - 1)] * k[ell + 1] - kl**2) / kl**2
+    i_clad = 0.5 * a * a * jl**2 * k_ratio
     total = 2.0 * np.pi * (i_core + i_clad)
     if not (np.all(total > 0.0) and np.all(np.isfinite(total))):
         raise SolverConvergenceError("non-positive field norm")
@@ -507,17 +558,19 @@ def batch_field_matrix(cross_section: CrossSection, omegas, n_effs, ell: int, r)
     r = np.asarray(r, dtype=float)
     a = cross_section.diameter / 2.0
     u, w = _transverse_params(cross_section, omegas, n_effs)
-    amp = _norm_amplitude(a, u, w, ell)
+    j = _bessel_j(u, ell - 1, ell + 1)
+    k = _bessel_ke(w, ell + 1)
+    amp = _norm_amplitude(a, j, k, ell)
 
     out = np.empty((u.size, r.size))
     inside = r <= a
-    out[:, inside] = jv(ell, u[:, None] * r[None, inside] / a)
+    out[:, inside] = _bessel_j(u[:, None] * r[None, inside] / a, ell, ell)[0]
     rr = r[~inside]
-    # K_l(w r/a)/K_l(w) via scaled kve; explicit exponent avoids underflow
+    # K_l(w r/a)/K_l(w) via scaled K; explicit exponent avoids underflow
     out[:, ~inside] = (
-        jv(ell, u)[:, None]
-        / kve(ell, w)[:, None]
-        * kve(ell, w[:, None] * rr[None, :] / a)
+        j[1][:, None]
+        / k[ell][:, None]
+        * _bessel_ke(w[:, None] * rr[None, :] / a, ell)[ell]
         * np.exp(-w[:, None] * (rr[None, :] / a - 1.0))
     )
     return amp[:, None] * out

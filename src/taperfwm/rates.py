@@ -9,11 +9,11 @@ mixing) parts.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.constants import hbar
 
 from .biphoton import PumpSpec
 
@@ -32,6 +32,9 @@ __all__ = [
 #: Pairs created per pump photon per pulse.  Calibration input; deriving it
 #: from the fiber nonlinearity is out of scope for this package.
 DEFAULT_CONVERSION_EFFICIENCY = 7e-10
+
+#: Reduced Planck constant, J s (h is exact by the SI definition of the kilogram).
+HBAR = 6.62607015e-34 / (2 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -205,7 +208,7 @@ def rate_budget_report(
     r_internal = rates["R_internal"]
     product_total = 10.0 ** (total_loss_db / 10.0)
     product_each = 10.0 ** (2.0 * total_loss_db / 10.0)
-    n_energy = pump.pulse_energy / (hbar * pump.omega0)
+    n_energy = pump.pulse_energy / (HBAR * pump.omega0)
     ratio = n_energy / photons_per_pulse if photons_per_pulse > 0 else np.inf
 
     lines = [

@@ -9,7 +9,7 @@ is meaningful.
 import math
 
 import numpy as np
-from scipy.special import jv, jvp, kv, kvp
+from scipy.special import jv, jvp, kv, kve, kvp
 
 # --- material: Malitson fused-silica Sellmeier, restated locally -----------
 
@@ -65,6 +65,59 @@ def dense_scan_he11(diameter: float, lam: float, points: int = 1_000_000) -> flo
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+# --- general-order Bessel forms of the mode solver's kernels ------------------
+# The package evaluates J and K through order-specialised kernels (j0/j1,
+# k0e/k1e and recurrences).  These are the same formulas written with the
+# general-order jv/jvp/kve for every order, as the solver used them before.
+
+
+def char_fn_general(family, m, n1, n2, ak0):
+    """Pole-free characteristic function h(n_eff) with jv, jvp and kve."""
+    n1sq = np.asarray(n1, dtype=float) ** 2
+    n2sq = np.asarray(n2, dtype=float) ** 2
+    ak0 = np.asarray(ak0, dtype=float)
+
+    def h(neff):
+        neff = np.asarray(neff, dtype=float)
+        u = ak0 * np.sqrt(n1sq - neff**2)
+        w = ak0 * np.sqrt(neff**2 - n2sq)
+        if family == "TE":
+            return jv(1, u) * w * kve(0, w) + kve(1, w) * u * jv(0, u)
+        if family == "TM":
+            return n1sq * jv(1, u) * w * kve(0, w) + n2sq * kve(1, w) * u * jv(0, u)
+        kk = -(kve(m - 1, w) + kve(m + 1, w)) / (2.0 * w * kve(m, w))
+        nu = n2sq / n1sq
+        csq = m * m * (1.0 / u**2 + 1.0 / w**2) * (1.0 / u**2 + nu / w**2)
+        mid = -kk * (1.0 + nu) / 2.0
+        split = np.sqrt((kk * (1.0 - nu) / 2.0) ** 2 + csq)
+        x = mid - split if family == "HE" else mid + split
+        return jvp(m, u) - x * u * jv(m, u)
+
+    return h
+
+
+def field_rows_general(a, u, w, ell, r):
+    """Normalized piecewise Bessel profiles, one row per (u, w) pair, with jv
+    and kve: J_l(u r/a) inside, J_l(u) K_l(w r/a)/K_l(w) outside, scaled so
+    that 2 pi int |g|^2 r dr = 1 by the closed-form Bessel integrals."""
+    u = np.asarray(u, dtype=float)
+    w = np.asarray(w, dtype=float)
+    r = np.asarray(r, dtype=float)
+    i_core = 0.5 * a * a * (jv(ell, u) ** 2 - jv(ell - 1, u) * jv(ell + 1, u))
+    k_ratio = (kve(ell - 1, w) * kve(ell + 1, w) - kve(ell, w) ** 2) / kve(ell, w) ** 2
+    amp = 1.0 / np.sqrt(2.0 * np.pi * (i_core + 0.5 * a * a * jv(ell, u) ** 2 * k_ratio))
+    out = np.empty((u.size, r.size))
+    inside = r <= a
+    out[:, inside] = jv(ell, u[:, None] * r[None, inside] / a)
+    rr = r[~inside]
+    out[:, ~inside] = (
+        jv(ell, u)[:, None] / kve(ell, w)[:, None]
+        * kve(ell, w[:, None] * rr[None, :] / a)
+        * np.exp(-w[:, None] * (rr[None, :] / a - 1.0))
+    )
+    return amp[:, None] * out
 
 
 # --- pump envelope by quadrature ----------------------------------------------

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.constants import c as C_VAC
 from scipy.integrate import quad, simpson
+from scipy.special import jv, kve
 
+from taperfwm import dispersion
 from taperfwm.dispersion import (
     FUSED_SILICA,
     HE11,
@@ -23,7 +25,7 @@ from taperfwm.dispersion import (
     solve_mode,
 )
 
-from oracles import dense_scan_he11
+from oracles import char_fn_general, dense_scan_he11, field_rows_general
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -279,6 +281,98 @@ class TestNeffTable:
         om = omega_of(1062e-9)
         with pytest.raises(ValueError):
             neff_table(WAIST, np.array([om, om]))
+
+
+# ------------------------------------------------ order-specialised kernels
+# The solver's Bessel kernels (j0/j1, k0e/k1e and recurrences) against the
+# general-order jv/jvp/kve forms in oracles.py.  Tolerances: n_eff 1e-13
+# absolute; field rows 1e-12 relative to the row's largest value; h 1e-12 of
+# the magnitude of the terms it is built from, with each J_n(u) replaced by
+# max(|J_n|, |J_n+1|), which stays near the Bessel envelope at the zeros.
+
+KERNEL_MODES = ["HE11", "HE21", "HE31", "EH11", "EH21", "TE01", "TM01", "HE12"]
+
+
+def _kernel_points(name):
+    """(diameter, wavelengths): random points where every mode is guided, the
+    50 um waist (w in the hundreds), and subwavelength waists for HE11."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    points = [(d, rng.uniform(0.8e-6, 1.5e-6, 4)) for d in rng.uniform(3e-6, 5e-6, 3)]
+    points.append((50e-6, np.array([0.85e-6, 1.3e-6])))
+    if name == "HE11":
+        points += [(d, rng.uniform(0.5e-6, 1.6e-6, 4)) for d in (0.3e-6, 0.9e-6)]
+    return points
+
+
+def _envelope(n, u):
+    return np.maximum(np.abs(jv(n, u)), np.abs(jv(n + 1, u)))
+
+
+def _char_fn_scale(family, m, n1, n2, ak0, neff):
+    u = ak0 * np.sqrt(n1**2 - neff**2)
+    w = ak0 * np.sqrt(neff**2 - n2**2)
+    if family in ("TE", "TM"):
+        return n1**2 * (_envelope(1, u) * w * kve(0, w) + kve(1, w) * u * _envelope(0, u))
+    kk = (kve(m - 1, w) + kve(m + 1, w)) / (2.0 * w * kve(m, w))
+    nu = (n2 / n1) ** 2
+    csq = m * m * (1.0 / u**2 + 1.0 / w**2) * (1.0 / u**2 + nu / w**2)
+    x = kk * (1.0 + nu) / 2.0 + np.sqrt((kk * (1.0 - nu) / 2.0) ** 2 + csq)
+    return _envelope(m - 1, u) + (m / u + x * u) * _envelope(m, u)
+
+
+class TestBesselKernels:
+    def test_k_recurrence_matches_kve(self):
+        w = np.geomspace(1e-3, 1e3, 2001)
+        for n, k in enumerate(dispersion._bessel_ke(w, 6)):
+            np.testing.assert_allclose(k, kve(n, w), rtol=1e-14, atol=0)
+
+    def test_k_orders_zero_and_one_only_as_needed(self):
+        w = np.array([0.5, 2.0])
+        assert len(dispersion._bessel_ke(w, 0)) == 1
+        assert len(dispersion._bessel_ke(w, 1)) == 2
+
+    def test_j_kernels_match_jv(self):
+        x = np.geomspace(1e-6, 1e3, 2001)
+        for n, j in zip(range(-1, 5), dispersion._bessel_j(x, -1, 4)):
+            np.testing.assert_allclose(j, jv(n, x), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("name", KERNEL_MODES)
+    def test_char_fn_matches_general_order(self, name):
+        label = ModeLabel.parse(name)
+        # interior points and points 1e-12 to 1e-3 of the scan width from both
+        # clips: the bottom one approaches w -> 0, the top one u -> 0
+        edge = np.geomspace(1e-12, 1e-3, 10)
+        t = np.concatenate([np.linspace(0.0, 1.0, 201), edge, 1.0 - edge])[:, None]
+        for d, lams in _kernel_points(name):
+            n1, n2, ak0 = dispersion._guide_params(CrossSection(diameter=d), omega_of(lams))
+            n_lo, n_hi = dispersion._scan_bounds(n1, n2)
+            neff = n_lo + t * (n_hi - n_lo)
+            args = (label.family, label.m, n1, n2, ak0)
+            mine = dispersion._char_fn(*args)(neff)
+            ref = char_fn_general(*args)(neff)
+            assert np.all(np.isfinite(mine)) and np.all(np.isfinite(ref))
+            assert np.all(np.abs(mine - ref) <= 1e-12 * _char_fn_scale(*args, neff))
+
+    @pytest.mark.parametrize("name", KERNEL_MODES)
+    def test_solver_and_fields_match_general_order(self, name, monkeypatch):
+        label = ModeLabel.parse(name)
+        ell = dispersion._lp_order(label)
+        for d, lams in _kernel_points(name):
+            cs = CrossSection(diameter=d)
+            omegas = omega_of(lams)
+            mine = dispersion._solve_many(cs, omegas, label)
+            with monkeypatch.context() as m:
+                m.setattr(dispersion, "_char_fn", char_fn_general)
+                ref = dispersion._solve_many(cs, omegas, label)
+            np.testing.assert_allclose(mine, ref, rtol=0, atol=1e-13)
+
+            a = d / 2.0
+            r = np.concatenate([np.linspace(0.0, a, 101), a * np.linspace(1.0, 4.0, 151)[1:]])
+            rows = dispersion.batch_field_matrix(cs, omegas, mine, ell, r)
+            u, w = dispersion._transverse_params(cs, omegas, mine)
+            ref_rows = field_rows_general(a, u, w, ell, r)
+            peak = np.max(np.abs(ref_rows), axis=1, keepdims=True)
+            assert np.all(np.abs(rows - ref_rows) <= 1e-12 * peak)
 
 
 # -------------------------------------------------------- property: geometry

@@ -48,3 +48,30 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "False"
+
+
+def imported_modules(source: str) -> set[str]:
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules.add(node.module)
+            modules.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return modules
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_scipy_constants(module):
+    # the two physical constants the package needs are exact SI literals
+    assert "scipy.constants" not in imported_modules((PACKAGE / module).read_text(encoding="utf-8"))
+
+
+def test_exact_constants_equal_scipy():
+    import scipy.constants
+
+    from taperfwm.dispersion import C_VAC
+    from taperfwm.rates import HBAR
+
+    assert C_VAC == scipy.constants.c
+    assert HBAR == scipy.constants.hbar

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -580,10 +580,24 @@ class TestDeadTimeFilter:
 
     @settings(max_examples=50, deadline=None)
     @given(ticks=sorted_ticks, extra=st.floats(0.0, 1e30) | st.just(math.inf))
+    @example(ticks=np.array([0, 2**52], dtype=np.int64), extra=0.0)
     def test_longer_than_span_keeps_first_click(self, ticks, extra):
-        dead = float(int(ticks[-1]) - int(ticks[0])) + 0.5 + extra
+        # the smallest float strictly above the span: from 2**52 on,
+        # float(span) + 0.5 rounds back to the span itself
+        span = int(ticks[-1]) - int(ticks[0])
+        dead = float(span)
+        while dead <= span:
+            dead = math.nextafter(dead, math.inf)
+        dead += extra
         kept = tags._dead_time_filter(ticks, dead)
         assert kept.tolist() == ticks[:1].tolist() == oracles.dead_time_loop(ticks, dead).tolist()
+
+    @pytest.mark.parametrize("span", [1, 10, 2**52, 2**53])
+    def test_dead_time_equal_to_span_keeps_both_clicks(self, span):
+        ticks = np.array([0, span], dtype=np.int64)
+        assert float(span) == span
+        kept = tags._dead_time_filter(ticks, float(span))
+        assert kept.tolist() == ticks.tolist() == oracles.dead_time_loop(ticks, float(span)).tolist()
 
     def test_fractional_threshold_rounds_up(self):
         ticks = np.array([0, 2, 3, 5, 6, 9], dtype=np.int64)
