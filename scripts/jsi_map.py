@@ -17,10 +17,8 @@ import argparse
 from pathlib import Path
 
 import numpy as np
-from scipy.constants import c, pi
 
 from taperfwm.biphoton import (
-    ModeBank,
     PumpSpec,
     SpectralGrid,
     jsa,
@@ -28,27 +26,25 @@ from taperfwm.biphoton import (
     schmidt_analysis,
     write_matrix_csv,
 )
-from taperfwm.dispersion import FUSED_SILICA, CrossSection
+from taperfwm.dispersion import C_VAC, FUSED_SILICA, CrossSection
 from taperfwm.profile import parse_profile, segment
 
 
 def omega(wavelength_m: float) -> float:
-    return 2.0 * pi * c / wavelength_m
+    return 2.0 * np.pi * C_VAC / wavelength_m
 
 
 def wavelength_nm(omega_rad_s: float) -> float:
-    return 2.0 * pi * c / omega_rad_s * 1e9
+    return 2.0 * np.pi * C_VAC / omega_rad_s * 1e9
 
 
 def scan_diameters(pump: PumpSpec, diameters_m, signal_band=(700e-9, 1000e-9)):
     """Yield (diameter, lambda_s, lambda_i) for waists with a crossing."""
     ws_hi, ws_lo = omega(signal_band[0]), omega(signal_band[1])
-    span = [ws_lo, ws_hi, 2 * pump.omega0 - ws_hi, 2 * pump.omega0 - ws_lo, pump.omega0]
-    bank = ModeBank(min(span), max(span))  # shared across the sweep; caches per diameter
     for d in diameters_m:
         cs = CrossSection(d, FUSED_SILICA)
         try:
-            w_s, w_i = phase_matched_pair(cs, pump.omega0, (ws_lo, ws_hi), tables=bank)
+            w_s, w_i = phase_matched_pair(cs, pump.omega0, (ws_lo, ws_hi))
         except ValueError:
             yield d, None, None
             continue

@@ -10,13 +10,13 @@ provides the derived analyses: marginal spectra, Schmidt decomposition, and
 the zero-mismatch (phase-matched) signal/idler pair of a given cross-section.
 
 Conventions: angular frequencies in rad/s, lengths in meters.  Matrices are
-indexed ``[signal, idler]``.  Tapers that are multimode at their wide ends
-are still traced with the requested (default fundamental) modes only.
+indexed ``[signal, idler]``.  All four waves travel in the fundamental
+HE11 mode, so tapers that are multimode at their wide ends are still traced
+with HE11 only.
 """
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,24 +31,21 @@ from .dispersion import (
     C_VAC,
     HE11,
     CrossSection,
-    ModeLabel,
     NeffTable,
     NoGuidedModeError,
     _TABLE_TOL,
-    _lp_order,
     _solve_many,
     _transverse_params,
     batch_field_matrix,
     neff_table,
 )
 from .profile import SegmentedProfile
+from .tags import _write_json
 
 __all__ = [
     "PumpSpec",
     "SpectralGrid",
     "JsaGrid",
-    "ModeQuartet",
-    "ALL_HE11",
     "ModeBank",
     "GridCoverageWarning",
     "overlap_integral",
@@ -197,18 +194,6 @@ class SpectralGrid:
 
 
 @dataclass(frozen=True)
-class ModeQuartet:
-    """Mode assignment for the four interacting waves (both pump photons share one label)."""
-
-    pump: ModeLabel = HE11
-    signal: ModeLabel = HE11
-    idler: ModeLabel = HE11
-
-
-ALL_HE11 = ModeQuartet()
-
-
-@dataclass(frozen=True)
 class JsaGrid:
     """Joint spectral amplitude F on a SpectralGrid, plus provenance metadata.
 
@@ -240,28 +225,23 @@ class JsaGrid:
 
 
 class ModeBank:
-    """Lazy cache of effective-index tables over one frequency interval.
+    """Lazy cache of HE11 effective-index tables over one frequency interval.
 
-    One table is built per (cross-section, mode label) pair on first use and
-    reused for every query; all tables share the same angular-frequency
-    span, so a bank built for a grid serves every segment of a taper.
+    One table is built per cross-section on first use and reused for every
+    query; all tables share the same angular-frequency span, so a bank built
+    for a grid serves every segment of a taper.
     """
 
     def __init__(self, omega_lo: float, omega_hi: float):
         if not 0 < omega_lo < omega_hi:
             raise ValueError("need 0 < omega_lo < omega_hi")
         self._grid = np.linspace(omega_lo, omega_hi, _BANK_NODES)
-        self._tables: dict[tuple[CrossSection, ModeLabel], NeffTable] = {}
+        self._tables: dict[CrossSection, NeffTable] = {}
 
-    @property
-    def omega_range(self) -> tuple[float, float]:
-        return float(self._grid[0]), float(self._grid[-1])
-
-    def table(self, cross_section: CrossSection, label: ModeLabel = HE11) -> NeffTable:
-        key = (cross_section, label)
-        if key not in self._tables:
-            self._tables[key] = neff_table(cross_section, self._grid, label)
-        return self._tables[key]
+    def table(self, cross_section: CrossSection) -> NeffTable:
+        if cross_section not in self._tables:
+            self._tables[cross_section] = neff_table(cross_section, self._grid)
+        return self._tables[cross_section]
 
 
 def delta_k(
@@ -270,17 +250,14 @@ def delta_k(
     omega_s,
     omega_i,
     tables: Optional[ModeBank] = None,
-    *,
-    modes: ModeQuartet = ALL_HE11,
 ):
     """Wave-vector mismatch k(w_p) + k(w_s + w_i - w_p) - k(w_s) - k(w_i) [rad/m].
 
-    The second pump photon is taken at the returned frequency
-    ``w_s + w_i - w_p`` in the pump's mode.  Symmetric under swapping
-    ``omega_s`` and ``omega_i``; exactly zero at full degeneracy with equal
-    mode labels.  ``omega_s``/``omega_i`` broadcast; without ``tables`` each
-    distinct frequency is solved directly (slow but exact), with ``tables``
-    the bank's interpolants are used.
+    All four waves are HE11; the second pump photon is taken at the returned
+    frequency ``w_s + w_i - w_p``.  Symmetric under swapping ``omega_s`` and
+    ``omega_i``; exactly zero at full degeneracy.  ``omega_s``/``omega_i``
+    broadcast; without ``tables`` each distinct frequency is solved directly
+    (slow but exact), with ``tables`` the bank's interpolant is used.
 
     Raises NoGuidedModeError if any involved frequency is below cutoff.
     """
@@ -291,20 +268,15 @@ def delta_k(
         raise ValueError("returned pump frequency omega_s + omega_i - omega_p must be positive")
 
     if tables is not None:
-        k = lambda om, lab: tables.table(cross_section, lab).k(om)  # noqa: E731
+        k = tables.table(cross_section).k
     else:
-        def k(om, lab):
+        def k(om):
             om = np.asarray(om, dtype=float)
             nodes, inverse = np.unique(om, return_inverse=True)
-            beta = nodes * _solve_many(cross_section, nodes, lab) / C_VAC
+            beta = nodes * _solve_many(cross_section, nodes, HE11) / C_VAC
             return beta[inverse].reshape(om.shape)
 
-    mismatch = (
-        k(omega_p, modes.pump)
-        + k(omega_r, modes.pump)
-        - k(omega_s, modes.signal)
-        - k(omega_i, modes.idler)
-    )
+    mismatch = k(omega_p) + k(omega_r) - k(omega_s) - k(omega_i)
     return float(mismatch) if np.ndim(mismatch) == 0 else mismatch
 
 
@@ -357,34 +329,28 @@ def overlap_integral(mode_p, mode_p2, mode_s, mode_i) -> float:
     return float(np.sum(weights * prod))
 
 
-def _eta_factory(cross_section, omega_p, modes, bank):
-    """Return eta(ws_array, wi_array) -> matrix for one cross-section.
+def _eta_factory(table: NeffTable, omega_p: float):
+    """Return eta(ws_array, wi_array) -> matrix for the cross-section of an HE11 table.
 
     Both pump factors are evaluated at the central pump frequency; the
     returned-frequency detuning stays within the pump bandwidth wherever the
     pair amplitude is non-negligible, so its effect on the overlap is far
-    below the quadrature tolerance.
+    below the quadrature tolerance.  HE11 is the LP01 profile (Bessel order 0).
     """
-    tab_p = bank.table(cross_section, modes.pump)
-    tab_s = bank.table(cross_section, modes.signal)
-    tab_i = bank.table(cross_section, modes.idler)
-    n_p = float(tab_p(omega_p))
-    lo, hi = bank.omega_range
-    mid = 0.5 * (lo + hi)
-    w_total = float(
-        2.0 * _transverse_params(cross_section, omega_p, n_p)[1]
-        + _transverse_params(cross_section, mid, tab_s(mid))[1]
-        + _transverse_params(cross_section, mid, tab_i(mid))[1]
-    )
-    r, weights = _quad_nodes(cross_section.diameter / 2.0, w_total)
-    u_p = batch_field_matrix(
-        cross_section, np.array([omega_p]), np.array([n_p]), _lp_order(modes.pump), r
-    )[0]
+    cs = table.cross_section
+    n_p = float(table(omega_p))
+    mid = 0.5 * (table.omega[0] + table.omega[-1])
+    w_p = _transverse_params(cs, omega_p, n_p)[1]
+    w_mid = _transverse_params(cs, mid, table(mid))[1]
+    # signal, then idler term: a + 2x would round differently from (a + x) + x
+    w_total = float(2.0 * w_p + w_mid + w_mid)
+    r, weights = _quad_nodes(cs.diameter / 2.0, w_total)
+    u_p = batch_field_matrix(cs, np.array([omega_p]), np.array([n_p]), 0, r)[0]
     pump_weight = weights * u_p**2
 
     def eta(ws, wi):
-        u_s = batch_field_matrix(cross_section, ws, tab_s(ws), _lp_order(modes.signal), r)
-        u_i = batch_field_matrix(cross_section, wi, tab_i(wi), _lp_order(modes.idler), r)
+        u_s = batch_field_matrix(cs, ws, table(ws), 0, r)
+        u_i = batch_field_matrix(cs, wi, table(wi), 0, r)
         return u_s @ (pump_weight[None, :] * u_i).T
 
     return eta
@@ -409,7 +375,7 @@ def _auto_bank(grid: SpectralGrid, omega_p: float) -> ModeBank:
     return ModeBank(min(candidates), max(candidates))
 
 
-def _phase_matching_info(segmented, grid, omega_p, modes, eta_mode, bank):
+def _phase_matching_info(segmented, grid, omega_p, eta_mode):
     """Phase-matching sum and the corner-sampled eta bound (None unless eta_mode='center')."""
     if eta_mode not in ("per_point", "center"):
         raise ValueError(f"eta_mode must be 'per_point' or 'center', got {eta_mode!r}")
@@ -417,8 +383,7 @@ def _phase_matching_info(segmented, grid, omega_p, modes, eta_mode, bank):
     omega_r = ws[:, None] + wi[None, :] - omega_p
     if np.any(omega_r <= 0):
         raise ValueError("grid reaches non-positive returned pump frequencies")
-    if bank is None:
-        bank = _auto_bank(grid, omega_p)
+    bank = _auto_bank(grid, omega_p)
 
     length = segmented.segment_length
     total = np.zeros((ws.size, wi.size), dtype=complex)
@@ -432,12 +397,12 @@ def _phase_matching_info(segmented, grid, omega_p, modes, eta_mode, bank):
         cs = segmented.segments[q]
         if cs not in cache:
             try:
-                tab_p = bank.table(cs, modes.pump)
-                k_p = float(tab_p.k(omega_p))
-                k_r = tab_p.k(omega_r)
-                k_s = bank.table(cs, modes.signal).k(ws)
-                k_i = bank.table(cs, modes.idler).k(wi)
-                eta_fn = _eta_factory(cs, omega_p, modes, bank)
+                table = bank.table(cs)
+                k_p = float(table.k(omega_p))
+                k_r = table.k(omega_r)
+                k_s = table.k(ws)
+                k_i = table.k(wi)
+                eta_fn = _eta_factory(table, omega_p)
                 if eta_mode == "per_point":
                     eta = eta_fn(ws, wi)
                 else:
@@ -467,10 +432,8 @@ def phase_matching(
     segmented: SegmentedProfile,
     grid: SpectralGrid,
     omega_p: float,
-    modes: ModeQuartet = ALL_HE11,
     *,
     eta_mode: str = "per_point",
-    tables: Optional[ModeBank] = None,
 ) -> np.ndarray:
     """Segmented phase-matching sum over the taper, as a complex matrix.
 
@@ -485,7 +448,7 @@ def phase_matching(
     Raises NoGuidedModeError naming the offending segment and frequencies if
     any grid frequency is below cutoff somewhere along the taper.
     """
-    total, _ = _phase_matching_info(segmented, grid, omega_p, modes, eta_mode, tables)
+    total, _ = _phase_matching_info(segmented, grid, omega_p, eta_mode)
     return total
 
 
@@ -520,10 +483,8 @@ def jsa(
     segmented: SegmentedProfile,
     pump: PumpSpec,
     grid: SpectralGrid,
-    modes: ModeQuartet = ALL_HE11,
     *,
     eta_mode: str = "per_point",
-    tables: Optional[ModeBank] = None,
 ) -> JsaGrid:
     """Assemble the joint spectral amplitude (pump envelope x phase matching).
 
@@ -533,7 +494,7 @@ def jsa(
     the exporters.
     """
     envelope = pump_function(pump, grid)
-    matched, eta_bound = _phase_matching_info(segmented, grid, pump.omega0, modes, eta_mode, tables)
+    matched, eta_bound = _phase_matching_info(segmented, grid, pump.omega0, eta_mode)
     amplitude = envelope * matched
     raw_peak = float(np.max(np.abs(amplitude)))
     metadata = {
@@ -551,11 +512,7 @@ def jsa(
             "n_segments": segmented.n_segments,
             "segment_length_m": segmented.segment_length,
         },
-        "modes": {
-            "pump": str(modes.pump),
-            "signal": str(modes.signal),
-            "idler": str(modes.idler),
-        },
+        "modes": {"pump": "HE11", "signal": "HE11", "idler": "HE11"},
         "eta_mode": eta_mode,
         "eta_center_relative_error_bound": eta_bound,
         "raw_peak_amplitude": raw_peak,
@@ -621,26 +578,22 @@ def phase_matched_pair(
     cross_section: CrossSection,
     omega_p: float,
     signal_window: tuple[float, float],
-    *,
-    modes: ModeQuartet = ALL_HE11,
-    tables: Optional[ModeBank] = None,
 ) -> tuple[float, float]:
     """Zero-mismatch signal/idler pair on the energy-conservation line.
 
     Finds ``omega_s`` in ``signal_window`` (rad/s) with
-    ``delta_k(omega_s, 2 omega_p - omega_s) = 0`` by bracketing bisection and
+    ``delta_k(omega_s, 2 omega_p - omega_s) = 0`` by Brent's method and
     returns ``(omega_s, omega_i)``.  Raises ValueError when the mismatch does
     not change sign across the window (no crossing for this geometry).
     """
     lo, hi = float(signal_window[0]), float(signal_window[1])
     if not 0 < lo < hi:
         raise ValueError("signal_window must satisfy 0 < min < max")
-    if tables is None:
-        span = [lo, hi, 2.0 * omega_p - hi, 2.0 * omega_p - lo, omega_p]
-        tables = ModeBank(min(span), max(span))
+    span = [lo, hi, 2.0 * omega_p - hi, 2.0 * omega_p - lo, omega_p]
+    tables = ModeBank(min(span), max(span))
 
     def mismatch(w):
-        return delta_k(cross_section, omega_p, w, 2.0 * omega_p - w, tables, modes=modes)
+        return delta_k(cross_section, omega_p, w, 2.0 * omega_p - w, tables)
 
     f_lo, f_hi = mismatch(lo), mismatch(hi)
     if np.sign(f_lo) == np.sign(f_hi):
@@ -712,4 +665,4 @@ def write_jsa_json(jsa_grid: JsaGrid, path):
         "amplitude_imag": norm.imag.tolist(),
         "metadata": jsa_grid.metadata,
     }
-    Path(path).write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    _write_json(payload, path)

@@ -47,6 +47,7 @@ from .rates import fit_power_scan, read_power_scan_csv, write_fit_report_json
 from .tags import (
     SimulationConfig,
     TagParseError,
+    _write_json,
     coincidence_histogram,
     heralded_g2,
     parse_tags,
@@ -257,10 +258,6 @@ def _out_dir(config: RunConfig) -> Path:
     out = Path(config.get("out_dir"))
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _write_json(payload: dict, path: Path) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def _finite_or_none(x: float):

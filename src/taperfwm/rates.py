@@ -8,7 +8,6 @@ mixing) parts.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .biphoton import PumpSpec
+from .tags import _write_json
 
 __all__ = [
     "DEFAULT_CONVERSION_EFFICIENCY",
@@ -287,4 +287,4 @@ def write_fit_report_json(fit: PowerScanFit, path, powers) -> None:
             "total": curves["total"].tolist(),
         },
     }
-    Path(path).write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    _write_json(payload, path)

@@ -642,7 +642,8 @@ def simulate_tags(config: SimulationConfig) -> TagStream:
 # ---------------------------------------------------------------------------
 # result serialization (CSV for plotting, JSON with full parameter echo)
 
-def _write_json(path, payload) -> None:
+def _write_json(payload: dict, path) -> None:
+    """Canonical JSON result file: sorted keys, compact separators, one trailing newline."""
     Path(path).write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
@@ -661,7 +662,7 @@ def write_coincidence_csv(hist: CoincidenceHistogram, path) -> None:
 
 
 def write_coincidence_json(hist: CoincidenceHistogram, path) -> None:
-    _write_json(path, {
+    _write_json({
         "schema": "taperfwm.coincidences/1",
         "bin_width_ticks": hist.bin_width,
         "delay_range_ticks": hist.delay_range,
@@ -673,7 +674,7 @@ def write_coincidence_json(hist: CoincidenceHistogram, path) -> None:
         "n_ch_b": hist.n_ch_b,
         "delay_ticks": hist.delay_centers.tolist(),
         "counts": hist.counts.tolist(),
-    })
+    }, path)
 
 
 def write_g2_csv(hist: HeraldedG2Histogram, path) -> None:
@@ -693,7 +694,7 @@ def write_g2_csv(hist: HeraldedG2Histogram, path) -> None:
 
 
 def write_g2_json(hist: HeraldedG2Histogram, path) -> None:
-    _write_json(path, {
+    _write_json({
         "schema": "taperfwm.g2h/1",
         "window_ticks": hist.window,
         "herald_ch": hist.herald_ch,
@@ -705,4 +706,4 @@ def write_g2_json(hist: HeraldedG2Histogram, path) -> None:
         "separations": hist.separations.tolist(),
         "g2": hist.g2.tolist(),
         "triples": hist.triples.tolist(),
-    })
+    }, path)

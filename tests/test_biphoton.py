@@ -11,7 +11,6 @@ from scipy.ndimage import label as ndlabel
 
 import oracles
 from taperfwm.biphoton import (
-    ALL_HE11,
     GridCoverageWarning,
     JsaGrid,
     ModeBank,
@@ -226,7 +225,7 @@ class TestOverlapIntegral:
     def test_grid_eta_matches_direct_overlap(self):
         cs = CrossSection(885e-9)
         bank = ModeBank(omega(1400e-9), omega(850e-9))
-        eta_fn = _eta_factory(cs, omega(LAMBDA_PUMP), ALL_HE11, bank)
+        eta_fn = _eta_factory(bank.table(cs), omega(LAMBDA_PUMP))
         ws, wi = omega(880e-9), omega(1320e-9)
         from_grid = eta_fn(np.array([ws]), np.array([wi]))[0, 0]
         mp = solve_mode(cs, omega(LAMBDA_PUMP))
