@@ -26,7 +26,6 @@ from .biphoton import (
 )
 from .dispersion import (
     FUSED_SILICA,
-    HE11,
     CrossSection,
     DispersionError,
     SellmeierGlass,
@@ -59,7 +58,6 @@ __all__ = [
     "SellmeierGlass",
     "FUSED_SILICA",
     "CrossSection",
-    "HE11",
     "solve_mode",
     "neff_table",
     "load_glass",

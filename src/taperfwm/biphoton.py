@@ -29,7 +29,6 @@ from scipy.optimize import brentq
 from . import __version__
 from .dispersion import (
     C_VAC,
-    HE11,
     CrossSection,
     NeffTable,
     NoGuidedModeError,
@@ -273,7 +272,7 @@ def delta_k(
         def k(om):
             om = np.asarray(om, dtype=float)
             nodes, inverse = np.unique(om, return_inverse=True)
-            beta = nodes * _solve_many(cross_section, nodes, HE11) / C_VAC
+            beta = nodes * _solve_many(cross_section, nodes) / C_VAC
             return beta[inverse].reshape(om.shape)
 
     mismatch = k(omega_p) + k(omega_r) - k(omega_s) - k(omega_i)
@@ -335,7 +334,7 @@ def _eta_factory(table: NeffTable, omega_p: float):
     Both pump factors are evaluated at the central pump frequency; the
     returned-frequency detuning stays within the pump bandwidth wherever the
     pair amplitude is non-negligible, so its effect on the overlap is far
-    below the quadrature tolerance.  HE11 is the LP01 profile (Bessel order 0).
+    below the quadrature tolerance.
     """
     cs = table.cross_section
     n_p = float(table(omega_p))
@@ -345,12 +344,12 @@ def _eta_factory(table: NeffTable, omega_p: float):
     # signal, then idler term: a + 2x would round differently from (a + x) + x
     w_total = float(2.0 * w_p + w_mid + w_mid)
     r, weights = _quad_nodes(cs.diameter / 2.0, w_total)
-    u_p = batch_field_matrix(cs, np.array([omega_p]), np.array([n_p]), 0, r)[0]
+    u_p = batch_field_matrix(cs, np.array([omega_p]), np.array([n_p]), r)[0]
     pump_weight = weights * u_p**2
 
     def eta(ws, wi):
-        u_s = batch_field_matrix(cs, ws, table(ws), 0, r)
-        u_i = batch_field_matrix(cs, wi, table(wi), 0, r)
+        u_s = batch_field_matrix(cs, ws, table(ws), r)
+        u_i = batch_field_matrix(cs, wi, table(wi), r)
         return u_s @ (pump_weight[None, :] * u_i).T
 
     return eta

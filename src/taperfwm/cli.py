@@ -26,7 +26,6 @@ from . import __version__
 from .dispersion import (
     C_VAC,
     FUSED_SILICA,
-    HE11,
     CrossSection,
     DispersionError,
     _solve_many,
@@ -282,7 +281,7 @@ def cmd_modes(config: RunConfig) -> int:
     cross_section = CrossSection(diameter, core=glass)
 
     wavelengths = np.linspace(lo * 1e-9, hi * 1e-9, n_points)
-    n_effs = _solve_many(cross_section, 2.0 * np.pi * C_VAC / wavelengths, HE11)
+    n_effs = _solve_many(cross_section, 2.0 * np.pi * C_VAC / wavelengths)
 
     path = _out_dir(config) / "modes.csv"
     lines = [

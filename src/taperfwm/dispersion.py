@@ -1,33 +1,32 @@
 """Material dispersion and guided modes of a circular step-index waveguide.
 
 The waist of a tapered fiber is modelled as a silica cylinder surrounded by
-air.  This module provides the Sellmeier material model, a full-vector mode
-solver for the HE/EH/TE/TM families (Bessel J core, modified Bessel K
-cladding), normalized transverse field profiles, and tabulated ``n_eff(omega)``
-with monotone cubic interpolation for fast downstream evaluation.
+air.  This module provides the Sellmeier material model, a full-vector
+solver for the fundamental HE11 mode (Bessel J core, modified Bessel K
+cladding), its normalized transverse (LP01) field profile, and tabulated
+``n_eff(omega)`` with monotone cubic interpolation for fast downstream
+evaluation.
 
-Effective indices are found by bracketing sign changes of a pole-free form of
-the characteristic equation on a uniform ``n_eff`` scan and refining by
-bisection, which converges even arbitrarily close to cutoff.
+The effective index is found by bracketing sign changes of a pole-free form of
+the m = 1 hybrid-mode characteristic equation on a uniform ``n_eff`` scan,
+taking the largest one (HE11 has the highest index of the HE1n family), and
+refining by bisection, which converges even arbitrarily close to cutoff.
 
-Bessel values come from order-specialised kernels: J_0 and J_1 from ``j0`` and
-``j1`` (J_-1 = -J_1), derivatives from J'_m = J_{m-1} - (m/u) J_m (Abramowitz &
-Stegun 9.1.27), and every exponentially scaled K_n e^w from ``k0e`` and ``k1e``
-by the upward recurrence K_{n+1} = K_{n-1} + (2n/w) K_n (A&S 9.6.26), which is
-stable for K.  ``jv`` remains only for J orders |n| >= 2, where upward
-recurrence is unstable.
+Bessel values come from ``j0``/``j1``, with J'_1 = J_0 - J_1/u (Abramowitz &
+Stegun 9.1.27), and the exponentially scaled K_n e^w from ``k0e`` and ``k1e``
+with the upward recurrence K_{n+1} = K_{n-1} + (2n/w) K_n (A&S 9.6.26), which
+is stable for K.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence, Union
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
-from scipy.special import j0, j1, jv, k0e, k1e
+from scipy.special import j0, j1, k0e, k1e
 
 __all__ = [
     "C_VAC",
@@ -39,8 +38,6 @@ __all__ = [
     "SellmeierGlass",
     "FUSED_SILICA",
     "CrossSection",
-    "ModeLabel",
-    "HE11",
     "ModeSolution",
     "NeffTable",
     "solve_mode",
@@ -63,7 +60,7 @@ class WavelengthRangeError(DispersionError, ValueError):
 
 
 class NoGuidedModeError(DispersionError, ValueError):
-    """The requested mode is below cutoff (no root of the characteristic equation)."""
+    """HE11 is not guided (no root of the characteristic equation)."""
 
 
 class SolverConvergenceError(DispersionError, RuntimeError):
@@ -86,10 +83,10 @@ class SellmeierGlass:
     Attributes:
         name: Text label used in error messages and file round-trips.
         terms: Resonance terms ``(B_j, C_j)`` with ``B_j`` dimensionless and
-            ``C_j`` in um^2.  ``B_j = 0`` is allowed (inert term); ``C_j``
-            must be positive.
-        validity_um: Closed wavelength interval ``(lo, hi)`` in um inside
-            which the model may be evaluated.
+            ``C_j`` in um^2, all finite.  ``B_j = 0`` is allowed (inert
+            term); ``C_j`` must be positive.
+        validity_um: Finite closed wavelength interval ``(lo, hi)`` in um
+            inside which the model may be evaluated.
     """
 
     name: str
@@ -101,13 +98,14 @@ class SellmeierGlass:
         object.__setattr__(self, "validity_um", (float(self.validity_um[0]), float(self.validity_um[1])))
         if not self.terms:
             raise ValueError("SellmeierGlass needs at least one (B, C) term")
+        # written so that NaN fails every check
         for b, c in self.terms:
-            if b < 0.0:
-                raise ValueError(f"Sellmeier B coefficient must be >= 0, got {b}")
-            if c <= 0.0:
-                raise ValueError(f"Sellmeier C coefficient must be > 0, got {c}")
+            if not 0.0 <= b < np.inf:
+                raise ValueError(f"Sellmeier B coefficient must be finite and >= 0, got {b}")
+            if not 0.0 < c < np.inf:
+                raise ValueError(f"Sellmeier C coefficient must be finite and > 0, got {c}")
         lo, hi = self.validity_um
-        if not (0.0 < lo < hi):
+        if not (0.0 < lo < hi < np.inf):
             raise ValueError(f"invalid validity interval {self.validity_um}")
 
     def index(self, wavelength: Union[float, np.ndarray]):
@@ -191,7 +189,10 @@ def parse_glass(text: str, *, source: str = "<string>") -> SellmeierGlass:
     validity = fields["validity_um"]
     if len(validity) != 2:
         raise ValueError(f"{source}: validity_um needs exactly 2 values, got {len(validity)}")
-    return SellmeierGlass(name=fields["name"], terms=tuple(zip(bs, cs)), validity_um=validity)
+    try:
+        return SellmeierGlass(name=fields["name"], terms=tuple(zip(bs, cs)), validity_um=validity)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
 
 
 def load_glass(path: Union[str, Path]) -> SellmeierGlass:
@@ -201,7 +202,7 @@ def load_glass(path: Union[str, Path]) -> SellmeierGlass:
 
 
 # --------------------------------------------------------------------------
-# waveguide geometry and mode labels
+# waveguide geometry
 # --------------------------------------------------------------------------
 
 
@@ -234,57 +235,15 @@ class CrossSection:
         return float(self.cladding) if np.ndim(wavelength) == 0 else np.full(np.shape(wavelength), float(self.cladding))
 
 
-_LABEL_RE = re.compile(r"^(HE|EH|TE|TM)(?:(\d)(\d)|(\d+)[_,-](\d+))$")
-
-
-@dataclass(frozen=True)
-class ModeLabel:
-    """Guided-mode label: family HE/EH/TE/TM, azimuthal order m, radial order n."""
-
-    family: str
-    m: int
-    n: int
-
-    def __post_init__(self):
-        if self.family not in ("HE", "EH", "TE", "TM"):
-            raise ValueError(f"unknown mode family {self.family!r}")
-        if self.family in ("TE", "TM"):
-            if self.m != 0:
-                raise ValueError(f"{self.family} modes require m=0, got m={self.m}")
-        elif self.m < 1:
-            raise ValueError(f"{self.family} modes require m>=1, got m={self.m}")
-        if self.n < 1:
-            raise ValueError(f"radial order must be >=1, got n={self.n}")
-
-    @classmethod
-    def parse(cls, text: str) -> "ModeLabel":
-        """Parse compact labels like ``HE11``, ``TE01`` or separated ``HE1-13``."""
-        match = _LABEL_RE.match(text.strip().upper())
-        if not match:
-            raise ValueError(f"cannot parse mode label {text!r} (expected e.g. 'HE11' or 'HE1-13')")
-        family = match.group(1)
-        if match.group(2) is not None:
-            m, n = int(match.group(2)), int(match.group(3))
-        else:
-            m, n = int(match.group(4)), int(match.group(5))
-        return cls(family, m, n)
-
-    def __str__(self):
-        return f"{self.family}{self.m}{self.n}"
-
-
-HE11 = ModeLabel("HE", 1, 1)
-
-
 # --------------------------------------------------------------------------
 # characteristic equation
 # --------------------------------------------------------------------------
 
 # Scan-edge clips in the x = n_eff^2 variable, as fractions of (n1^2 - n2^2).
-# Top clip: the EH-branch function has an analytic double-precision-invisible
-# zero at u -> 0; bottom clip: both hybrid branches lose precision to
-# cancellation as w -> 0.  Roots inside the clipped slivers are physically
-# unbound (evanescent decay lengths >> 1e4 radii) and reported as not guided.
+# Top clip: keeps u > 0, where the 1/u terms are finite; bottom clip: the HE
+# branch loses precision to cancellation as w -> 0.  Roots inside the clipped
+# slivers are physically unbound (evanescent decay lengths >> 1e4 radii) and
+# reported as not guided.
 _CLIP_TOP = 1e-8
 _CLIP_BOT = 2e-9
 
@@ -292,29 +251,11 @@ _BISECT_ITERS = 46
 _RESIDUAL_RTOL = 1e-8
 
 
-def _bessel_j(x, lo: int, hi: int) -> list:
-    """[J_lo(x), ..., J_hi(x)] for lo >= -1, each order evaluated once.
-
-    Orders 0 and +-1 come from ``j0``/``j1`` (J_-1 = -J_1); ``jv`` is used only
-    for orders >= 2, where upward recurrence would be unstable.
-    """
-    j1x = j1(x) if lo == -1 or lo <= 1 <= hi else None
-    out = []
-    for n in range(lo, hi + 1):
-        if n == 0:
-            out.append(j0(x))
-        elif abs(n) == 1:
-            out.append(j1x if n == 1 else -j1x)
-        else:
-            out.append(jv(n, x))
-    return out
-
-
 def _bessel_ke(x, hi: int) -> list:
     """[K_0(x) e^x, ..., K_hi(x) e^x] from ``k0e``/``k1e`` by upward recurrence.
 
     K_{n+1} = K_{n-1} + (2n/x) K_n is stable for K, and the common e^x factor
-    obeys the same recurrence.  K_-n = K_n, so index by |n|.
+    obeys the same recurrence.
     """
     out = [k0e(x)]
     if hi >= 1:
@@ -324,14 +265,15 @@ def _bessel_ke(x, hi: int) -> list:
     return out
 
 
-def _char_fn(family: str, m: int, n1, n2, ak0) -> Callable[[np.ndarray], np.ndarray]:
-    """Pole-free characteristic function h(n_eff); h = 0 at guided modes.
+def _char_fn(n1, n2, ak0) -> Callable[[np.ndarray], np.ndarray]:
+    """Pole-free HE-branch characteristic function h(n_eff) for m = 1.
 
-    ``n1``, ``n2``, ``ak0`` may be scalars or arrays broadcastable against the
-    ``n_eff`` argument.  J_m and J_{m-1} come from ``_bessel_j``, with
-    J'_m = J_{m-1} - (m/u) J_m; the scaled K_{m-1}, K_m, K_{m+1} come from
-    ``_bessel_ke``.  The e^w factors cancel in every ratio (hybrid) or are a
-    common positive factor (TE/TM), so signs and zeros are unaffected.
+    h = J'_1(u) - x u J_1(u) with J'_1 = J_0 - J_1/u and x the HE root of the
+    quadratic in J'_1/(u J_1) built from K'_1/(w K_1) = -(K_0 + K_2)/(2 w K_1);
+    h = 0 at the HE1n modes.  ``n1``, ``n2``, ``ak0`` may be scalars or arrays
+    broadcastable against the ``n_eff`` argument.  The scaled K_0, K_1, K_2
+    come from ``_bessel_ke``; their e^w factors cancel in the ratio, so signs
+    and zeros are unaffected.
     """
     n1sq = np.asarray(n1, dtype=float) ** 2
     n2sq = np.asarray(n2, dtype=float) ** 2
@@ -341,21 +283,15 @@ def _char_fn(family: str, m: int, n1, n2, ak0) -> Callable[[np.ndarray], np.ndar
         neff = np.asarray(neff, dtype=float)
         u = ak0 * np.sqrt(n1sq - neff**2)
         w = ak0 * np.sqrt(neff**2 - n2sq)
-        if family in ("TE", "TM"):
-            ju0, ju1 = _bessel_j(u, 0, 1)
-            kw0, kw1 = _bessel_ke(w, 1)
-            if family == "TE":
-                return ju1 * w * kw0 + kw1 * u * ju0
-            return n1sq * ju1 * w * kw0 + n2sq * kw1 * u * ju0
-        jprev, jm = _bessel_j(u, m - 1, m)
-        k = _bessel_ke(w, m + 1)
-        kk = -(k[m - 1] + k[m + 1]) / (2.0 * w * k[m])  # K'_m/(w K_m)
+        ju0, ju1 = j0(u), j1(u)
+        k0, k1, k2 = _bessel_ke(w, 2)
+        kk = -(k0 + k2) / (2.0 * w * k1)  # K'_1/(w K_1)
         nu = n2sq / n1sq
-        csq = m * m * (1.0 / u**2 + 1.0 / w**2) * (1.0 / u**2 + nu / w**2)
+        csq = (1.0 / u**2 + 1.0 / w**2) * (1.0 / u**2 + nu / w**2)
         mid = -kk * (1.0 + nu) / 2.0
         split = np.sqrt((kk * (1.0 - nu) / 2.0) ** 2 + csq)
-        x = mid - split if family == "HE" else mid + split
-        return (jprev - (m / u) * jm) - x * u * jm
+        x = mid - split
+        return (ju0 - (1 / u) * ju1) - x * u * ju1
 
     return h
 
@@ -367,10 +303,16 @@ def _scan_bounds(n1, n2):
     return np.sqrt(n2sq + _CLIP_BOT * dx), np.sqrt(n1sq - _CLIP_TOP * dx)
 
 
-def _scan_points(v_max: float) -> int:
+def _scan_points(v_max: float, diameter: float) -> int:
     # Adjacent roots are ~pi apart in u; near u -> 0 their n_eff spacing
     # shrinks like 1/V^2, so the uniform-n_eff scan density must grow with V^2.
-    return max(512, int(np.ceil(0.5 * v_max * v_max)))
+    points = np.ceil(0.5 * v_max * v_max)
+    if not np.isfinite(points):
+        raise DispersionError(
+            f"mode scan size overflows at diameter {diameter * 1e9:.6g} nm "
+            f"(V = {v_max:.6g})"
+        )
+    return max(512, int(points))
 
 
 def _guide_params(cross_section: CrossSection, omegas):
@@ -389,13 +331,13 @@ def _transverse_params(cross_section: CrossSection, omegas, n_effs):
     return ak0 * np.sqrt(n1**2 - n_effs**2), ak0 * np.sqrt(n_effs**2 - n2**2)
 
 
-def _refine(label: ModeLabel, n1, n2, ak0, lo, hi, flo, scale) -> np.ndarray:
+def _refine(n1, n2, ak0, lo, hi, flo, scale) -> np.ndarray:
     """Bisect brackets [lo, hi] with h(lo) = flo to roots that pass the residual check.
 
     ``scale`` is the local magnitude of h at each bracket; a root whose
     residual exceeds ``_RESIDUAL_RTOL * scale`` raises SolverConvergenceError.
     """
-    h = _char_fn(label.family, label.m, n1, n2, ak0)
+    h = _char_fn(n1, n2, ak0)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         for _ in range(_BISECT_ITERS):
             mid = 0.5 * (lo + hi)
@@ -410,17 +352,17 @@ def _refine(label: ModeLabel, n1, n2, ak0, lo, hi, flo, scale) -> np.ndarray:
         i = int(np.argmax(resid / scale))
         raise SolverConvergenceError(
             f"root residual {resid[i]:.3e} exceeds {_RESIDUAL_RTOL:g} x local scale "
-            f"{scale[i]:.3e} for {label}"
+            f"{scale[i]:.3e} for HE11"
         )
     return roots
 
 
-def _solve_many(cross_section: CrossSection, omegas: np.ndarray, label: ModeLabel) -> np.ndarray:
-    """Effective indices of ``label`` at each angular frequency (vectorized).
+def _solve_many(cross_section: CrossSection, omegas: np.ndarray) -> np.ndarray:
+    """HE11 effective indices at each angular frequency (vectorized).
 
-    Raises NoGuidedModeError listing every frequency at which fewer than
-    ``label.n`` roots exist, and SolverConvergenceError if a refined root
-    fails its residual check.
+    Raises NoGuidedModeError listing every frequency at which the scan finds
+    no root, and SolverConvergenceError if a refined root fails its residual
+    check.
     """
     omegas = np.asarray(omegas, dtype=float)
     n1, n2, ak0 = _guide_params(cross_section, omegas)
@@ -433,32 +375,32 @@ def _solve_many(cross_section: CrossSection, omegas: np.ndarray, label: ModeLabe
     v = ak0 * np.sqrt(n1**2 - n2**2)
 
     n_eff = np.empty_like(omegas)
-    chunk = max(1, int(4e6 // _scan_points(float(v.max()))))
+    chunk = max(1, int(4e6 // _scan_points(float(v.max()), cross_section.diameter)))
     missing: list[float] = []
     for start in range(0, omegas.size, chunk):
         sl = slice(start, min(start + chunk, omegas.size))
-        n_eff[sl] = _solve_chunk(cross_section, label, omegas[sl], n1[sl], n2[sl], ak0[sl], v[sl], missing)
+        n_eff[sl] = _solve_chunk(cross_section, omegas[sl], n1[sl], n2[sl], ak0[sl], v[sl], missing)
     if missing:
         lam_nm = ", ".join(f"{2*np.pi*C_VAC/w*1e9:.2f} nm" for w in missing[:8])
         more = "" if len(missing) <= 8 else f" (+{len(missing)-8} more)"
         raise NoGuidedModeError(
-            f"no guided {label} mode at diameter {cross_section.diameter*1e9:.1f} nm "
+            f"no guided HE11 mode at diameter {cross_section.diameter*1e9:.1f} nm "
             f"for wavelengths: {lam_nm}{more} (mode below cutoff)"
         )
     return n_eff
 
 
-def _solve_chunk(cross_section, label, omegas, n1, n2, ak0, v, missing):
-    points = _scan_points(float(v.max()))
+def _solve_chunk(cross_section, omegas, n1, n2, ak0, v, missing):
+    points = _scan_points(float(v.max()), cross_section.diameter)
     n_lo, n_hi = _scan_bounds(n1, n2)
     t = np.linspace(0.0, 1.0, points)[:, None]
     grid = n_lo[None, :] + t * (n_hi - n_lo)[None, :]
-    h = _char_fn(label.family, label.m, n1[None, :], n2[None, :], ak0[None, :])
+    h = _char_fn(n1[None, :], n2[None, :], ak0[None, :])
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         vals = h(grid)
     if not np.all(np.isfinite(vals)):
         raise SolverConvergenceError(
-            f"characteristic function not finite on the scan grid for {label} "
+            f"characteristic function not finite on the scan grid for HE11 "
             f"at diameter {cross_section.diameter*1e9:.1f} nm"
         )
     sign = np.signbit(vals)
@@ -471,17 +413,17 @@ def _solve_chunk(cross_section, label, omegas, n1, n2, ak0, v, missing):
     ok = np.ones(omegas.size, dtype=bool)
     for j in range(omegas.size):
         rows = np.nonzero(flips[:, j])[0]
-        if rows.size < label.n:
+        if rows.size == 0:
             missing.append(float(omegas[j]))
             ok[j] = False
             continue
-        r = rows[rows.size - label.n]  # radial order counts down from the largest n_eff
+        r = rows[-1]  # HE11 has the largest n_eff of the HE1n roots
         lo[j], hi[j] = grid[r, j], grid[r + 1, j]
         flo[j] = vals[r, j]
         scale[j] = max(abs(vals[r, j]), abs(vals[r + 1, j]))
     out = np.full(omegas.size, np.nan)
     if np.any(ok):
-        out[ok] = _refine(label, n1[ok], n2[ok], ak0[ok], lo[ok], hi[ok], flo[ok], scale[ok])
+        out[ok] = _refine(n1[ok], n2[ok], ak0[ok], lo[ok], hi[ok], flo[ok], scale[ok])
     return out
 
 
@@ -489,125 +431,108 @@ def _solve_chunk(cross_section, label, omegas, n1, n2, ak0, v, missing):
 # mode solutions
 # --------------------------------------------------------------------------
 
-# Quasi-linear-polarization field: azimuthal Bessel order of the dominant
-# transverse component.
-def _lp_order(label: ModeLabel) -> int:
-    if label.family == "HE":
-        return label.m - 1
-    if label.family == "EH":
-        return label.m + 1
-    return 1  # TE0n / TM0n
-
 
 @dataclass(frozen=True)
 class ModeSolution:
-    """One guided mode at one cross-section and frequency.
+    """HE11 at one cross-section and frequency.
 
-    The scalar profile ``u(rho)`` (quasi-LP dominant transverse component) is
-    normalized so that ``integral |u|^2 d^2 rho = 1``; units of ``u`` are 1/m.
-    ``field_at`` evaluates the closed-form profile at any radius.
+    The scalar profile ``u(rho)`` (quasi-linearly polarized LP01 transverse
+    component) is normalized so that ``integral |u|^2 d^2 rho = 1``; units of
+    ``u`` are 1/m.  ``field_at`` evaluates the closed-form profile at any
+    radius.
     """
 
-    label: ModeLabel
     omega: float
     n_eff: float
     beta: float
     cross_section: CrossSection
     u: float  # core transverse parameter a*k0*sqrt(n1^2 - n_eff^2)
     w: float  # cladding decay parameter a*k0*sqrt(n_eff^2 - n2^2)
-    ell: int
 
     def field_at(self, r):
         """Normalized profile u(rho) at radius ``r`` (meters; scalar or array)."""
         r = np.asarray(r, dtype=float)
         if np.any(r < 0):
             raise ValueError("radius must be >= 0")
-        row = batch_field_matrix(self.cross_section, [self.omega], [self.n_eff], self.ell, r.ravel())[0]
+        row = batch_field_matrix(self.cross_section, [self.omega], [self.n_eff], r.ravel())[0]
         return row[0].item() if r.ndim == 0 else row.reshape(r.shape)
 
 
-def _norm_amplitude(a: float, j, k, ell: int):
-    """Amplitude A with A^2 * 2 pi * int |g|^2 r dr = 1 for the piecewise Bessel g.
+def _norm_amplitude(a: float, j0u, j1u, k0w, k1w):
+    """Amplitude A with A^2 * 2 pi * int |g|^2 r dr = 1 for the LP01 profile g.
 
-    ``j`` holds [J_{l-1}(u), J_l(u), J_{l+1}(u)] from ``_bessel_j`` and ``k``
-    the scaled K_0(w) ... K_{l+1}(w) from ``_bessel_ke``.  Uses the closed forms
-      int_0^a J_l(ur/a)^2 r dr           = a^2/2 [J_l(u)^2 - J_{l-1}(u) J_{l+1}(u)]
-      int_a^inf K_l(wr/a)^2 r dr         = a^2/2 [K_{l-1}(w) K_{l+1}(w) - K_l(w)^2]
-    with the outside term rescaled by (J_l(u)/K_l(w))^2 for continuity at r=a.
+    ``j0u``, ``j1u`` are J_0(u), J_1(u) and ``k0w``, ``k1w`` the scaled
+    K_0(w), K_1(w).  Uses the closed forms
+      int_0^a J_0(ur/a)^2 r dr    = a^2/2 [J_0(u)^2 + J_1(u)^2]
+      int_a^inf K_0(wr/a)^2 r dr  = a^2/2 [K_1(w)^2 - K_0(w)^2]
+    with the outside term rescaled by (J_0(u)/K_0(w))^2 for continuity at r=a.
     The arrays may hold one value per frequency.
     """
-    jl = j[1]
-    kl = k[ell]
-    i_core = 0.5 * a * a * (jl**2 - j[0] * j[2])
-    k_ratio = (k[abs(ell - 1)] * k[ell + 1] - kl**2) / kl**2
-    i_clad = 0.5 * a * a * jl**2 * k_ratio
+    i_core = 0.5 * a * a * (j0u**2 + j1u * j1u)
+    k_ratio = (k1w * k1w - k0w**2) / k0w**2
+    i_clad = 0.5 * a * a * j0u**2 * k_ratio
     total = 2.0 * np.pi * (i_core + i_clad)
     if not (np.all(total > 0.0) and np.all(np.isfinite(total))):
         raise SolverConvergenceError("non-positive field norm")
     return 1.0 / np.sqrt(total)
 
 
-def batch_field_matrix(cross_section: CrossSection, omegas, n_effs, ell: int, r) -> np.ndarray:
-    """Normalized profiles for many frequencies of one cross-section.
+def batch_field_matrix(cross_section: CrossSection, omegas, n_effs, r) -> np.ndarray:
+    """Normalized HE11 profiles for many frequencies of one cross-section.
 
     Returns a matrix of shape ``(len(omegas), len(r))`` where row f samples
-    the normalized quasi-LP profile of the mode with effective index
+    the normalized LP01 profile, J_0(u r/a) in the core and
+    J_0(u) K_0(w r/a)/K_0(w) outside, of the mode with effective index
     ``n_effs[f]`` at ``omegas[f]``; ``ModeSolution.field_at`` is one such
     row.  Radii in meters.
     """
     r = np.asarray(r, dtype=float)
     a = cross_section.diameter / 2.0
     u, w = _transverse_params(cross_section, omegas, n_effs)
-    j = _bessel_j(u, ell - 1, ell + 1)
-    k = _bessel_ke(w, ell + 1)
-    amp = _norm_amplitude(a, j, k, ell)
+    j0u, k0w = j0(u), k0e(w)
+    amp = _norm_amplitude(a, j0u, j1(u), k0w, k1e(w))
 
     out = np.empty((u.size, r.size))
     inside = r <= a
-    out[:, inside] = _bessel_j(u[:, None] * r[None, inside] / a, ell, ell)[0]
+    out[:, inside] = j0(u[:, None] * r[None, inside] / a)
     rr = r[~inside]
-    # K_l(w r/a)/K_l(w) via scaled K; explicit exponent avoids underflow
+    # K_0(w r/a)/K_0(w) via scaled K; explicit exponent avoids underflow
     out[:, ~inside] = (
-        j[1][:, None]
-        / k[ell][:, None]
-        * _bessel_ke(w[:, None] * rr[None, :] / a, ell)[ell]
+        j0u[:, None]
+        / k0w[:, None]
+        * k0e(w[:, None] * rr[None, :] / a)
         * np.exp(-w[:, None] * (rr[None, :] / a - 1.0))
     )
     return amp[:, None] * out
 
 
-def solve_mode(cross_section: CrossSection, omega: float, mode_label: ModeLabel = HE11) -> ModeSolution:
-    """Solve the full-vector characteristic equation for one guided mode.
+def solve_mode(cross_section: CrossSection, omega: float) -> ModeSolution:
+    """Solve the full-vector characteristic equation for HE11.
 
     Args:
         cross_section: Waveguide geometry and materials.
         omega: Angular frequency in rad/s (> 0).
-        mode_label: Requested mode; default HE11.
 
     Returns:
         ModeSolution with ``n_eff`` refined to |delta n_eff| <= 1e-10 and a
-        normalized field profile.
+        normalized LP01 field profile.
 
     Raises:
-        NoGuidedModeError: Mode below cutoff at this frequency/diameter.
+        NoGuidedModeError: HE11 below cutoff at this frequency/diameter.
         SolverConvergenceError: Root refinement failed its residual check.
         WavelengthRangeError: Frequency outside the glass validity interval.
     """
     if not (omega > 0.0 and np.isfinite(omega)):
         raise ValueError(f"omega must be positive and finite, got {omega}")
-    if isinstance(mode_label, str):
-        mode_label = ModeLabel.parse(mode_label)
-    n_eff = float(_solve_many(cross_section, np.array([omega]), mode_label)[0])
+    n_eff = float(_solve_many(cross_section, np.array([omega]))[0])
     u, w = (float(x) for x in _transverse_params(cross_section, omega, n_eff))
     return ModeSolution(
-        label=mode_label,
         omega=float(omega),
         n_eff=n_eff,
         beta=float(omega) * n_eff / C_VAC,
         cross_section=cross_section,
         u=u,
         w=w,
-        ell=_lp_order(mode_label),
     )
 
 
@@ -624,7 +549,7 @@ _TABLE_REFINE = 16
 
 @dataclass(frozen=True)
 class NeffTable:
-    """Monotone-cubic-interpolated ``n_eff(omega)`` for one mode and cross-section.
+    """Monotone-cubic-interpolated HE11 ``n_eff(omega)`` for one cross-section.
 
     Call the table with angular frequencies inside ``[omega[0], omega[-1]]``;
     queries outside raise ExtrapolationError.  ``k(omega)`` returns the
@@ -632,7 +557,6 @@ class NeffTable:
     """
 
     cross_section: CrossSection
-    label: ModeLabel
     omega: np.ndarray
     n_eff: np.ndarray
     _interp: PchipInterpolator
@@ -642,7 +566,7 @@ class NeffTable:
         lo, hi = self.omega[0], self.omega[-1]
         if np.any(omega_arr < lo) or np.any(omega_arr > hi):
             raise ExtrapolationError(
-                f"query outside tabulated range [{lo:.6e}, {hi:.6e}] rad/s for {self.label}"
+                f"query outside tabulated range [{lo:.6e}, {hi:.6e}] rad/s for HE11"
             )
         out = self._interp(omega_arr)
         return out.item() if np.ndim(omega) == 0 else out
@@ -652,12 +576,8 @@ class NeffTable:
         return np.asarray(omega, dtype=float) * self(omega) / C_VAC
 
 
-def neff_table(
-    cross_section: CrossSection,
-    omega_grid: Sequence[float],
-    mode_label: ModeLabel = HE11,
-) -> NeffTable:
-    """Tabulate ``n_eff(omega)`` on ``omega_grid`` with PCHIP interpolation.
+def neff_table(cross_section: CrossSection, omega_grid: Sequence[float]) -> NeffTable:
+    """Tabulate HE11 ``n_eff(omega)`` on ``omega_grid`` with PCHIP interpolation.
 
     The solver runs on an internal grid 16 times denser than ``omega_grid``
     so that the interpolant reproduces direct solves at held-out midpoints to
@@ -668,7 +588,6 @@ def neff_table(
         cross_section: Waveguide geometry.
         omega_grid: Strictly increasing angular frequencies (rad/s), at least
             two, all guided.
-        mode_label: Mode to tabulate.
 
     Raises:
         NoGuidedModeError: Any grid point below cutoff (message lists them).
@@ -679,25 +598,23 @@ def neff_table(
         raise ValueError("omega_grid must be a 1-D array with at least two points")
     if np.any(np.diff(omega_grid) <= 0):
         raise ValueError("omega_grid must be strictly increasing")
-    if isinstance(mode_label, str):
-        mode_label = ModeLabel.parse(mode_label)
 
-    coarse = _solve_many(cross_section, omega_grid, mode_label)
+    coarse = _solve_many(cross_section, omega_grid)
     for factor in (_TABLE_REFINE, 2 * _TABLE_REFINE):
         dense = _refined_grid(omega_grid, factor)
-        n_dense = _solve_dense(cross_section, mode_label, omega_grid, coarse, dense)
+        n_dense = _solve_dense(cross_section, omega_grid, coarse, dense)
         interp = PchipInterpolator(dense, n_dense, extrapolate=False)
         checks = dense[:-1] + 0.5 * np.diff(dense)
         checks = checks[np.linspace(0, checks.size - 1, 5).astype(int)]
-        direct = _solve_many(cross_section, checks, mode_label)
+        direct = _solve_many(cross_section, checks)
         if np.max(np.abs(interp(checks) - direct)) <= _TABLE_TOL:
             break
     else:
         raise SolverConvergenceError(
-            f"neff_table failed its held-out midpoint check for {mode_label} "
+            f"neff_table failed its held-out midpoint check for HE11 "
             f"even at refine={2 * _TABLE_REFINE}"
         )
-    return NeffTable(cross_section, mode_label, omega_grid.copy(), interp(omega_grid), interp)
+    return NeffTable(cross_section, omega_grid.copy(), interp(omega_grid), interp)
 
 
 def _refined_grid(grid: np.ndarray, factor: int) -> np.ndarray:
@@ -706,11 +623,11 @@ def _refined_grid(grid: np.ndarray, factor: int) -> np.ndarray:
     return np.append(dense, grid[-1])
 
 
-def _solve_dense(cross_section, label, coarse_grid, coarse_neff, dense):
+def _solve_dense(cross_section, coarse_grid, coarse_neff, dense):
     """Roots on a dense grid via brackets predicted from a coarse solution.
 
     The bracket half-width is a quarter of the local coarse step in n_eff, so
-    it cannot reach a neighboring radial order; every point whose predicted
+    it cannot reach a neighboring HE1n root; every point whose predicted
     bracket fails to enclose a sign change falls back to the full scan of
     _solve_many, and the bisected roots pass the same residual check.
     """
@@ -722,7 +639,7 @@ def _solve_dense(cross_section, label, coarse_grid, coarse_neff, dense):
         n_lo, n_hi = _scan_bounds(n1, n2)
         lo = np.maximum(pred - delta, n_lo)
         hi = np.minimum(pred + delta, n_hi)
-        h = _char_fn(label.family, label.m, n1, n2, ak0)
+        h = _char_fn(n1, n2, ak0)
         flo, fhi = h(lo), h(hi)
     good = (
         np.isfinite(flo) & np.isfinite(fhi) & (lo < hi) & (np.signbit(flo) != np.signbit(fhi))
@@ -730,7 +647,7 @@ def _solve_dense(cross_section, label, coarse_grid, coarse_neff, dense):
     out = np.empty_like(dense)
     if np.any(good):
         scale = np.maximum(np.abs(flo[good]), np.abs(fhi[good]))
-        out[good] = _refine(label, n1[good], n2[good], ak0[good], lo[good], hi[good], flo[good], scale)
+        out[good] = _refine(n1[good], n2[good], ak0[good], lo[good], hi[good], flo[good], scale)
     if not np.all(good):
-        out[~good] = _solve_many(cross_section, dense[~good], label)
+        out[~good] = _solve_many(cross_section, dense[~good])
     return out

@@ -161,8 +161,8 @@ def segment(
         raise ValueError(f"n_segments must be >= 1, got {n_segments}")
     length = profile.span / n_segments
     z_mid = profile.z[0] + (np.arange(n_segments) + 0.5) * length
-    diam = np.interp(z_mid, profile.z, profile.diameter)
-    assert diam.min() >= profile.diameter.min() and diam.max() <= profile.diameter.max()
+    # np.interp can round one ulp past a sample; the clip keeps the hull exact
+    diam = np.clip(np.interp(z_mid, profile.z, profile.diameter), profile.diameter.min(), profile.diameter.max())
     segments = tuple(CrossSection(diameter=float(d), core=core, cladding=cladding) for d in diam)
     return SegmentedProfile(
         segment_length=length,

@@ -207,6 +207,14 @@ class TestModes:
         assert code == EXIT_DOMAIN
         assert "cutoff" in capsys.readouterr().err
 
+    def test_overflowing_scan_size_is_domain_error(self, tmp_path, capsys):
+        # V^2 overflows to inf, so no scan grid can be sized
+        code = run("modes", "--diameter_nm", 1e300, "--out_dir", tmp_path / "out")
+        assert code == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert err.startswith("domain error:") and "diameter 1e+300 nm" in err
+        assert "Traceback" not in err
+
     def test_nested_out_dir_created(self, tmp_path):
         out = tmp_path / "a" / "b" / "c"
         assert run(
@@ -330,8 +338,15 @@ class TestJsi:
 
     @pytest.mark.parametrize(
         "flag, text",
-        [("--profile", "0 900e-9\nfoo bar\n"), ("--glass", "name x\nB 0.5\n")],
-        ids=["profile", "glass"],
+        [
+            ("--profile", "0 900e-9\nfoo bar\n"),
+            ("--glass", "name x\nB 0.5\n"),
+            ("--glass", "name x\nB 0.6961663 0.4079426 0.8974794\n"
+                        "C 0.00467914826 nan 97.9340025\nvalidity_um 0.21 3.71\n"),
+            ("--glass", "name x\nB 0.6961663 inf 0.8974794\n"
+                        "C 0.00467914826 0.01351206307 97.9340025\nvalidity_um 0.21 3.71\n"),
+        ],
+        ids=["profile", "glass", "glass_nan", "glass_inf"],
     )
     def test_malformed_data_file_is_input_error(self, tmp_path, capsys, flag, text):
         bad = tmp_path / "bad.txt"

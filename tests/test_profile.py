@@ -124,6 +124,14 @@ class TestProfileObject:
         assert a.content_hash() == parse_profile("0 890e-9\n0.014 890e-9\n").content_hash()
 
 
+def test_segment_clips_interpolation_rounding_to_hull():
+    # np.interp lands 5e-23 below the smallest sample here
+    diams = [1.4470093122647607e-06, 4.373907507994854e-07, 1.4470093122647607e-06,
+             1.7977336373336879e-06, 1.892759184892043e-06, 1e-06, 1e-06]
+    seg = segment(TaperProfile(np.linspace(0.0, 0.02, len(diams)), np.array(diams)), 15)
+    assert min(diams) <= seg.diameters.min() and seg.diameters.max() <= max(diams)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     diams=st.lists(st.floats(min_value=100e-9, max_value=2e-6), min_size=2, max_size=30),
