@@ -27,6 +27,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.optimize import brentq
 
 from . import __version__
+from ._floattext import format_rows
 from .dispersion import (
     C_VAC,
     CrossSection,
@@ -609,8 +610,7 @@ def phase_matched_pair(
 # --------------------------------------------------------------------------
 
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
+_CSV_BLOCK_ROWS = 32  # grid rows formatted per step, which bounds the writer's memory
 
 
 def write_matrix_csv(path, grid: SpectralGrid, matrix: np.ndarray, *, name: str, comments=()):
@@ -619,29 +619,35 @@ def write_matrix_csv(path, grid: SpectralGrid, matrix: np.ndarray, *, name: str,
     Layout: '#' comment lines, then a header row of idler angular
     frequencies (first cell empty), then one row per signal frequency with
     the axis value in column 0.  Floats are written with shortest
-    round-trip precision, so outputs are byte-stable for identical inputs.
+    round-trip precision (the text of ``repr``), so outputs are byte-stable
+    for identical inputs.
     """
     matrix = np.asarray(matrix)
     if matrix.shape != (grid.n_signal, grid.n_idler):
         raise ValueError("matrix shape does not match grid")
-    lines = [f"# {name}"]
-    lines += [f"# {c}" for c in comments]
-    lines.append("# rows: signal_omega_rad_s; columns: idler_omega_rad_s")
-    lines.append("," + ",".join(_format_float(v) for v in grid.idler_omega))
-    for i, ws in enumerate(grid.signal_omega):
-        row = ",".join(_format_float(v) for v in matrix[i])
-        lines.append(f"{_format_float(ws)},{row}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    if np.iscomplexobj(matrix):
+        raise TypeError("write_matrix_csv needs a real matrix")
+    head = [f"# {name}", *(f"# {c}" for c in comments),
+            "# rows: signal_omega_rad_s; columns: idler_omega_rad_s", ""]
+    rows = np.empty((_CSV_BLOCK_ROWS, 1 + grid.n_idler))
+    with open(path, "wb") as f:
+        f.write("\n".join(head).encode())
+        f.write(b"," + format_rows(grid.idler_omega[None, :]))
+        for start in range(0, grid.n_signal, _CSV_BLOCK_ROWS):
+            block = rows[:min(_CSV_BLOCK_ROWS, grid.n_signal - start)]
+            block[:, 0] = grid.signal_omega[start:start + len(block)]
+            block[:, 1:] = matrix[start:start + len(block)]
+            f.write(format_rows(block))
 
 
 def write_marginals_csv(jsa_grid: JsaGrid, path):
     """Write both unit-sum marginal spectra as a two-block CSV."""
     sig, idl = marginals(jsa_grid)
     lines = ["# marginal spectra (unit sum)", "axis,omega_rad_s,weight"]
-    for om, v in zip(jsa_grid.grid.signal_omega, sig):
-        lines.append(f"signal,{_format_float(om)},{_format_float(v)}")
-    for om, v in zip(jsa_grid.grid.idler_omega, idl):
-        lines.append(f"idler,{_format_float(om)},{_format_float(v)}")
+    for axis, omega, weight in (("signal", jsa_grid.grid.signal_omega, sig),
+                                ("idler", jsa_grid.grid.idler_omega, idl)):
+        text = format_rows(np.column_stack([omega, weight])).decode()
+        lines += [f"{axis},{row}" for row in text.splitlines()]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -331,11 +331,12 @@ def _transverse_params(cross_section: CrossSection, omegas, n_effs):
     return ak0 * np.sqrt(n1**2 - n_effs**2), ak0 * np.sqrt(n_effs**2 - n2**2)
 
 
-def _refine(n1, n2, ak0, lo, hi, flo, scale) -> np.ndarray:
+def _refine(cross_section, omegas, n1, n2, ak0, lo, hi, flo, scale) -> np.ndarray:
     """Bisect brackets [lo, hi] with h(lo) = flo to roots that pass the residual check.
 
     ``scale`` is the local magnitude of h at each bracket; a root whose
-    residual exceeds ``_RESIDUAL_RTOL * scale`` raises SolverConvergenceError.
+    residual exceeds ``_RESIDUAL_RTOL * scale`` raises SolverConvergenceError
+    naming the wavelength of the worst one and the diameter.
     """
     h = _char_fn(n1, n2, ak0)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
@@ -352,7 +353,8 @@ def _refine(n1, n2, ak0, lo, hi, flo, scale) -> np.ndarray:
         i = int(np.argmax(resid / scale))
         raise SolverConvergenceError(
             f"root residual {resid[i]:.3e} exceeds {_RESIDUAL_RTOL:g} x local scale "
-            f"{scale[i]:.3e} for HE11"
+            f"{scale[i]:.3e} for HE11 at wavelength {2*np.pi*C_VAC/omegas[i]*1e9:.2f} nm, "
+            f"diameter {cross_section.diameter*1e9:.1f} nm"
         )
     return roots
 
@@ -423,7 +425,8 @@ def _solve_chunk(cross_section, omegas, n1, n2, ak0, v, missing):
         scale[j] = max(abs(vals[r, j]), abs(vals[r + 1, j]))
     out = np.full(omegas.size, np.nan)
     if np.any(ok):
-        out[ok] = _refine(n1[ok], n2[ok], ak0[ok], lo[ok], hi[ok], flo[ok], scale[ok])
+        out[ok] = _refine(cross_section, omegas[ok], n1[ok], n2[ok], ak0[ok], lo[ok], hi[ok],
+                          flo[ok], scale[ok])
     return out
 
 
@@ -647,7 +650,8 @@ def _solve_dense(cross_section, coarse_grid, coarse_neff, dense):
     out = np.empty_like(dense)
     if np.any(good):
         scale = np.maximum(np.abs(flo[good]), np.abs(fhi[good]))
-        out[good] = _refine(n1[good], n2[good], ak0[good], lo[good], hi[good], flo[good], scale)
+        out[good] = _refine(cross_section, dense[good], n1[good], n2[good], ak0[good], lo[good],
+                            hi[good], flo[good], scale)
     if not np.all(good):
         out[~good] = _solve_many(cross_section, dense[~good])
     return out

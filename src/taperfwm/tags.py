@@ -57,6 +57,8 @@ _INT64_MAX = np.iinfo(np.int64).max
 _INTEGER = re.compile(r"-?[0-9]+")
 # Pairs handled per block of coincidence_histogram; bounds its working set.
 _PAIR_BLOCK = 1 << 16
+# Records formatted per write by the text writers; bounds their working set.
+_TEXT_BLOCK = 1 << 16
 
 
 class TagParseError(ValueError):
@@ -275,10 +277,17 @@ def _parse_binary(data: bytes, channels):
     return ch, raw_ts.astype(np.int64), tick_fs * 1e-15
 
 
+def _text_blocks(*columns):
+    """Parallel columns as lists of Python ints or floats, _TEXT_BLOCK records at a time."""
+    for start in range(0, len(columns[0]), _TEXT_BLOCK):
+        yield [column[start:start + _TEXT_BLOCK].tolist() for column in columns]
+
+
 def write_tags_text(stream: TagStream, path) -> None:
-    lines = [f"#tick_ps {round(stream.tick_duration * 1e12)}"]
-    lines.extend(f"{int(c)}\t{int(t)}" for c, t in zip(stream.channels, stream.timestamps))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as f:
+        f.write(f"#tick_ps {round(stream.tick_duration * 1e12)}\n")
+        for channels, ticks in _text_blocks(stream.channels, stream.timestamps):
+            f.write("".join(f"{c}\t{t}\n" for c, t in zip(channels, ticks)))
 
 
 def write_tags_binary(stream: TagStream, path) -> None:
@@ -648,7 +657,7 @@ def _write_json(payload: dict, path) -> None:
 
 
 def write_coincidence_csv(hist: CoincidenceHistogram, path) -> None:
-    lines = [
+    head = [
         f"# bin_width_ticks {hist.bin_width}",
         f"# delay_range_ticks {hist.delay_range}",
         f"# tick_duration_s {hist.tick_duration!r}",
@@ -657,8 +666,10 @@ def write_coincidence_csv(hist: CoincidenceHistogram, path) -> None:
         f"# singles {hist.n_ch_a},{hist.n_ch_b}",
         "delay_ticks,count",
     ]
-    lines.extend(f"{int(d)},{int(c)}" for d, c in zip(hist.delay_centers, hist.counts))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as f:
+        f.write("".join(line + "\n" for line in head))
+        for delays, counts in _text_blocks(hist.delay_centers, hist.counts):
+            f.write("".join(f"{d},{c}\n" for d, c in zip(delays, counts)))
 
 
 def write_coincidence_json(hist: CoincidenceHistogram, path) -> None:
@@ -687,8 +698,8 @@ def write_g2_csv(hist: HeraldedG2Histogram, path) -> None:
         "separation,g2,triples",
     ]
     lines.extend(
-        f"{int(m)},{float(g)!r},{int(t)}"
-        for m, g, t in zip(hist.separations, hist.g2, hist.triples)
+        f"{m},{g!r},{t}"
+        for m, g, t in zip(hist.separations.tolist(), hist.g2.tolist(), hist.triples.tolist())
     )
     Path(path).write_text("\n".join(lines) + "\n")
 

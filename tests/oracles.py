@@ -7,6 +7,7 @@ is meaningful.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 from scipy.special import jv, jvp, kv, kve, kvp
@@ -281,3 +282,28 @@ def all_pairs_histogram(stream, ch_a, ch_b, bin_width, delay_range):
     delays = tb[b_idx] - ta[a_idx]
     k = np.floor_divide(2 * delays + bin_width, 2 * bin_width)
     return np.bincount((k + half).astype(np.intp), minlength=2 * half + 1).astype(np.int64)
+
+
+# --- per-cell float text: the writers before the vectorised formatter ---------
+
+
+def write_matrix_csv_repr(path, grid, matrix, *, name, comments=()):
+    """Grid matrix CSV with one ``repr(float(v))`` call per cell."""
+    lines = [f"# {name}"]
+    lines += [f"# {c}" for c in comments]
+    lines.append("# rows: signal_omega_rad_s; columns: idler_omega_rad_s")
+    lines.append("," + ",".join(repr(float(v)) for v in grid.idler_omega))
+    for i, ws in enumerate(grid.signal_omega):
+        row = ",".join(repr(float(v)) for v in matrix[i])
+        lines.append(f"{float(ws)!r},{row}")
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def write_marginals_csv_repr(path, signal_omega, signal_weight, idler_omega, idler_weight):
+    """Two-block marginals CSV with one ``repr(float(v))`` call per value."""
+    lines = ["# marginal spectra (unit sum)", "axis,omega_rad_s,weight"]
+    for om, v in zip(signal_omega, signal_weight):
+        lines.append(f"signal,{float(om)!r},{float(v)!r}")
+    for om, v in zip(idler_omega, idler_weight):
+        lines.append(f"idler,{float(om)!r},{float(v)!r}")
+    Path(path).write_text("\n".join(lines) + "\n")

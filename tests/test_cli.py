@@ -1,6 +1,7 @@
 """CLI: config schema, flag overrides, exit codes, file outputs, determinism."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -206,6 +207,18 @@ class TestModes:
         )
         assert code == EXIT_DOMAIN
         assert "cutoff" in capsys.readouterr().err
+
+    def test_near_cutoff_refinement_failure_names_wavelength_and_diameter(self, tmp_path, capsys):
+        code = run(
+            "modes", "--diameter_nm", 120, "--wavelength_range_nm", "[700, 760]",
+            "--wavelength_points", 5, "--out_dir", tmp_path / "out",
+        )
+        assert code == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert err.startswith("domain error:") and "Traceback" not in err
+        wavelength = re.search(r"wavelength ([0-9.]+) nm", err)
+        assert wavelength and 700.0 <= float(wavelength.group(1)) <= 760.0
+        assert "120.0 nm" in err
 
     def test_overflowing_scan_size_is_domain_error(self, tmp_path, capsys):
         # V^2 overflows to inf, so no scan grid can be sized

@@ -50,6 +50,21 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     assert result.stdout.strip() == "False"
 
 
+def test_floattext_needs_no_scipy():
+    # The package __init__ imports every module, scipy users included, so the
+    # formatter's file is loaded on its own and then used once.
+    probe = (
+        "import importlib.util, sys\n"
+        f"spec = importlib.util.spec_from_file_location('floattext', {str(PACKAGE / '_floattext.py')!r})\n"
+        "module = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(module)\n"
+        "assert module.format_rows([[1.5, -2e-300]]) == b'1.5,-2e-300\\n'\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
+
+
 def imported_modules(source: str) -> set[str]:
     modules = set()
     for node in ast.walk(ast.parse(source)):
