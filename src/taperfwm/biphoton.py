@@ -24,7 +24,6 @@ from typing import Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.optimize import brentq
 
 from . import __version__
 from ._floattext import format_rows
@@ -585,7 +584,11 @@ def phase_matched_pair(
     ``delta_k(omega_s, 2 omega_p - omega_s) = 0`` by Brent's method and
     returns ``(omega_s, omega_i)``.  Raises ValueError when the mismatch does
     not change sign across the window (no crossing for this geometry).
+    ``scipy.optimize`` (for ``brentq``) is imported on the first call, not
+    with the package, because no command of the CLI needs it.
     """
+    from scipy.optimize import brentq
+
     lo, hi = float(signal_window[0]), float(signal_window[1])
     if not 0 < lo < hi:
         raise ValueError("signal_window must satisfy 0 < min < max")

@@ -25,7 +25,6 @@ from pathlib import Path
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.special import j0, j1, k0e, k1e
 
 __all__ = [
@@ -550,6 +549,78 @@ _TABLE_TOL = 5e-9
 _TABLE_REFINE = 16
 
 
+# Queries evaluated per step.  Temporaries of 4096 values (32 KB) stay in cache
+# and below the allocator's mmap threshold; with whole-array temporaries a
+# 768 x 768 query faulted in fresh pages for each one and took 2-3 times as long.
+_PCHIP_BLOCK = 4096
+
+
+class _Pchip:
+    """Monotone cubic (PCHIP) interpolant of y(x); NaN outside ``[x[0], x[-1]]``.
+
+    The same arithmetic as scipy's ``PchipInterpolator(x, y, extrapolate=False)``,
+    so the values agree bit for bit: Fritsch-Carlson slopes (weighted harmonic
+    mean inside, zero at a sign change or a flat neighbour, Moler's three-point
+    rule with its two clamps at each end), ``CubicHermiteSpline``'s power-basis
+    coefficients and ``PPoly``'s evaluation order on the interval
+    ``x[i] <= q < x[i+1]`` (the last interval is closed).
+    """
+
+    def __init__(self, x, y):
+        self.x = x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        h = np.diff(x)
+        m = np.diff(y) / h
+        if x.size == 2:
+            d = np.array([m[0], m[0]])
+        else:
+            flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+            w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                inner = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+            d = np.concatenate((
+                [_pchip_end_slope(h[0], h[1], m[0], m[1])],
+                np.where(flat, 0.0, inner),
+                [_pchip_end_slope(h[-1], h[-2], m[-1], m[-2])],
+            ))
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        self._coef = (t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1])
+
+    def __call__(self, q):
+        q = np.asarray(q, dtype=float)
+        flat = q.ravel()
+        out = np.empty_like(flat)
+        x = self.x
+        for start in range(0, flat.size, _PCHIP_BLOCK):
+            block = flat[start:start + _PCHIP_BLOCK]
+            # counting interior knots <= q gives the interval, the last one closed
+            i = np.searchsorted(x[1:-1], block, side="right")
+            c0, c1, c2, value = (c.take(i) for c in self._coef)
+            s = block - x.take(i)
+            # c3 + c2 s + c1 s^2 + c0 s^3, summed in PPoly's order, in place
+            c2 *= s
+            value += c2
+            s2 = s * s
+            c1 *= s2
+            value += c1
+            s2 *= s
+            c0 *= s2
+            value += c0
+            out[start:start + _PCHIP_BLOCK] = np.where((block >= x[0]) & (block <= x[-1]), value,
+                                                       np.nan)
+        return out.reshape(q.shape)
+
+
+def _pchip_end_slope(h0, h1, m0, m1):
+    """One-sided three-point slope at an end knot, clamped to keep the shape."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3 * abs(m0):
+        return 3 * m0
+    return d
+
+
 @dataclass(frozen=True)
 class NeffTable:
     """Monotone-cubic-interpolated HE11 ``n_eff(omega)`` for one cross-section.
@@ -562,7 +633,7 @@ class NeffTable:
     cross_section: CrossSection
     omega: np.ndarray
     n_eff: np.ndarray
-    _interp: PchipInterpolator
+    _interp: _Pchip
 
     def __call__(self, omega):
         omega_arr = np.asarray(omega, dtype=float)
@@ -606,7 +677,7 @@ def neff_table(cross_section: CrossSection, omega_grid: Sequence[float]) -> Neff
     for factor in (_TABLE_REFINE, 2 * _TABLE_REFINE):
         dense = _refined_grid(omega_grid, factor)
         n_dense = _solve_dense(cross_section, omega_grid, coarse, dense)
-        interp = PchipInterpolator(dense, n_dense, extrapolate=False)
+        interp = _Pchip(dense, n_dense)
         checks = dense[:-1] + 0.5 * np.diff(dense)
         checks = checks[np.linspace(0, checks.size - 1, 5).astype(int)]
         direct = _solve_many(cross_section, checks)
@@ -634,7 +705,7 @@ def _solve_dense(cross_section, coarse_grid, coarse_neff, dense):
     bracket fails to enclose a sign change falls back to the full scan of
     _solve_many, and the bisected roots pass the same residual check.
     """
-    pred = PchipInterpolator(coarse_grid, coarse_neff, extrapolate=False)(dense)
+    pred = _Pchip(coarse_grid, coarse_neff)(dense)
     n1, n2, ak0 = _guide_params(cross_section, dense)
     idx = np.clip(np.searchsorted(coarse_grid, dense, side="right") - 1, 0, coarse_grid.size - 2)
     delta = 1e-7 + 0.25 * np.abs(np.diff(coarse_neff))[idx]

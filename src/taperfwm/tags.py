@@ -545,6 +545,12 @@ class SimulationConfig:
             raise ValueError("pair_statistics must be 'poisson' or 'thermal'")
         if not self.tick_duration > 0:
             raise ValueError("tick_duration must be positive")
+        # the stream's duration_ticks is ceil(duration / tick_duration), an int64
+        if not self.duration / self.tick_duration <= _INT64_MAX:
+            raise ValueError(
+                f"duration must be at most (2**63 - 1) ticks of {self.tick_duration!r} s "
+                f"({_INT64_MAX * self.tick_duration:.4g} s), the int64 tick range"
+            )
 
     @property
     def n_pulses(self) -> int:

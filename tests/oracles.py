@@ -10,6 +10,7 @@ import math
 from pathlib import Path
 
 import numpy as np
+from scipy.interpolate import PchipInterpolator
 from scipy.special import jv, jvp, kv, kve, kvp
 
 # --- material: Malitson fused-silica Sellmeier, restated locally -----------
@@ -307,3 +308,11 @@ def write_marginals_csv_repr(path, signal_omega, signal_weight, idler_omega, idl
     for om, v in zip(idler_omega, idler_weight):
         lines.append(f"idler,{float(om)!r},{float(v)!r}")
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+# --- monotone cubic interpolation: scipy's PCHIP -------------------------------
+
+
+def pchip(x, y):
+    """scipy's PCHIP interpolant of y(x), NaN outside ``[x[0], x[-1]]``."""
+    return PchipInterpolator(x, y, extrapolate=False)

@@ -415,6 +415,7 @@ class TestTagsSimulate:
             ("--mean_pairs_per_pulse", "-0.1"),
             ("--pair_statistics", "bose"),
             ("--duration_s", "-1"),
+            ("--duration_s", "1e300"),  # past the int64 tick range: rejected before any pulse
         ],
     )
     def test_invalid_source_parameters_are_domain_errors(self, tmp_path, flag, value):

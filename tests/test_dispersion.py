@@ -23,8 +23,9 @@ from taperfwm.dispersion import (
     parse_glass,
     solve_mode,
 )
+from taperfwm.profile import load_profile, segment
 
-from oracles import char_fn_general, dense_scan_he11, field_rows_general
+from oracles import char_fn_general, dense_scan_he11, field_rows_general, pchip
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -201,6 +202,89 @@ class TestModeField:
         sol = solve_mode(WAIST, OM_PUMP)
         with pytest.raises(ValueError):
             sol.field_at(-1e-9)
+
+
+# ---------------------------------------------------------------- PCHIP
+# dispersion._Pchip against scipy's PchipInterpolator (oracles.pchip): equal
+# bit for bit, NaN positions included, with no tolerance.
+
+PCHIP_DATA = ("random_walk", "smooth", "flat", "sign_changing")
+
+
+def pchip_knots(rng, n, kind):
+    x = np.cumsum(rng.uniform(0.05, 2.0, n)) + rng.normal(0.0, 10.0)
+    if kind == "random_walk":
+        y = np.cumsum(rng.normal(size=n))
+    elif kind == "smooth":
+        y = np.sin(np.linspace(0.0, rng.uniform(1.0, 12.0), n)) * rng.uniform(0.1, 10.0)
+    elif kind == "flat":  # plateaus: zero slopes on either side of a knot
+        y = np.round(np.cumsum(rng.normal(size=n)) / 3.0)
+    else:  # the slope changes sign at every knot
+        y = (-1.0) ** np.arange(n) * rng.uniform(0.5, 1.5, n)
+    return x, y
+
+
+def pchip_queries(rng, x):
+    mids = x[:-1] + 0.5 * np.diff(x)
+    edges = [x[0], x[-1], np.nextafter(x[0], -np.inf), np.nextafter(x[-1], np.inf),
+             x[0] - 1.0, x[-1] + 1.0, np.nan]
+    # more queries than one evaluation block (dispersion._PCHIP_BLOCK)
+    spread = rng.uniform(x[0] - 1.0, x[-1] + 1.0, 2 * dispersion._PCHIP_BLOCK + 7)
+    return np.concatenate([x, mids, edges, spread])
+
+
+def assert_pchip_matches_scipy(x, y, q):
+    assert np.array_equal(dispersion._Pchip(x, y)(q), pchip(x, y)(q), equal_nan=True)
+
+
+class TestPchip:
+    @pytest.mark.parametrize("kind", PCHIP_DATA)
+    def test_bit_identical_to_scipy(self, kind):
+        rng = np.random.default_rng(PCHIP_DATA.index(kind))
+        for n in [2, 3, 4, 5, 800, *rng.integers(2, 801, 30)]:
+            x, y = pchip_knots(rng, int(n), kind)
+            assert_pchip_matches_scipy(x, y, pchip_queries(rng, x))
+
+    def test_nan_outside_the_knots_only(self):
+        x, y = np.array([0.0, 1.0, 3.0]), np.array([1.0, 2.0, 0.5])
+        out = dispersion._Pchip(x, y)(np.array([-1e-300, 0.0, 3.0, np.nextafter(3.0, 4.0)]))
+        assert np.array_equal(np.isnan(out), [True, False, False, True])
+        assert out[1:3].tolist() == [1.0, 0.5]
+
+    def test_scalar_query_gives_zero_dim(self):
+        x, y = np.array([0.0, 1.0, 3.0]), np.array([1.0, 2.0, 0.5])
+        out = dispersion._Pchip(x, y)(np.float64(2.0))
+        assert np.ndim(out) == 0
+        assert out == pchip(x, y)(2.0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # scipy's slopes
+    @settings(max_examples=200, deadline=None)
+    @given(
+        knots=st.lists(
+            st.tuples(st.floats(1e-3, 1e3), st.floats(-1e6, 1e6)), min_size=2, max_size=60
+        ),
+        fractions=st.lists(st.floats(-0.1, 1.1), min_size=1, max_size=30),
+    )
+    def test_bit_identical_to_scipy_property(self, knots, fractions):
+        steps, y = map(np.array, zip(*knots))
+        x = np.cumsum(steps)
+        q = np.concatenate([x, x[0] + np.array(fractions) * (x[-1] - x[0])])
+        assert_pchip_matches_scipy(x, y, q)
+
+    @pytest.mark.parametrize("diameter", [
+        900e-9,
+        segment(load_profile(DATA / "measured_profile.txt"), 16).segments[0].diameter,
+    ], ids=["uniform_900nm", "measured_segment_0"])
+    def test_neff_table_same_as_with_scipy_pchip(self, monkeypatch, diameter):
+        # both call sites: the predicted brackets of _solve_dense and the table itself
+        cs = CrossSection(diameter=diameter)
+        grid = np.linspace(omega_of(1500e-9), omega_of(800e-9), 48)
+        queries = np.random.default_rng(7).uniform(grid[0], grid[-1], 1000)
+        table = neff_table(cs, grid)
+        monkeypatch.setattr(dispersion, "_Pchip", pchip)
+        reference = neff_table(cs, grid)
+        assert np.array_equal(table.n_eff, reference.n_eff)
+        assert np.array_equal(table(queries), reference(queries))
 
 
 # ---------------------------------------------------------------- neff_table

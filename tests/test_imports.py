@@ -4,6 +4,7 @@ import ast
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -41,28 +42,70 @@ def test_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
+def fresh_interpreter(probe: str) -> str:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
-    probe = "import sys, taperfwm.cli; print('scipy.integrate' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip()
+
+
+SCIPY_LOADED = "print(sorted({m for m in sys.modules if m.split('.')[0] == 'scipy'}))"
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # scipy.special is the one scipy module the CLI needs at import
+    heavy = ["scipy.integrate", "scipy.interpolate", "scipy.linalg", "scipy.optimize",
+             "scipy.sparse"]
+    probe = f"import sys, taperfwm.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    assert fresh_interpreter(probe) == "[]"
+
+
+@pytest.mark.parametrize("statement", ["import taperfwm", "import taperfwm.tags"])
+def test_package_and_tags_import_no_scipy(statement):
+    assert fresh_interpreter(f"import sys\n{statement}\n{SCIPY_LOADED}") == "[]"
 
 
 def test_floattext_needs_no_scipy():
-    # The package __init__ imports every module, scipy users included, so the
-    # formatter's file is loaded on its own and then used once.
     probe = (
-        "import importlib.util, sys\n"
-        f"spec = importlib.util.spec_from_file_location('floattext', {str(PACKAGE / '_floattext.py')!r})\n"
-        "module = importlib.util.module_from_spec(spec)\n"
-        "spec.loader.exec_module(module)\n"
+        "import sys, taperfwm._floattext as module\n"
         "assert module.format_rows([[1.5, -2e-300]]) == b'1.5,-2e-300\\n'\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        f"{SCIPY_LOADED}\n"
     )
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "[]"
+    assert fresh_interpreter(probe) == "[]"
+
+
+def test_only_module_level_scipy_import_is_special_in_dispersion():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [(path.name, n) for n in names if n.split(".")[0] == "scipy"]
+    assert found == [("dispersion.py", "scipy.special")]
+
+
+def test_lazy_package_keeps_its_public_names():
+    import taperfwm
+
+    namespace = {}
+    exec("from taperfwm import *", namespace)
+    assert all(namespace[name] is getattr(taperfwm, name) for name in taperfwm.__all__)
+    names = set(taperfwm.__all__) - {"__version__"}
+    for name in names:
+        owner = getattr(taperfwm, taperfwm._SUBMODULE_OF[name])
+        assert getattr(taperfwm, name) is getattr(owner, name)
+    expected = names | {"biphoton", "dispersion", "profile", "rates", "tags"}
+    public = {name for name in dir(taperfwm) if not name.startswith("_")}
+    assert expected <= public
+    # beyond those, only submodules imported elsewhere (such as cli)
+    assert all(isinstance(getattr(taperfwm, name), types.ModuleType) for name in public - expected)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        taperfwm.no_such_name
 
 
 def imported_modules(source: str) -> set[str]:

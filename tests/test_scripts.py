@@ -1,6 +1,7 @@
 """The example scripts run end to end against the current package API."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,13 +9,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name: str, *args: str) -> str:
+def run_python(*args: str) -> str:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    result = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
-                            env=env, capture_output=True, text=True)
+    result = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     return result.stdout
+
+
+def run_script(name: str, *args: str) -> str:
+    return run_python(str(ROOT / "scripts" / name), *args)
 
 
 def test_jsi_map_writes_its_tables(tmp_path):
@@ -42,3 +46,11 @@ def test_rate_budget_recovers_the_scan_decomposition():
     stdout = run_script("rate_budget.py")
     assert "power-scan decomposition (true -> fitted):" in stdout
     assert "quadratic fraction" in stdout
+
+
+def test_readme_python_quick_start_runs():
+    # its tf.X names resolve through the package's lazy __getattr__
+    code = re.search(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S).group(1)
+    lines = run_python("-c", code).splitlines()
+    assert lines[0].startswith("n_eff = 1.2")
+    assert len(lines) == 3

@@ -718,6 +718,13 @@ class TestSimulateTags:
         with pytest.raises(ValueError):
             SimulationConfig(**base)
 
+    @pytest.mark.parametrize("duration", [1e300, math.inf, 7.5e8])
+    def test_duration_beyond_int64_ticks_rejected(self, duration):
+        # ceil(duration / 81 ps) must fit the stream's int64 duration_ticks
+        with pytest.raises(ValueError, match=r"2\*\*63 - 1"):
+            SimulationConfig(duration=duration, mean_pairs_per_pulse=0.05)
+        assert SimulationConfig(duration=7.4e8, mean_pairs_per_pulse=0.05).duration == 7.4e8
+
     def test_metadata_echo(self):
         stream = sim(5000, seed=2)
         assert stream.metadata["n_pulses"] == 5000
