@@ -59,6 +59,11 @@ _INTEGER = re.compile(r"-?[0-9]+")
 _PAIR_BLOCK = 1 << 16
 # Records formatted per write by the text writers; bounds their working set.
 _TEXT_BLOCK = 1 << 16
+# Dead-time jump targets read into Python per block of the walk.
+_WALK_BLOCK = 1 << 16
+# Largest mean pairs per pulse for which simulate_tags rebuilds Poisson counts
+# from uniforms (_poisson_hot); above it rng.poisson is faster.
+_REBUILD_MAX_MU = 0.3
 
 
 class TagParseError(ValueError):
@@ -551,10 +556,106 @@ class SimulationConfig:
                 f"duration must be at most (2**63 - 1) ticks of {self.tick_duration!r} s "
                 f"({_INT64_MAX * self.tick_duration:.4g} s), the int64 tick range"
             )
+        # a tagger cannot resolve faster pulses; this also bounds n_pulses by
+        # the duration in ticks
+        if not self.rep_period >= self.tick_duration:
+            raise ValueError(
+                f"rep_period ({self.rep_period!r} s) must be at least "
+                f"tick_duration ({self.tick_duration!r} s)"
+            )
 
     @property
     def n_pulses(self) -> int:
         return int(round(self.duration / self.rep_period))
+
+
+def _poisson_hot(rng: np.random.Generator, mu: float, count: int):
+    """Indices and pair counts of the non-empty pulses among ``count``
+    Poisson(mu) pulses, drawn exactly as ``rng.poisson(mu, count)`` draws them.
+
+    Below 10 numpy's sampler is the multiplication method: per pulse it
+    multiplies uniforms, 1.0·U₁·U₂·… (the doubles ``rng.random`` returns),
+    until the product is at most e^−mu, and the count is the number of
+    factors before the last.  So a uniform at most e^−mu always closes a
+    pulse, and only runs of higher uniforms need products; they are resolved
+    one element of every run per round.  Each pending pulse needs at least one
+    more uniform, so a batch of ``count − done`` uniforms never draws past the
+    last pulse, and a pulse left open at the end of a batch carries its
+    product and count into the next.  The generator ends where
+    ``rng.poisson`` leaves it.  Above ``_REBUILD_MAX_MU`` the runs grow long
+    and ``rng.poisson`` itself is faster; mu = 0 draws nothing.
+    """
+    if not 0 < mu <= _REBUILD_MAX_MU:
+        pairs = rng.poisson(mu, count)
+        hot = np.flatnonzero(pairs)
+        return hot, pairs[hot]
+    floor = math.exp(-mu)  # libm, as in numpy's C sampler
+    done = 0  # pulses closed so far
+    open_prod, open_n = 1.0, 0  # product and count of the pulse left open
+    index, counts = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    while done < count:
+        u = rng.random(count - done)
+        high = np.flatnonzero(u > floor)
+        grows = _grows_pulse(u, high, floor, open_prod if open_n else 1.0)
+        closed = u.size - int(np.count_nonzero(grows))
+        # positions whose uniform grows the open pulse; the carried pulse's
+        # earlier factors sit just before the batch
+        grow = np.concatenate((np.arange(-open_n, 0), high[grows]))
+        if grow.size:
+            last = np.append(np.flatnonzero(np.diff(grow) != 1), grow.size - 1)
+            first = np.concatenate(([0], last[:-1] + 1))
+            end = grow[last]
+            n_pairs = last - first + 1
+            # the pulse closed at end + 1 follows done pulses and the
+            # batch's closing uniforms before it
+            pulse = done + open_n + end - last
+            if end[-1] == u.size - 1:
+                start = int(grow[first[-1]])
+                prod = open_prod if start < 0 else 1.0
+                for x in u[max(start, 0):].tolist():
+                    prod *= x
+                open_prod, open_n = prod, int(n_pairs[-1])
+                pulse, n_pairs = pulse[:-1], n_pairs[:-1]
+            else:
+                open_n = 0
+            index.append(pulse)
+            counts.append(n_pairs)
+        done += closed
+    return np.concatenate(index), np.concatenate(counts)
+
+
+def _grows_pulse(u: np.ndarray, high: np.ndarray, floor: float, carried: float) -> np.ndarray:
+    """For each position in ``high`` (where u > floor), whether its uniform
+    keeps the product of its pulse above ``floor`` rather than closing it.
+
+    ``carried`` is the product a pulse open before position 0 brings in (1.0
+    if none is open).  A high uniform that starts a pulse always grows it, so
+    only runs of adjacent highs and a run continuing the carried pulse are
+    multiplied out, in the order numpy multiplies.
+    """
+    grows = np.ones(high.size, dtype=bool)
+    if high.size == 0:
+        return grows
+    start = np.concatenate(([0], np.flatnonzero(np.diff(high) != 1) + 1))
+    length = np.diff(start, append=high.size)
+    continues = carried < 1.0 and high[0] == 0
+    chained = length > 1
+    chained[0] |= continues
+    start, length = start[chained], length[chained]
+    prod = np.ones(start.size)
+    if continues:
+        prod[0] = carried
+    step = 0
+    while start.size:
+        at = start + step
+        prod = prod * u[high[at]]
+        grown = prod > floor
+        grows[at] = grown
+        prod[~grown] = 1.0
+        step += 1
+        alive = length > step
+        start, length, prod = start[alive], length[alive], prod[alive]
+    return grows
 
 
 def _dead_time_filter(ticks: np.ndarray, dead_ticks: float) -> np.ndarray:
@@ -566,7 +667,8 @@ def _dead_time_filter(ticks: np.ndarray, dead_ticks: float) -> np.ndarray:
     the threshold is exact in integers however large the ticks.  The click
     kept after a kept click t is the first one at or past
     ``t + ceil(dead_ticks)``; the walk from the first click along those jumps
-    runs once per kept click.  Offsets from the first click are unsigned, so
+    runs once per kept click, reading the jump targets as Python ints
+    ``_WALK_BLOCK`` at a time.  Offsets from the first click are unsigned, so
     adding the threshold cannot overflow.
     """
     if dead_ticks <= 0 or ticks.size == 0:
@@ -578,12 +680,27 @@ def _dead_time_filter(ticks: np.ndarray, dead_ticks: float) -> np.ndarray:
     kept = []
     i = 0
     while i < ticks.size:
-        kept.append(i)
-        i = int(nxt[i])
+        base = i
+        block = nxt[base:base + _WALK_BLOCK].tolist()
+        stop = base + len(block)
+        while i < stop:
+            kept.append(i)
+            i = block[i - base]
     return ticks[kept]
 
 
 def simulate_tags(config: SimulationConfig) -> TagStream:
+    """Tag stream of the pulsed source in ``config``, reproducible byte for byte.
+
+    The stream is fixed by the draws of ``np.random.default_rng(seed)``.
+    Pulses are drawn in chunks of 10⁶: per chunk the pair numbers, then the
+    herald, arm-A and arm-B binomials of the non-empty pulses, then the jitter
+    of each channel; the dark counts of each channel follow after the last
+    chunk.  Poisson pair numbers for 0 < mu ≤ ``_REBUILD_MAX_MU`` are rebuilt
+    from ``rng.random`` (:func:`_poisson_hot`) with exactly the uniforms
+    ``rng.poisson`` would use, so they equal its counts.  The same seed and
+    numpy version give the same bytes.
+    """
     rng = np.random.default_rng(config.seed)
     n_pulses = config.n_pulses
     tick = config.tick_duration
@@ -598,10 +715,10 @@ def simulate_tags(config: SimulationConfig) -> TagStream:
         count = min(chunk, n_pulses - start)
         if config.pair_statistics == "thermal":
             pairs = rng.geometric(1.0 / (1.0 + mu), count) - 1 if mu > 0 else np.zeros(count, np.int64)
+            hot = np.flatnonzero(pairs)
+            n_hot = pairs[hot]
         else:
-            pairs = rng.poisson(mu, count)
-        hot = np.nonzero(pairs)[0]
-        n_hot = pairs[hot]
+            hot, n_hot = _poisson_hot(rng, mu, count)
         n_herald = rng.binomial(n_hot, q)
         n_a = rng.binomial(n_hot, p_a)
         remaining = n_hot - n_a

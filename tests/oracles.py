@@ -247,6 +247,14 @@ def brute_force_g2(stream, herald_ch, ch_a, ch_b, window, m_max):
 # --- unvectorised twins of the tag pipeline's fast paths ----------------------
 
 
+def poisson_hot(rng, mu, count):
+    """Indices and pair counts of the non-empty pulses, from one Poisson
+    variate per pulse."""
+    pairs = rng.poisson(mu, count)
+    hot = np.nonzero(pairs)[0]
+    return hot, pairs[hot]
+
+
 def dead_time_loop(ticks, dead_ticks):
     """Non-paralyzable dead time, one click at a time: keep a click iff it
     falls at least dead_ticks after the previously kept one.  Python ints

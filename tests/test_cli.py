@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from taperfwm import cli
 from taperfwm.biphoton import PumpSpec, SpectralGrid, phase_matching, pump_function
 from taperfwm.cli import EXIT_CONFIG, EXIT_DOMAIN, EXIT_IO, EXIT_OK, build_parser, main
 from taperfwm.dispersion import CrossSection, solve_mode
@@ -421,6 +422,17 @@ class TestTagsSimulate:
     def test_invalid_source_parameters_are_domain_errors(self, tmp_path, flag, value):
         assert run("tags", "simulate", flag, value,
                    "--tags_out", tmp_path / "t.txt") == EXIT_DOMAIN
+
+    def test_pulses_shorter_than_a_tick_exit_before_simulating(self, tmp_path, monkeypatch, capsys):
+        # about 1e300 pulses: rejected when the source is configured
+        def no_simulation(config):
+            raise AssertionError("simulate_tags called")
+
+        monkeypatch.setattr(cli, "simulate_tags", no_simulation)
+        assert run("tags", "simulate", "--duration_s", 1, "--rep_period_ns", "1e-291",
+                   "--tags_out", tmp_path / "t.txt") == EXIT_DOMAIN
+        assert "tick_duration" in capsys.readouterr().err
+        assert not (tmp_path / "t.txt").exists()
 
 
 class TestTagsCoincidences:

@@ -605,6 +605,91 @@ class TestDeadTimeFilter:
         assert tags._dead_time_filter(ticks, 3.0).tolist() == [0, 3, 6, 9]
         assert tags._dead_time_filter(ticks, 0.25).tolist() == ticks.tolist()
 
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), dead=st.floats(1.0, 10.0) | st.floats(1.0, 3e6))
+    def test_walk_over_several_blocks_equals_loop(self, seed, dead):
+        # dense clicks with rare long gaps, over two to three walk blocks
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(tags._WALK_BLOCK + 1, 3 * tags._WALK_BLOCK))
+        gaps = np.where(rng.random(n) < 1e-3, rng.integers(1, 10**6, n), rng.integers(1, 4, n))
+        ticks = np.cumsum(gaps)
+        kept = tags._dead_time_filter(ticks, dead)
+        assert kept.tolist() == oracles.dead_time_loop(ticks, dead).tolist()
+
+    @pytest.mark.parametrize("step", [2, 3, 7])
+    def test_short_jumps_cross_block_boundaries(self, step):
+        # a jump of `step` entries from the end of one block lands in the next
+        ticks = np.arange(3 * tags._WALK_BLOCK + 5, dtype=np.int64)
+        kept = tags._dead_time_filter(ticks, float(step))
+        assert kept.tolist() == ticks[::step].tolist()
+        assert kept.tolist() == oracles.dead_time_loop(ticks, float(step)).tolist()
+
+    def test_jump_skips_whole_blocks(self):
+        # a burst of more than two blocks falls inside the first click's dead time
+        burst = np.arange(1, 2 * tags._WALK_BLOCK + 100, dtype=np.int64)
+        tail = burst[-1] + 1000 + 500 * np.arange(tags._WALK_BLOCK, dtype=np.int64)
+        ticks = np.concatenate(([0], burst, tail))
+        dead = float(burst[-1] + 1000)
+        kept = tags._dead_time_filter(ticks, dead)
+        assert kept[:2].tolist() == [0, tail[0]]
+        assert kept.tolist() == oracles.dead_time_loop(ticks, dead).tolist()
+
+    def test_walk_holds_no_list_of_every_target(self):
+        # numpy's working set is three int64 arrays of the input's size; a
+        # Python list of all 10**6 jump targets would add over 36 MB to it
+        ticks = 3 * np.arange(1_000_000, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = tags._dead_time_filter(ticks, 300.0)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert kept.tolist() == ticks[::100].tolist()
+        assert peak < 4 * ticks.nbytes
+
+
+class TestPoissonHot:
+    """The non-empty pulses rebuilt from uniforms against rng.poisson."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1),
+           mu=st.floats(0.0, tags._REBUILD_MAX_MU, exclude_min=True)
+           | st.floats(0.0, 10.0, exclude_min=True, exclude_max=True)
+           | st.sampled_from([1e-6, 0.05, 9.99]),
+           count=st.integers(1, 300_000))
+    # a batch of only high uniforms, one of which closes its pulse; the
+    # last leaves a pulse open into the next batch
+    @example(seed=13, mu=0.3, count=3)
+    # a batch ending on a pulse just opened, and on one grown over two highs
+    @example(seed=10, mu=0.3, count=64)
+    @example(seed=14, mu=0.3, count=64)
+    # one pulse open across two batch edges
+    @example(seed=170, mu=0.3, count=1)
+    @example(seed=5, mu=0.0, count=1000)
+    def test_same_pulses_and_state_as_poisson(self, seed, mu, count):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        index, n_pairs = tags._poisson_hot(rng, mu, count)
+        ref_index, ref_pairs = oracles.poisson_hot(ref, mu, count)
+        assert index.dtype == n_pairs.dtype == np.int64
+        assert index.tolist() == ref_index.tolist()
+        assert n_pairs.tolist() == ref_pairs.tolist()
+        # the binomial draws that follow see the same generator
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_examples_reach_the_batch_edge_cases(self):
+        mu = 0.3
+        assert mu <= tags._REBUILD_MAX_MU
+        floor = math.exp(-mu)
+        u = np.random.default_rng(13).random(3)
+        assert (u > floor).all() and u[0] * u[1] <= floor
+        u = np.random.default_rng(10).random(64)
+        assert u[62] <= floor < u[63]
+        u = np.random.default_rng(14).random(64)
+        assert u[61] <= floor < u[62] and u[62] * u[63] > floor
+        u = np.random.default_rng(170).random(3)
+        assert 1.0 * u[0] * u[1] > floor >= 1.0 * u[0] * u[1] * u[2]
+
 
 class TestSimulateTags:
     def test_deterministic_given_seed(self):
@@ -692,6 +777,24 @@ class TestSimulateTags:
         assert digest.hexdigest() == (
             "944d0bcd19581e57b3ababfd268d109818681179a69b4f74208e31b5f46e43a3")
 
+    @pytest.mark.parametrize("overrides, counts, expected", [
+        # 2.5e6 pulses span three 1e6-pulse chunks
+        (dict(duration=2_500_000 * REP, mean_pairs_per_pulse=0.05, dead_time=15e-6),
+         {1: 6486, 2: 5250, 3: 6730},
+         "8a4c069fa7c9bfbfa43c76d16c0650e27291ba0e41c29da0823a805eb30afd8a"),
+        (dict(duration=1_200_000 * REP, mean_pairs_per_pulse=3.0, herald_transmittance=0.3,
+              signal_transmittance=0.5, dark_rates=(2e4, 5e4, 2e4), jitter_std=50e-12,
+              dead_time=1e-6),
+         {1: 60081, 2: 60977, 3: 60546},
+         "a17ede23ddb0d026697ba286787ad8c367eca0980d9008fe86d8c699c008b1c8"),
+    ])
+    def test_multi_chunk_streams_are_pinned(self, overrides, counts, expected):
+        # pinned to the bytes of one rng.poisson variate per pulse
+        stream = simulate_tags(SimulationConfig(seed=12, **overrides))
+        digest = hashlib.sha256(stream.channels.tobytes() + stream.timestamps.tobytes())
+        assert stream.counts_by_channel() == counts
+        assert digest.hexdigest() == expected
+
     def test_thermal_statistics_differ_from_poisson(self):
         a = sim(200_000, pair_statistics="poisson", seed=31)
         b = sim(200_000, pair_statistics="thermal", seed=31)
@@ -717,6 +820,14 @@ class TestSimulateTags:
         base.update(overrides)
         with pytest.raises(ValueError):
             SimulationConfig(**base)
+
+    def test_pulses_shorter_than_a_tick_rejected(self):
+        # a 1 s run at 1e-300 s would otherwise ask for about 1e300 pulses
+        with pytest.raises(ValueError, match=r"rep_period \(1e-300 s\).*tick_duration \(8.1e-11 s\)"):
+            SimulationConfig(duration=1.0, mean_pairs_per_pulse=0.05, rep_period=1e-300)
+        one_tick = SimulationConfig(duration=1e-6, mean_pairs_per_pulse=0.05,
+                                    rep_period=TICK_SECONDS)
+        assert one_tick.n_pulses == round(1e-6 / TICK_SECONDS)
 
     @pytest.mark.parametrize("duration", [1e300, math.inf, 7.5e8])
     def test_duration_beyond_int64_ticks_rejected(self, duration):
