@@ -7,10 +7,12 @@ cladding), its normalized transverse (LP01) field profile, and tabulated
 ``n_eff(omega)`` with monotone cubic interpolation for fast downstream
 evaluation.
 
-The effective index is found by bracketing sign changes of a pole-free form of
-the m = 1 hybrid-mode characteristic equation on a uniform ``n_eff`` scan,
-taking the largest one (HE11 has the highest index of the HE1n family), and
-refining by bisection, which converges even arbitrarily close to cutoff.
+The solver works in the cladding decay w, with core parameter
+u = sqrt((V - w)(V + w)) and n_eff^2 = n2^2 + (w / a k0)^2.  HE11 is the only
+root of a pole-free form of the m = 1 hybrid-mode characteristic equation
+with u below the first zero j_{0,1} of J_0, so one bracket in w, clipped at
+both ends, holds it; bisection in log w takes it to adjacent doubles, which
+keeps full relative precision in w even where n_eff - n2 is 1e-9.
 
 Bessel values come from ``j0``/``j1``, with J'_1 = J_0 - J_1/u (Abramowitz &
 Stegun 9.1.27), and the exponentially scaled K_n e^w from ``k0e`` and ``k1e``
@@ -238,15 +240,24 @@ class CrossSection:
 # characteristic equation
 # --------------------------------------------------------------------------
 
-# Scan-edge clips in the x = n_eff^2 variable, as fractions of (n1^2 - n2^2).
-# Top clip: keeps u > 0, where the 1/u terms are finite; bottom clip: the HE
-# branch loses precision to cancellation as w -> 0.  Roots inside the clipped
-# slivers are physically unbound (evanescent decay lengths >> 1e4 radii) and
-# reported as not guided.
+# Bracket clips in the cladding decay w, as fractions of V^2 (the same numbers
+# as fractions of n1^2 - n2^2 in n_eff^2).  Bottom: w^2 >= _CLIP_BOT V^2, since
+# h loses precision to cancellation as w -> 0; a root below it is physically
+# unbound (evanescent decay length >> 1e4 radii) and reported as not guided.
+# Top: u^2 = V^2 - w^2 >= _CLIP_TOP V^2 keeps u > 0, where the 1/u terms are
+# finite.  HE11 has u < j_{0,1}, so above V = j_{0,1}/sqrt(_CLIP_TOP), about
+# 24 000 (a silica rod in air of about 6 mm at 800 nm, 1 cm at 1400 nm), its
+# root lies inside the top clip and is also reported as not guided.
 _CLIP_TOP = 1e-8
 _CLIP_BOT = 2e-9
 
-_BISECT_ITERS = 46
+#: First zero of J_0; HE11 is the only root of h with u below it.
+_J01 = 2.404825557695773
+
+# Halving log(w_hi/w_lo) <= log(1/sqrt(_CLIP_BOT)) ~ 10 down to adjacent
+# doubles (relative spacing 2.2e-16) takes 56 steps, 57 with the rounding of
+# the geometric mean; once there, a step changes nothing.
+_BISECT_STEPS = 60
 _RESIDUAL_RTOL = 1e-8
 
 
@@ -264,54 +275,46 @@ def _bessel_ke(x, hi: int) -> list:
     return out
 
 
-def _char_fn(n1, n2, ak0) -> Callable[[np.ndarray], np.ndarray]:
-    """Pole-free HE-branch characteristic function h(n_eff) for m = 1.
+def _char_fn(nu, v) -> Callable[[np.ndarray], tuple]:
+    """Pole-free HE-branch characteristic function h(w) for m = 1.
 
-    h = J'_1(u) - x u J_1(u) with J'_1 = J_0 - J_1/u and x the HE root of the
-    quadratic in J'_1/(u J_1) built from K'_1/(w K_1) = -(K_0 + K_2)/(2 w K_1);
-    h = 0 at the HE1n modes.  ``n1``, ``n2``, ``ak0`` may be scalars or arrays
-    broadcastable against the ``n_eff`` argument.  The scaled K_0, K_1, K_2
-    come from ``_bessel_ke``; their e^w factors cancel in the ratio, so signs
-    and zeros are unaffected.
+    h = J'_1(u) - x u J_1(u) with u = sqrt((V - w)(V + w)), J'_1 = J_0 - J_1/u
+    and x = mid - split the HE root of the quadratic in J'_1/(u J_1) built from
+    K'_1/(w K_1) = -(K_0 + K_2)/(2 w K_1); h = 0 at the HE1n modes.  ``nu`` is
+    n2^2/n1^2 and ``v`` the V number, scalars or arrays broadcastable against
+    the ``w`` argument.  The scaled K_0, K_1, K_2 come from ``_bessel_ke``;
+    their e^w factors cancel in the ratio, so signs and zeros are unaffected.
+
+    The returned function gives h and the size of the terms h is built from,
+    |J_0| + |J_1/u| + (|mid| + split) u |J_1|, against which its rounding
+    error is measured.
     """
-    n1sq = np.asarray(n1, dtype=float) ** 2
-    n2sq = np.asarray(n2, dtype=float) ** 2
-    ak0 = np.asarray(ak0, dtype=float)
+    nu = np.asarray(nu, dtype=float)
+    v = np.asarray(v, dtype=float)
 
-    def h(neff):
-        neff = np.asarray(neff, dtype=float)
-        u = ak0 * np.sqrt(n1sq - neff**2)
-        w = ak0 * np.sqrt(neff**2 - n2sq)
+    def h(w):
+        w = np.asarray(w, dtype=float)
+        u = np.sqrt((v - w) * (v + w))
         ju0, ju1 = j0(u), j1(u)
         k0, k1, k2 = _bessel_ke(w, 2)
         kk = -(k0 + k2) / (2.0 * w * k1)  # K'_1/(w K_1)
-        nu = n2sq / n1sq
         csq = (1.0 / u**2 + 1.0 / w**2) * (1.0 / u**2 + nu / w**2)
         mid = -kk * (1.0 + nu) / 2.0
         split = np.sqrt((kk * (1.0 - nu) / 2.0) ** 2 + csq)
-        x = mid - split
-        return (ju0 - (1 / u) * ju1) - x * u * ju1
+        ju1_u = (1 / u) * ju1
+        value = (ju0 - ju1_u) - (mid - split) * u * ju1
+        return value, np.abs(ju0) + np.abs(ju1_u) + (np.abs(mid) + split) * u * np.abs(ju1)
 
     return h
 
 
-def _scan_bounds(n1, n2):
-    """Clipped [n_lo, n_hi] scan interval (see _CLIP_* above)."""
-    n1sq, n2sq = n1 * n1, n2 * n2
-    dx = n1sq - n2sq
-    return np.sqrt(n2sq + _CLIP_BOT * dx), np.sqrt(n1sq - _CLIP_TOP * dx)
+def _w_bracket(v):
+    """Clipped [w_lo, w_hi] holding the u < j_{0,1} part of the w axis (see _CLIP_*).
 
-
-def _scan_points(v_max: float, diameter: float) -> int:
-    # Adjacent roots are ~pi apart in u; near u -> 0 their n_eff spacing
-    # shrinks like 1/V^2, so the uniform-n_eff scan density must grow with V^2.
-    points = np.ceil(0.5 * v_max * v_max)
-    if not np.isfinite(points):
-        raise DispersionError(
-            f"mode scan size overflows at diameter {diameter * 1e9:.6g} nm "
-            f"(V = {v_max:.6g})"
-        )
-    return max(512, int(points))
+    Empty (w_lo >= w_hi) where V is above the ceiling of the top clip.
+    """
+    floor = np.sqrt(np.maximum((v - _J01) * (v + _J01), 0.0))
+    return np.maximum(v * np.sqrt(_CLIP_BOT), floor), v * np.sqrt(1.0 - _CLIP_TOP)
 
 
 def _guide_params(cross_section: CrossSection, omegas):
@@ -330,43 +333,20 @@ def _transverse_params(cross_section: CrossSection, omegas, n_effs):
     return ak0 * np.sqrt(n1**2 - n_effs**2), ak0 * np.sqrt(n_effs**2 - n2**2)
 
 
-def _refine(cross_section, omegas, n1, n2, ak0, lo, hi, flo, scale) -> np.ndarray:
-    """Bisect brackets [lo, hi] with h(lo) = flo to roots that pass the residual check.
-
-    ``scale`` is the local magnitude of h at each bracket; a root whose
-    residual exceeds ``_RESIDUAL_RTOL * scale`` raises SolverConvergenceError
-    naming the wavelength of the worst one and the diameter.
-    """
-    h = _char_fn(n1, n2, ak0)
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        for _ in range(_BISECT_ITERS):
-            mid = 0.5 * (lo + hi)
-            fm = h(mid)
-            same = np.signbit(fm) == np.signbit(flo)
-            lo = np.where(same, mid, lo)
-            flo = np.where(same, fm, flo)
-            hi = np.where(same, hi, mid)
-        roots = 0.5 * (lo + hi)
-        resid = np.abs(h(roots))
-    if np.any(resid > _RESIDUAL_RTOL * scale):
-        i = int(np.argmax(resid / scale))
-        raise SolverConvergenceError(
-            f"root residual {resid[i]:.3e} exceeds {_RESIDUAL_RTOL:g} x local scale "
-            f"{scale[i]:.3e} for HE11 at wavelength {2*np.pi*C_VAC/omegas[i]*1e9:.2f} nm, "
-            f"diameter {cross_section.diameter*1e9:.1f} nm"
-        )
-    return roots
-
-
 def _solve_many(cross_section: CrossSection, omegas: np.ndarray) -> np.ndarray:
     """HE11 effective indices at each angular frequency (vectorized).
 
-    Raises NoGuidedModeError listing every frequency at which the scan finds
-    no root, and SolverConvergenceError if a refined root fails its residual
-    check.
+    Each frequency's root w of h is bisected in log w on ``_w_bracket`` to
+    adjacent doubles, and n_eff = sqrt(n2^2 + (w/(a k0))^2).
+
+    Raises NoGuidedModeError listing every frequency whose bracket is empty or
+    has ends of one sign, DispersionError if V^2 overflows, and
+    SolverConvergenceError if h is not finite at a point it is evaluated at or
+    the root fails its residual check.
     """
     omegas = np.asarray(omegas, dtype=float)
     n1, n2, ak0 = _guide_params(cross_section, omegas)
+    d_nm = cross_section.diameter * 1e9
     if np.any(n1 <= n2):
         i = int(np.argmax(n1 <= n2))
         raise NoGuidedModeError(
@@ -374,59 +354,46 @@ def _solve_many(cross_section: CrossSection, omegas: np.ndarray) -> np.ndarray:
             f"index {n2.flat[i]:.6f} at wavelength {2*np.pi*C_VAC/omegas.flat[i]*1e9:.1f} nm"
         )
     v = ak0 * np.sqrt(n1**2 - n2**2)
-
-    n_eff = np.empty_like(omegas)
-    chunk = max(1, int(4e6 // _scan_points(float(v.max()), cross_section.diameter)))
-    missing: list[float] = []
-    for start in range(0, omegas.size, chunk):
-        sl = slice(start, min(start + chunk, omegas.size))
-        n_eff[sl] = _solve_chunk(cross_section, omegas[sl], n1[sl], n2[sl], ak0[sl], v[sl], missing)
-    if missing:
-        lam_nm = ", ".join(f"{2*np.pi*C_VAC/w*1e9:.2f} nm" for w in missing[:8])
-        more = "" if len(missing) <= 8 else f" (+{len(missing)-8} more)"
+    h = _char_fn(n2**2 / n1**2, v)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        if not np.all(np.isfinite(v * v)):
+            raise DispersionError(f"mode solver overflows at diameter {d_nm:.6g} nm (V = {v.max():.6g})")
+        lo, hi = _w_bracket(v)
+        (flo, _), (fhi, _) = h(lo), h(hi)
+        bracketed = lo < hi
+        guided = bracketed & (np.signbit(flo) != np.signbit(fhi))
+        finite = np.isfinite(flo) & np.isfinite(fhi)
+        for _ in range(_BISECT_STEPS):
+            mid = np.sqrt(lo) * np.sqrt(hi)
+            f_mid = h(mid)[0]
+            finite &= np.isfinite(f_mid)
+            same = np.signbit(f_mid) == np.signbit(flo)
+            lo = np.where(same, mid, lo)
+            hi = np.where(same, hi, mid)
+        w = np.sqrt(lo) * np.sqrt(hi)
+        resid, scale = h(w)
+        finite &= np.isfinite(resid)
+    if np.any(bracketed & ~finite):
+        raise SolverConvergenceError(
+            f"characteristic function not finite in the bracket for HE11 at diameter {d_nm:.1f} nm"
+        )
+    missing = omegas[~guided]
+    if missing.size:
+        lam_nm = ", ".join(f"{2*np.pi*C_VAC/om*1e9:.2f} nm" for om in missing[:8])
+        more = "" if missing.size <= 8 else f" (+{missing.size-8} more)"
         raise NoGuidedModeError(
-            f"no guided HE11 mode at diameter {cross_section.diameter*1e9:.1f} nm "
+            f"no guided HE11 mode at diameter {d_nm:.1f} nm "
             f"for wavelengths: {lam_nm}{more} (mode below cutoff)"
         )
-    return n_eff
-
-
-def _solve_chunk(cross_section, omegas, n1, n2, ak0, v, missing):
-    points = _scan_points(float(v.max()), cross_section.diameter)
-    n_lo, n_hi = _scan_bounds(n1, n2)
-    t = np.linspace(0.0, 1.0, points)[:, None]
-    grid = n_lo[None, :] + t * (n_hi - n_lo)[None, :]
-    h = _char_fn(n1[None, :], n2[None, :], ak0[None, :])
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        vals = h(grid)
-    if not np.all(np.isfinite(vals)):
+    resid = np.abs(resid)
+    if np.any(resid > _RESIDUAL_RTOL * scale):
+        i = int(np.argmax(resid / scale))
         raise SolverConvergenceError(
-            f"characteristic function not finite on the scan grid for HE11 "
-            f"at diameter {cross_section.diameter*1e9:.1f} nm"
+            f"root residual {resid[i]:.3e} exceeds {_RESIDUAL_RTOL:g} x term scale "
+            f"{scale[i]:.3e} for HE11 at wavelength {2*np.pi*C_VAC/omegas[i]*1e9:.2f} nm, "
+            f"diameter {d_nm:.1f} nm"
         )
-    sign = np.signbit(vals)
-    flips = sign[:-1, :] != sign[1:, :]
-
-    lo = np.empty_like(omegas)
-    hi = np.empty_like(omegas)
-    flo = np.empty_like(omegas)
-    scale = np.empty_like(omegas)
-    ok = np.ones(omegas.size, dtype=bool)
-    for j in range(omegas.size):
-        rows = np.nonzero(flips[:, j])[0]
-        if rows.size == 0:
-            missing.append(float(omegas[j]))
-            ok[j] = False
-            continue
-        r = rows[-1]  # HE11 has the largest n_eff of the HE1n roots
-        lo[j], hi[j] = grid[r, j], grid[r + 1, j]
-        flo[j] = vals[r, j]
-        scale[j] = max(abs(vals[r, j]), abs(vals[r + 1, j]))
-    out = np.full(omegas.size, np.nan)
-    if np.any(ok):
-        out[ok] = _refine(cross_section, omegas[ok], n1[ok], n2[ok], ak0[ok], lo[ok], hi[ok],
-                          flo[ok], scale[ok])
-    return out
+    return np.sqrt(n2**2 + (w / ak0) ** 2)
 
 
 # --------------------------------------------------------------------------
@@ -516,8 +483,10 @@ def solve_mode(cross_section: CrossSection, omega: float) -> ModeSolution:
         omega: Angular frequency in rad/s (> 0).
 
     Returns:
-        ModeSolution with ``n_eff`` refined to |delta n_eff| <= 1e-10 and a
-        normalized LP01 field profile.
+        ModeSolution with ``n_eff`` from the root w of the characteristic
+        function, bisected to adjacent doubles (tested: within 2e-15 of the
+        earlier n_eff bisection from 300 nm to 20 um, within 1e-8 of an
+        independent dense scan), and a normalized LP01 field profile.
 
     Raises:
         NoGuidedModeError: HE11 below cutoff at this frequency/diameter.
@@ -673,11 +642,13 @@ def neff_table(cross_section: CrossSection, omega_grid: Sequence[float]) -> Neff
     if np.any(np.diff(omega_grid) <= 0):
         raise ValueError("omega_grid must be strictly increasing")
 
-    coarse = _solve_many(cross_section, omega_grid)
     for factor in (_TABLE_REFINE, 2 * _TABLE_REFINE):
         dense = _refined_grid(omega_grid, factor)
-        n_dense = _solve_dense(cross_section, omega_grid, coarse, dense)
-        interp = _Pchip(dense, n_dense)
+        try:
+            interp = _Pchip(dense, _solve_many(cross_section, dense))
+        except NoGuidedModeError:
+            _solve_many(cross_section, omega_grid)  # name the grid's own frequencies below cutoff
+            raise
         checks = dense[:-1] + 0.5 * np.diff(dense)
         checks = checks[np.linspace(0, checks.size - 1, 5).astype(int)]
         direct = _solve_many(cross_section, checks)
@@ -696,33 +667,3 @@ def _refined_grid(grid: np.ndarray, factor: int) -> np.ndarray:
     dense = (grid[:-1, None] + steps[None, :] * np.diff(grid)[:, None]).ravel()
     return np.append(dense, grid[-1])
 
-
-def _solve_dense(cross_section, coarse_grid, coarse_neff, dense):
-    """Roots on a dense grid via brackets predicted from a coarse solution.
-
-    The bracket half-width is a quarter of the local coarse step in n_eff, so
-    it cannot reach a neighboring HE1n root; every point whose predicted
-    bracket fails to enclose a sign change falls back to the full scan of
-    _solve_many, and the bisected roots pass the same residual check.
-    """
-    pred = _Pchip(coarse_grid, coarse_neff)(dense)
-    n1, n2, ak0 = _guide_params(cross_section, dense)
-    idx = np.clip(np.searchsorted(coarse_grid, dense, side="right") - 1, 0, coarse_grid.size - 2)
-    delta = 1e-7 + 0.25 * np.abs(np.diff(coarse_neff))[idx]
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        n_lo, n_hi = _scan_bounds(n1, n2)
-        lo = np.maximum(pred - delta, n_lo)
-        hi = np.minimum(pred + delta, n_hi)
-        h = _char_fn(n1, n2, ak0)
-        flo, fhi = h(lo), h(hi)
-    good = (
-        np.isfinite(flo) & np.isfinite(fhi) & (lo < hi) & (np.signbit(flo) != np.signbit(fhi))
-    )
-    out = np.empty_like(dense)
-    if np.any(good):
-        scale = np.maximum(np.abs(flo[good]), np.abs(fhi[good]))
-        out[good] = _refine(cross_section, dense[good], n1[good], n2[good], ak0[good], lo[good],
-                            hi[good], flo[good], scale)
-    if not np.all(good):
-        out[~good] = _solve_many(cross_section, dense[~good])
-    return out

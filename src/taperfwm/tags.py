@@ -669,9 +669,10 @@ def _dead_time_filter(ticks: np.ndarray, dead_ticks: float) -> np.ndarray:
     ``t + ceil(dead_ticks)``; the walk from the first click along those jumps
     runs once per kept click, reading the jump targets as Python ints
     ``_WALK_BLOCK`` at a time.  Offsets from the first click are unsigned, so
-    adding the threshold cannot overflow.
+    adding the threshold cannot overflow.  Unique ticks are at least one
+    apart, so a dead time of at most one tick keeps every click.
     """
-    if dead_ticks <= 0 or ticks.size == 0:
+    if dead_ticks <= 1 or ticks.size == 0:
         return ticks
     if dead_ticks > int(ticks[-1]) - int(ticks[0]):
         return ticks[:1]

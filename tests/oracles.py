@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
-from scipy.special import jv, jvp, kv, kve, kvp
+from scipy.special import j0, j1, jv, jvp, k0e, k1e, kv, kve, kvp
 
 # --- material: Malitson fused-silica Sellmeier, restated locally -----------
 
@@ -69,33 +69,68 @@ def dense_scan_he11(diameter: float, lam: float, points: int = 1_000_000) -> flo
     return 0.5 * (lo + hi)
 
 
+# --- the HE11 solver as the package ran it before it solved in w -------------
+
+
+def scan_bisect_he11(n1, n2, ak0):
+    """HE11 n_eff for each column of the ``n1``, ``n2``, ``a*k0`` arrays, NaN
+    where there is no root: the package's earlier solver in one block.  It scans
+    the pole-free characteristic function h(n_eff) on max(512, V^2/2) uniform
+    points between the same clips (n_eff^2 above n2^2 + 2e-9 (n1^2 - n2^2), below
+    n1^2 - 1e-8 (n1^2 - n2^2)), takes the last sign change (HE11 has the largest
+    n_eff of the HE1n roots) and bisects it 46 times in n_eff, with the same
+    j0/j1/k0e/k1e kernels."""
+    n1sq, n2sq = n1**2, n2**2
+    nu = n2sq / n1sq
+
+    def h(neff):
+        u = ak0 * np.sqrt(n1sq - neff**2)
+        w = ak0 * np.sqrt(neff**2 - n2sq)
+        ju0, ju1 = j0(u), j1(u)
+        k0, k1 = k0e(w), k1e(w)
+        kk = -(k0 + (k0 + (2.0 / w) * k1)) / (2.0 * w * k1)
+        csq = (1.0 / u**2 + 1.0 / w**2) * (1.0 / u**2 + nu / w**2)
+        mid = -kk * (1.0 + nu) / 2.0
+        split = np.sqrt((kk * (1.0 - nu) / 2.0) ** 2 + csq)
+        return (ju0 - (1 / u) * ju1) - (mid - split) * u * ju1
+
+    dx = n1sq - n2sq
+    n_lo, n_hi = np.sqrt(n2sq + 2e-9 * dx), np.sqrt(n1sq - 1e-8 * dx)
+    points = max(512, int(np.ceil(0.5 * np.max(ak0 * np.sqrt(dx)) ** 2)))
+    grid = n_lo + np.linspace(0.0, 1.0, points)[:, None] * (n_hi - n_lo)
+    cols = np.arange(grid.shape[1])
+    with np.errstate(all="ignore"):
+        vals = h(grid)
+        flips = np.signbit(vals[:-1]) != np.signbit(vals[1:])
+        last = points - 2 - np.argmax(flips[::-1], axis=0)
+        lo, hi, flo = grid[last, cols], grid[last + 1, cols], vals[last, cols]
+        for _ in range(46):
+            mid = 0.5 * (lo + hi)
+            same = np.signbit(h(mid)) == np.signbit(flo)
+            lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    return np.where(flips.any(axis=0), 0.5 * (lo + hi), np.nan)
+
+
 # --- general-order Bessel forms of the mode solver's kernels ------------------
 # The package evaluates J and K through order-specialised kernels (j0/j1,
 # k0e/k1e and recurrences).  These are the same formulas written with the
 # general-order jv/jvp/kve for every order, as the solver used them before.
 
 
-def char_fn_general(family, m, n1, n2, ak0):
-    """Pole-free characteristic function h(n_eff) with jv, jvp and kve."""
-    n1sq = np.asarray(n1, dtype=float) ** 2
-    n2sq = np.asarray(n2, dtype=float) ** 2
-    ak0 = np.asarray(ak0, dtype=float)
+def he11_char_fn_general(nu, v):
+    """Pole-free HE11 characteristic function h(w) with jv, jvp and kve, where
+    u = sqrt((V - w)(V + w)) and nu = n2^2/n1^2.  Like the package's, it returns
+    h and the size of its terms, |J_0| + |J_1/u| + (|mid| + split) u |J_1|."""
 
-    def h(neff):
-        neff = np.asarray(neff, dtype=float)
-        u = ak0 * np.sqrt(n1sq - neff**2)
-        w = ak0 * np.sqrt(neff**2 - n2sq)
-        if family == "TE":
-            return jv(1, u) * w * kve(0, w) + kve(1, w) * u * jv(0, u)
-        if family == "TM":
-            return n1sq * jv(1, u) * w * kve(0, w) + n2sq * kve(1, w) * u * jv(0, u)
-        kk = -(kve(m - 1, w) + kve(m + 1, w)) / (2.0 * w * kve(m, w))
-        nu = n2sq / n1sq
-        csq = m * m * (1.0 / u**2 + 1.0 / w**2) * (1.0 / u**2 + nu / w**2)
+    def h(w):
+        u = np.sqrt((v - w) * (v + w))
+        kk = -(kve(0, w) + kve(2, w)) / (2.0 * w * kve(1, w))
+        csq = (1.0 / u**2 + 1.0 / w**2) * (1.0 / u**2 + nu / w**2)
         mid = -kk * (1.0 + nu) / 2.0
         split = np.sqrt((kk * (1.0 - nu) / 2.0) ** 2 + csq)
-        x = mid - split if family == "HE" else mid + split
-        return jvp(m, u) - x * u * jv(m, u)
+        ju1 = jv(1, u)
+        terms = np.abs(jv(0, u)) + np.abs(ju1 / u) + (np.abs(mid) + split) * u * np.abs(ju1)
+        return jvp(1, u) - (mid - split) * u * ju1, terms
 
     return h
 

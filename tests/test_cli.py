@@ -1,7 +1,6 @@
 """CLI: config schema, flag overrides, exit codes, file outputs, determinism."""
 
 import json
-import re
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +9,7 @@ import pytest
 from taperfwm import cli
 from taperfwm.biphoton import PumpSpec, SpectralGrid, phase_matching, pump_function
 from taperfwm.cli import EXIT_CONFIG, EXIT_DOMAIN, EXIT_IO, EXIT_OK, build_parser, main
-from taperfwm.dispersion import CrossSection, solve_mode
+from taperfwm.dispersion import FUSED_SILICA, CrossSection, solve_mode
 from taperfwm.profile import parse_profile, segment
 from taperfwm.tags import TagStream, parse_tags, write_tags_text
 
@@ -209,7 +208,18 @@ class TestModes:
         assert code == EXIT_DOMAIN
         assert "cutoff" in capsys.readouterr().err
 
-    def test_near_cutoff_refinement_failure_names_wavelength_and_diameter(self, tmp_path, capsys):
+    def test_thin_waist_solves_up_to_the_clip(self, tmp_path):
+        # at d = 120 nm, n_eff - 1 is about 1e-9 near 745 nm
+        out = tmp_path / "out"
+        assert run(
+            "modes", "--diameter_nm", 120, "--wavelength_range_nm", "[700, 745]",
+            "--wavelength_points", 4, "--out_dir", out,
+        ) == EXIT_OK
+        n_eff = np.array([float(row.split(",")[1]) for row in data_rows(out / "modes.csv")])
+        assert n_eff.size == 4 and np.all(n_eff > 1.0) and np.all(np.diff(n_eff) < 0)
+
+    def test_near_cutoff_names_wavelength_and_diameter(self, tmp_path, capsys):
+        # 760 nm is the one point of the scan whose root is below the bottom clip
         code = run(
             "modes", "--diameter_nm", 120, "--wavelength_range_nm", "[700, 760]",
             "--wavelength_points", 5, "--out_dir", tmp_path / "out",
@@ -217,12 +227,29 @@ class TestModes:
         assert code == EXIT_DOMAIN
         err = capsys.readouterr().err
         assert err.startswith("domain error:") and "Traceback" not in err
-        wavelength = re.search(r"wavelength ([0-9.]+) nm", err)
-        assert wavelength and 700.0 <= float(wavelength.group(1)) <= 760.0
-        assert "120.0 nm" in err
+        assert "760.00 nm" in err and "745.00 nm" not in err
+        assert "120.0 nm" in err and "cutoff" in err
+
+    def test_millimetre_waist_solves(self, tmp_path):
+        # V is about 4 000; the solve costs what a 1 um waist costs.  HE11's
+        # u stays near 2.4, so n_eff sits about 1e-7 below the core index
+        out = tmp_path / "out"
+        assert run("modes", "--diameter_nm", 1e6, "--out_dir", out) == EXIT_OK
+        wl_nm, n_eff = np.array([row.split(",") for row in data_rows(out / "modes.csv")], float).T
+        gap = FUSED_SILICA.index(wl_nm * 1e-9) - n_eff
+        assert n_eff.size == 61 and np.all((0.0 < gap) & (gap < 1e-6))
+
+    def test_centimetre_waist_is_not_guided(self, tmp_path, capsys):
+        # V of about 41 000 at 800 nm, above j_{0,1}/sqrt(_CLIP_TOP) ~ 24 000, puts
+        # HE11 inside the top clip
+        code = run("modes", "--diameter_nm", 1e7, "--out_dir", tmp_path / "out")
+        assert code == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert err.startswith("domain error: no guided HE11 mode at diameter 10000000.0 nm")
+        assert "800.00 nm" in err and "Traceback" not in err
 
     def test_overflowing_scan_size_is_domain_error(self, tmp_path, capsys):
-        # V^2 overflows to inf, so no scan grid can be sized
+        # V^2 overflows to inf, so the solver cannot form u
         code = run("modes", "--diameter_nm", 1e300, "--out_dir", tmp_path / "out")
         assert code == EXIT_DOMAIN
         err = capsys.readouterr().err

@@ -1,4 +1,3 @@
-import functools
 import math
 from pathlib import Path
 
@@ -25,7 +24,13 @@ from taperfwm.dispersion import (
 )
 from taperfwm.profile import load_profile, segment
 
-from oracles import char_fn_general, dense_scan_he11, field_rows_general, pchip
+from oracles import (
+    dense_scan_he11,
+    field_rows_general,
+    he11_char_fn_general,
+    pchip,
+    scan_bisect_he11,
+)
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -145,6 +150,14 @@ class TestSolveMode:
     def test_dense_scan_oracle_agreement(self, d, lam):
         mine = solve_mode(CrossSection(diameter=d), omega_of(lam)).n_eff
         assert abs(mine - dense_scan_he11(d, lam)) <= 1e-8
+
+    @pytest.mark.parametrize("d", [300e-9, 900e-9, 3e-6, 20e-6])
+    def test_scan_and_bisect_oracle_agreement(self, d):
+        # the earlier n_eff scan and bisection, wherever both solve
+        omegas = omega_of(np.linspace(500e-9, 1600e-9, 61))
+        ref = scan_bisect_he11(*dispersion._guide_params(CrossSection(diameter=d), omegas))
+        assert np.all(np.isfinite(ref))
+        assert np.max(np.abs(dispersion._solve_many(CrossSection(diameter=d), omegas) - ref)) <= 2e-15
 
     def test_guidance_violation(self):
         cs = CrossSection(diameter=890e-9, cladding=1.6)
@@ -276,7 +289,7 @@ class TestPchip:
         segment(load_profile(DATA / "measured_profile.txt"), 16).segments[0].diameter,
     ], ids=["uniform_900nm", "measured_segment_0"])
     def test_neff_table_same_as_with_scipy_pchip(self, monkeypatch, diameter):
-        # both call sites: the predicted brackets of _solve_dense and the table itself
+        # the table's interpolant is the one call site of _Pchip
         cs = CrossSection(diameter=diameter)
         grid = np.linspace(omega_of(1500e-9), omega_of(800e-9), 48)
         queries = np.random.default_rng(7).uniform(grid[0], grid[-1], 1000)
@@ -322,7 +335,7 @@ class TestNeffTable:
             table(np.array([grid[2], grid[-1] * 1.5]))
 
     def test_below_cutoff_lists_frequencies(self):
-        # at d = 120 nm every HE11 root over 1400-1500 nm lies in the bottom scan clip
+        # at d = 120 nm every HE11 root over 1400-1500 nm lies in the bottom clip
         grid = np.linspace(omega_of(1500e-9), omega_of(1400e-9), 5)
         lam_nm = 2.0 * np.pi * C_VAC / grid * 1e9
         with pytest.raises(NoGuidedModeError, match="nm") as err:
@@ -345,7 +358,6 @@ class TestNeffTable:
 # Bessel envelope at the zeros.
 
 KERNEL_MODES = ["HE11"]
-he11_char_fn_general = functools.partial(char_fn_general, "HE", 1)
 
 
 def _kernel_points(name):
@@ -362,11 +374,9 @@ def _envelope(n, u):
     return np.maximum(np.abs(jv(n, u)), np.abs(jv(n + 1, u)))
 
 
-def _char_fn_scale(n1, n2, ak0, neff):
-    u = ak0 * np.sqrt(n1**2 - neff**2)
-    w = ak0 * np.sqrt(neff**2 - n2**2)
+def _char_fn_scale(nu, v, w):
+    u = np.sqrt((v - w) * (v + w))
     kk = (kve(0, w) + kve(2, w)) / (2.0 * w * kve(1, w))
-    nu = (n2 / n1) ** 2
     csq = (1.0 / u**2 + 1.0 / w**2) * (1.0 / u**2 + nu / w**2)
     x = kk * (1.0 + nu) / 2.0 + np.sqrt((kk * (1.0 - nu) / 2.0) ** 2 + csq)
     return _envelope(0, u) + (1.0 / u + x * u) * _envelope(1, u)
@@ -385,18 +395,20 @@ class TestBesselKernels:
 
     @pytest.mark.parametrize("name", KERNEL_MODES)
     def test_char_fn_matches_general_order(self, name):
-        # interior points and points 1e-12 to 1e-3 of the scan width from both
-        # clips: the bottom one approaches w -> 0, the top one u -> 0
+        # interior points and points 1e-12 to 1e-3 of the bracket width from
+        # both ends of the w bracket: the bottom one approaches w -> 0 (or
+        # u -> j_{0,1} above V = j_{0,1}), the top one u -> 0
         edge = np.geomspace(1e-12, 1e-3, 10)
         t = np.concatenate([np.linspace(0.0, 1.0, 201), edge, 1.0 - edge])[:, None]
         for d, lams in _kernel_points(name):
             n1, n2, ak0 = dispersion._guide_params(CrossSection(diameter=d), omega_of(lams))
-            n_lo, n_hi = dispersion._scan_bounds(n1, n2)
-            neff = n_lo + t * (n_hi - n_lo)
-            mine = dispersion._char_fn(n1, n2, ak0)(neff)
-            ref = he11_char_fn_general(n1, n2, ak0)(neff)
+            nu, v = n2**2 / n1**2, ak0 * np.sqrt(n1**2 - n2**2)
+            w_lo, w_hi = dispersion._w_bracket(v)
+            w = w_lo + t * (w_hi - w_lo)
+            mine = dispersion._char_fn(nu, v)(w)[0]
+            ref = he11_char_fn_general(nu, v)(w)[0]
             assert np.all(np.isfinite(mine)) and np.all(np.isfinite(ref))
-            assert np.all(np.abs(mine - ref) <= 1e-12 * _char_fn_scale(n1, n2, ak0, neff))
+            assert np.all(np.abs(mine - ref) <= 1e-12 * _char_fn_scale(nu, v, w))
 
     @pytest.mark.parametrize("name", KERNEL_MODES)
     def test_solver_and_fields_match_general_order(self, name, monkeypatch):
@@ -427,3 +439,17 @@ def test_he11_always_inside_bounds(d_nm, lam_nm):
     cs = CrossSection(diameter=d_nm * 1e-9)
     sol = solve_mode(cs, omega_of(lam_nm * 1e-9))
     assert 1.0 < sol.n_eff < cs.core_index(lam_nm * 1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(log_d=st.floats(min_value=-7.0, max_value=-4.0), lam=st.floats(min_value=0.5e-6, max_value=1.6e-6))
+def test_root_or_not_guided(log_d, lam):
+    # 100 nm to 100 um: solve_mode returns only roots that pass its residual
+    # check, so it either returns one or reports HE11 as not guided, and
+    # never raises SolverConvergenceError
+    cs = CrossSection(diameter=10.0**log_d)
+    try:
+        sol = solve_mode(cs, omega_of(lam))
+    except NoGuidedModeError:
+        return
+    assert 1.0 < sol.n_eff < cs.core_index(lam)

@@ -603,7 +603,9 @@ class TestDeadTimeFilter:
         ticks = np.array([0, 2, 3, 5, 6, 9], dtype=np.int64)
         assert tags._dead_time_filter(ticks, 2.5).tolist() == [0, 3, 6, 9]
         assert tags._dead_time_filter(ticks, 3.0).tolist() == [0, 3, 6, 9]
-        assert tags._dead_time_filter(ticks, 0.25).tolist() == ticks.tolist()
+        for dead in (0.25, 1.0):
+            kept = tags._dead_time_filter(ticks, dead)
+            assert kept.tolist() == ticks.tolist() == oracles.dead_time_loop(ticks, dead).tolist()
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**64 - 1), dead=st.floats(1.0, 10.0) | st.floats(1.0, 3e6))
