@@ -17,6 +17,7 @@ with HE11 only.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -287,6 +288,15 @@ _QUAD_ORDER = 96
 _QUAD_TAIL = 45.0  # outer integration reaches exp(-_QUAD_TAIL) of the joint decay
 
 
+@functools.cache
+def _legendre_rule():
+    """Gauss-Legendre nodes and weights of order _QUAD_ORDER on [-1, 1], read-only."""
+    x, wt = leggauss(_QUAD_ORDER)
+    x.flags.writeable = False
+    wt.flags.writeable = False
+    return x, wt
+
+
 def _quad_nodes(a: float, w_total: float):
     """Gauss-Legendre nodes and d^2rho weights (2 pi r dr) for a field product.
 
@@ -295,7 +305,7 @@ def _quad_nodes(a: float, w_total: float):
     region, the outer one mapped onto that decay scale) converge far below
     the 1e-6 tolerances used in tests.
     """
-    x, wt = leggauss(_QUAD_ORDER)
+    x, wt = _legendre_rule()
     r_in = 0.5 * a * (x + 1.0)
     wt_in = 0.5 * a * wt
     s = 0.5 * _QUAD_TAIL * (x + 1.0)
@@ -374,6 +384,13 @@ def _auto_bank(grid: SpectralGrid, omega_p: float) -> ModeBank:
     return ModeBank(min(candidates), max(candidates))
 
 
+# Grid values summed per band of signal rows.  The band's running sum, suffix
+# phase and product temporary (256 KB each at 16 384 values) stay in cache;
+# with whole-grid arrays a 768 x 768, 100-segment sum faulted in fresh pages
+# for every temporary and took about four times as long.
+_SUM_BLOCK = 16384
+
+
 def _phase_matching_info(segmented, grid, omega_p, eta_mode):
     """Phase-matching sum and the corner-sampled eta bound (None unless eta_mode='center')."""
     if eta_mode not in ("per_point", "center"):
@@ -385,12 +402,11 @@ def _phase_matching_info(segmented, grid, omega_p, eta_mode):
     bank = _auto_bank(grid, omega_p)
 
     length = segmented.segment_length
-    total = np.zeros((ws.size, wi.size), dtype=complex)
-    suffix = np.ones_like(total)  # exp(i * sum of later segments' dk * l)
     cache: dict[CrossSection, tuple[np.ndarray, np.ndarray]] = {}
+    terms = []
     eta_bound = 0.0
 
-    # Sum the segment terms from the output end backwards so the running
+    # Order the segment terms from the output end backwards so the running
     # suffix phase needs one complex multiply per segment.
     for q in reversed(range(segmented.n_segments)):
         cs = segmented.segments[q]
@@ -420,9 +436,17 @@ def _phase_matching_info(segmented, grid, omega_p, eta_mode):
             half = 0.5 * dk * length
             base = length * np.sinc(half / np.pi) * np.exp(1j * half) * eta
             cache[cs] = (base, np.exp(2j * half))
-        base, step = cache[cs]
-        total += base * suffix
-        suffix = suffix * step
+        terms.append(cache[cs])
+
+    total = np.zeros((ws.size, wi.size), dtype=complex)
+    rows = max(1, _SUM_BLOCK // wi.size)
+    for start in range(0, ws.size, rows):
+        band = slice(start, start + rows)
+        part = total[band]
+        suffix = np.ones_like(part)  # exp(i * sum of later segments' dk * l)
+        for base, step in terms:
+            part += base[band] * suffix
+            suffix *= step[band]
 
     return total, (eta_bound if eta_mode == "center" else None)
 
@@ -443,6 +467,11 @@ def phase_matching(
     four-mode overlap at every grid point; ``'center'`` uses the grid-center
     value per segment (cheaper; corner-sampled error bound available through
     :func:`jsa` metadata).
+
+    The sum runs in bands of signal rows, each band walking every segment
+    before the next band starts.  Each grid value still sees the same
+    operations in the same order as a whole-grid sum, so the result does not
+    depend on the band size.
 
     Raises NoGuidedModeError naming the offending segment and frequencies if
     any grid frequency is below cutoff somewhere along the taper.

@@ -359,3 +359,66 @@ def write_marginals_csv_repr(path, signal_omega, signal_weight, idler_omega, idl
 def pchip(x, y):
     """scipy's PCHIP interpolant of y(x), NaN outside ``[x[0], x[-1]]``."""
     return PchipInterpolator(x, y, extrapolate=False)
+
+
+# --- phase matching: the whole-grid segment sum before row bands ---------------
+
+
+def segment_sum_loop(segmented, grid, omega_p, eta_mode):
+    """Phase-matching sum and eta bound, summed over whole-grid arrays.
+
+    The segment terms come from the package's own helpers; only the
+    summation, one full-grid multiply-add per segment, is the reference.
+    """
+    from taperfwm.biphoton import _auto_bank, _eta_factory
+    from taperfwm.dispersion import CrossSection, NoGuidedModeError
+
+    if eta_mode not in ("per_point", "center"):
+        raise ValueError(f"eta_mode must be 'per_point' or 'center', got {eta_mode!r}")
+    ws, wi = grid.signal_omega, grid.idler_omega
+    omega_r = ws[:, None] + wi[None, :] - omega_p
+    if np.any(omega_r <= 0):
+        raise ValueError("grid reaches non-positive returned pump frequencies")
+    bank = _auto_bank(grid, omega_p)
+
+    length = segmented.segment_length
+    total = np.zeros((ws.size, wi.size), dtype=complex)
+    suffix = np.ones_like(total)  # exp(i * sum of later segments' dk * l)
+    cache: dict[CrossSection, tuple[np.ndarray, np.ndarray]] = {}
+    eta_bound = 0.0
+
+    # Sum the segment terms from the output end backwards so the running
+    # suffix phase needs one complex multiply per segment.
+    for q in reversed(range(segmented.n_segments)):
+        cs = segmented.segments[q]
+        if cs not in cache:
+            try:
+                table = bank.table(cs)
+                k_p = float(table.k(omega_p))
+                k_r = table.k(omega_r)
+                k_s = table.k(ws)
+                k_i = table.k(wi)
+                eta_fn = _eta_factory(table, omega_p)
+                if eta_mode == "per_point":
+                    eta = eta_fn(ws, wi)
+                else:
+                    ends_s = np.array([0.5 * (ws[0] + ws[-1]), ws[0], ws[-1]])
+                    ends_i = np.array([0.5 * (wi[0] + wi[-1]), wi[0], wi[-1]])
+                    probe = eta_fn(ends_s, ends_i)
+                    eta = probe[0, 0]
+                    eta_bound = max(
+                        eta_bound, float(np.max(np.abs(probe[1:, 1:] / probe[0, 0] - 1.0)))
+                    )
+            except NoGuidedModeError as err:
+                raise NoGuidedModeError(
+                    f"segment {q} (diameter {cs.diameter*1e9:.1f} nm): {err}"
+                ) from err
+            dk = k_p + k_r - k_s[:, None] - k_i[None, :]
+            half = 0.5 * dk * length
+            base = length * np.sinc(half / np.pi) * np.exp(1j * half) * eta
+            cache[cs] = (base, np.exp(2j * half))
+        base, step = cache[cs]
+        total += base * suffix
+        suffix = suffix * step
+
+    return total, (eta_bound if eta_mode == "center" else None)

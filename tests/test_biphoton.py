@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
 from scipy.constants import c as C_VAC
 from scipy.integrate import quad
 from scipy.ndimage import label as ndlabel
 
 import oracles
+from taperfwm import biphoton
 from taperfwm.biphoton import (
     GridCoverageWarning,
     JsaGrid,
@@ -232,6 +234,15 @@ class TestOverlapIntegral:
         direct = overlap_integral(mp, mp, solve_mode(cs, ws), solve_mode(cs, wi))
         assert from_grid == pytest.approx(direct, rel=1e-8)
 
+    def test_legendre_rule_cached_and_read_only(self):
+        x, wt = biphoton._legendre_rule()
+        fresh_x, fresh_wt = leggauss(biphoton._QUAD_ORDER)
+        assert np.array_equal(x, fresh_x) and np.array_equal(wt, fresh_wt)
+        assert biphoton._legendre_rule()[0] is x
+        for arr in (x, wt):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
 
 class TestDeltaK:
     def test_degenerate_is_exactly_zero(self):
@@ -349,7 +360,8 @@ class TestPhaseMatching:
             np.array([900e-9, 900e-9, 120e-9, 120e-9]),
         )
         grid = SpectralGrid.from_wavelength_windows(SIGNAL_WINDOW, IDLER_WINDOW, 8)
-        with pytest.raises(NoGuidedModeError, match=r"segment \d+.*nm"):
+        # Segments 5-8 are all at 120 nm; the walk from the output end meets 8 first.
+        with pytest.raises(NoGuidedModeError, match=r"^segment 8 \(diameter 120\.0 nm\): .*nm"):
             phase_matching(segment(profile, 9), grid, pump.omega0)
 
     def test_center_eta_close_to_per_point(self, pump, grid128):
@@ -375,6 +387,52 @@ class TestPhaseMatching:
         a = np.abs(phase_matching(seg, fwd, pump.omega0))
         b = np.abs(phase_matching(seg, rev, pump.omega0)).T
         np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-9 * a.max())
+
+
+def stepped_taper():
+    """975/950/925/900/925/950 nm plateaus over 8 segments of 1.75 mm.
+
+    Every step sits between two segment midpoints, so the segments take
+    exactly four diameters; 950 and 925 nm repeat across the waist, and the
+    975 nm end makes the segment order matter.
+    """
+    z = np.array([0.0, 1.7, 1.8, 3.45, 3.55, 5.2, 5.3, 8.7, 8.8, 10.45, 10.55, 14.0]) * 1e-3
+    d = np.array([975, 975, 950, 950, 925, 925, 900, 900, 925, 925, 950, 950]) * 1e-9
+    return segment(TaperProfile(z, d), 8)
+
+
+class TestSegmentSumBands:
+    """The row-banded segment sum equals the whole-grid loop bit for bit."""
+
+    def test_repeated_diameters_across_waist(self, pump, grid128):
+        seg = stepped_taper()
+        assert len(set(seg.segments)) == 4
+        assert seg.segments[2] == seg.segments[5] and seg.segments[1] == seg.segments[7]
+        expected, _ = oracles.segment_sum_loop(seg, grid128, pump.omega0, "per_point")
+        assert np.array_equal(phase_matching(seg, grid128, pump.omega0), expected)
+
+    @pytest.mark.parametrize("block", [None, 1, 7, 64])
+    @pytest.mark.parametrize("n_signal, n_idler", [(37, 53), (37, 3)])
+    def test_band_sizes(self, pump, monkeypatch, block, n_signal, n_idler):
+        # On 37 x 3, blocks 7 and 64 give bands of 2 and 21 rows: the last band is short.
+        grid = SpectralGrid.from_wavelength_windows(SIGNAL_WINDOW, IDLER_WINDOW, n_signal, n_idler)
+        seg = stepped_taper()
+        expected, _ = oracles.segment_sum_loop(seg, grid, pump.omega0, "per_point")
+        if block is not None:
+            monkeypatch.setattr(biphoton, "_SUM_BLOCK", block)
+        total = phase_matching(seg, grid, pump.omega0)
+        assert total.shape == (n_signal, n_idler)
+        assert np.array_equal(total, expected)
+
+    def test_center_mode_and_bound(self, pump, monkeypatch):
+        grid = SpectralGrid.from_wavelength_windows(SIGNAL_WINDOW, IDLER_WINDOW, 37, 53)
+        seg = stepped_taper()
+        expected, expected_bound = oracles.segment_sum_loop(seg, grid, pump.omega0, "center")
+        monkeypatch.setattr(biphoton, "_SUM_BLOCK", 7)
+        result = jsa(seg, pump, grid, eta_mode="center")
+        assert np.array_equal(result.amplitude, pump_function(pump, grid) * expected)
+        assert result.metadata["eta_center_relative_error_bound"] == expected_bound
+        assert np.array_equal(phase_matching(seg, grid, pump.omega0, eta_mode="center"), expected)
 
 
 class TestPumpFunction:
