@@ -14,7 +14,6 @@ surfaces both readings.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import re
@@ -52,6 +51,7 @@ DEFAULT_CHANNELS = frozenset({1, 2, 3})
 
 _BINARY_MAGIC = b"TTAG1"
 _INT64_MAX = np.iinfo(np.int64).max
+_INT64_MAX_TEXT = str(_INT64_MAX).encode()
 # A text field: ASCII digits with an optional minus sign, which is parsed
 # only so that a negative value gets its own message.
 _INTEGER = re.compile(r"-?[0-9]+")
@@ -184,7 +184,7 @@ def parse_tags(source, *, channels=DEFAULT_CHANNELS) -> TagStream:
 
 def _parse_plain(data: bytes, channels):
     """Fast path for a body of plain ``channel<TAB>ticks`` lines after the
-    leading comment lines, through ``np.loadtxt``; the comment lines go
+    leading comment lines, through ``np.fromstring``; the comment lines go
     through the line loop.  Returns None for any other input and for any
     fault, which the line loop then reports with its line number."""
     head_end = 0
@@ -194,11 +194,17 @@ def _parse_plain(data: bytes, channels):
     if not _is_plain_body(body):
         return None
     head_ch, _, tick = _parse_lines(data[:head_end], channels)
-    try:
-        fields = np.loadtxt(io.BytesIO(body), dtype=np.int64, delimiter="\t", ndmin=2)
-    except ValueError:  # an empty field, or a value of 2**63 or more
+    values = np.fromstring(body, dtype=np.int64, sep=" ")
+    if head_ch.size or values.size != 2 * body.count(b"\n"):  # an empty field
         return None
-    if head_ch.size or not np.isin(fields[:, 0], list(channels)).all():
+    # fromstring saturates a field of 2**63 or more to 2**63 - 1
+    saturated = np.flatnonzero(values == _INT64_MAX)
+    if saturated.size:
+        tokens = body.split()
+        if any(tokens[i].lstrip(b"0") != _INT64_MAX_TEXT for i in saturated.tolist()):
+            return None
+    fields = values.reshape(-1, 2)
+    if not np.isin(fields[:, 0], list(channels)).all():
         return None
     return fields[:, 0], fields[:, 1].copy(), tick
 
@@ -282,17 +288,41 @@ def _parse_binary(data: bytes, channels):
     return ch, raw_ts.astype(np.int64), tick_fs * 1e-15
 
 
-def _text_blocks(*columns):
-    """Parallel columns as lists of Python ints or floats, _TEXT_BLOCK records at a time."""
-    for start in range(0, len(columns[0]), _TEXT_BLOCK):
-        yield [column[start:start + _TEXT_BLOCK].tolist() for column in columns]
+def _int_text(columns, seps: bytes) -> bytes:
+    """Rows of parallel integer columns as text: each value in shortest
+    decimal, ``-`` only before a negative one, and followed by its column's
+    byte of ``seps``."""
+    columns = [np.asarray(column, dtype=np.int64) for column in columns]
+    negs = [column < 0 for column in columns]
+    mags = [np.abs(column).view(np.uint64) for column in columns]  # |-2**63| wraps to 2**63
+    signed = [int(neg.any()) for neg in negs]  # a '-' column only where needed
+    widths = [len(str(int(mag.max()))) if mag.size else 1 for mag in mags]
+    out = np.empty((len(columns[0]), sum(signed) + sum(widths) + len(columns)), dtype=np.uint8)
+    at = 0
+    for neg, rest, sign, width, sep in zip(negs, mags, signed, widths, seps):
+        if sign:
+            out[:, at] = np.where(neg, ord("-"), 0)
+        at += sign + width
+        # digits right-aligned by repeated //10; a 0 byte in place of each
+        # leading zero, so a value of 0 keeps its units digit
+        for col in range(at - 1, at - 1 - width, -1):
+            quot = rest // np.uint64(10)
+            digit = (rest - quot * np.uint64(10)).astype(np.uint8) + np.uint8(ord("0"))
+            if col < at - 1:
+                digit[rest == 0] = 0
+            out[:, col] = digit
+            rest = quot
+        out[:, at] = sep
+        at += 1
+    return out.tobytes().translate(None, b"\0")
 
 
 def write_tags_text(stream: TagStream, path) -> None:
-    with open(path, "w") as f:
-        f.write(f"#tick_ps {round(stream.tick_duration * 1e12)}\n")
-        for channels, ticks in _text_blocks(stream.channels, stream.timestamps):
-            f.write("".join(f"{c}\t{t}\n" for c, t in zip(channels, ticks)))
+    with open(path, "wb") as f:
+        f.write(f"#tick_ps {round(stream.tick_duration * 1e12)}\n".encode())
+        for start in range(0, len(stream), _TEXT_BLOCK):
+            block = slice(start, start + _TEXT_BLOCK)
+            f.write(_int_text((stream.channels[block], stream.timestamps[block]), b"\t\n"))
 
 
 def write_tags_binary(stream: TagStream, path) -> None:
@@ -359,7 +389,11 @@ def coincidence_histogram(stream: TagStream, ch_a: int = 1, ch_b: int = 2, *,
     ta = stream.channel_timestamps(ch_a)
     tb = stream.channel_timestamps(ch_b)
     half = delay_range // bin_width
-    counts = np.zeros(2 * half + 1, dtype=np.int64)
+    try:
+        counts = np.zeros(2 * half + 1, dtype=np.int64)
+    except MemoryError:
+        raise ValueError(f"cannot allocate {2 * half + 1} histogram bins "
+                         f"(delay_range {delay_range} / bin_width {bin_width} ticks)") from None
     if ta.size and tb.size:
         # the per_b[j] channel-a tags within reach of tb[j] start at ta[lo[j]]; in
         # the list of all pairs, ordered by b, pair p of tb[j] is with ta[p - shift[j]]
@@ -790,10 +824,12 @@ def write_coincidence_csv(hist: CoincidenceHistogram, path) -> None:
         f"# singles {hist.n_ch_a},{hist.n_ch_b}",
         "delay_ticks,count",
     ]
-    with open(path, "w") as f:
-        f.write("".join(line + "\n" for line in head))
-        for delays, counts in _text_blocks(hist.delay_centers, hist.counts):
-            f.write("".join(f"{d},{c}\n" for d, c in zip(delays, counts)))
+    delays = hist.delay_centers
+    with open(path, "wb") as f:
+        f.write("".join(line + "\n" for line in head).encode())
+        for start in range(0, delays.size, _TEXT_BLOCK):
+            block = slice(start, start + _TEXT_BLOCK)
+            f.write(_int_text((delays[block], hist.counts[block]), b",\n"))
 
 
 def write_coincidence_json(hist: CoincidenceHistogram, path) -> None:

@@ -328,6 +328,34 @@ def all_pairs_histogram(stream, ch_a, ch_b, bin_width, delay_range):
     return np.bincount((k + half).astype(np.intp), minlength=2 * half + 1).astype(np.int64)
 
 
+# --- per-record integer text: the tag writers before the numpy layout ---------
+
+
+def write_tags_text_records(stream, path):
+    """Tag text file with one ``f"{c}\\t{t}\\n"`` string per record."""
+    with open(path, "w", newline="\n") as f:
+        f.write(f"#tick_ps {round(stream.tick_duration * 1e12)}\n")
+        f.write("".join(f"{c}\t{t}\n" for c, t in
+                        zip(stream.channels.tolist(), stream.timestamps.tolist())))
+
+
+def write_coincidence_csv_records(hist, path):
+    """Coincidence CSV with one ``f"{d},{c}\\n"`` string per bin."""
+    head = [
+        f"# bin_width_ticks {hist.bin_width}",
+        f"# delay_range_ticks {hist.delay_range}",
+        f"# tick_duration_s {hist.tick_duration!r}",
+        f"# duration_ticks {hist.duration_ticks}",
+        f"# channels {hist.ch_a},{hist.ch_b}",
+        f"# singles {hist.n_ch_a},{hist.n_ch_b}",
+        "delay_ticks,count",
+    ]
+    with open(path, "w", newline="\n") as f:
+        f.write("".join(line + "\n" for line in head))
+        f.write("".join(f"{d},{c}\n" for d, c in
+                        zip(hist.delay_centers.tolist(), hist.counts.tolist())))
+
+
 # --- per-cell float text: the writers before the vectorised formatter ---------
 
 

@@ -503,6 +503,20 @@ class TestTagsCoincidences:
     def test_missing_tags_file_is_io_error(self, tmp_path):
         assert run("tags", "coincidences", "--tags_in", tmp_path / "none.txt") == EXIT_IO
 
+    def test_unallocatable_delay_range_is_domain_error(self, tmp_path, capsys):
+        # 2e15 + 1 int64 bins (16 PB) exceed any address space, so the
+        # allocation fails at once without reserving memory
+        empty = tmp_path / "empty.txt"
+        empty.write_bytes(b"#tick_ps 81\n")
+        assert run(
+            "tags", "coincidences", "--tags_in", empty, "--delay_range_ticks", 10**15,
+            "--bin_width_ticks", 1, "--out_dir", tmp_path / "out",
+        ) == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert "cannot allocate 2000000000000001 histogram bins" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "coincidences.csv").exists()
+
     def test_malformed_tags_file_is_io_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("1\t2\t3\n")

@@ -305,6 +305,48 @@ class TestTextFastPath:
         with pytest.raises(TagParseError, match=message):
             parse_tags(data)
 
+    @pytest.mark.parametrize("ticks", [
+        2**63 - 1, 2**63 - 2, 10**18, 10**18 + 1, 9 * 10**18 + 7, 1234567890123456789,
+    ])
+    def test_nineteen_digit_timestamps_take_the_fast_path(self, ticks):
+        data = b"#tick_ps 81\n" + tag_text([(1, 5), (2, ticks), (3, ticks)])
+        fast = tags._parse_plain(data, tags.DEFAULT_CHANNELS)
+        assert fast is not None
+        ch, ts, _ = tags._parse_lines(data, tags.DEFAULT_CHANNELS)
+        assert fast[0].tolist() == ch.tolist() == [1, 2, 3]
+        assert fast[1].tolist() == ts.tolist() == [5, ticks, ticks]
+
+    @pytest.mark.parametrize("body", [
+        b"1\t007\n02\t0\n003\t000\n",
+        b"1\t09223372036854775807\n",
+        b"1\t0000009223372036854775807\n",
+    ])
+    def test_leading_zeros_take_the_fast_path(self, body):
+        fast = tags._parse_plain(body, tags.DEFAULT_CHANNELS)
+        assert fast is not None
+        ch, ts, _ = tags._parse_lines(body, tags.DEFAULT_CHANNELS)
+        assert fast[0].tolist() == ch.tolist()
+        assert fast[1].tolist() == ts.tolist()
+
+    @pytest.mark.parametrize("ticks", [b"9223372036854775808", b"10000000000000000000",
+                                       b"18446744073709551616", b"09223372036854775808"],
+                             ids=["2**63", "10**19", "2**64", "2**63_leading_zero"])
+    def test_timestamps_of_2_63_and_more_leave_the_fast_path(self, ticks):
+        data = b"#tick_ps 81\n1\t5\n2\t" + ticks + b"\n3\t9\n"
+        assert tags._is_plain_body(data[12:])
+        assert tags._parse_plain(data, tags.DEFAULT_CHANNELS) is None
+        with pytest.raises(TagParseError, match="line 3: timestamp overflows signed 64-bit"):
+            parse_tags(data)
+
+    def test_fromstring_saturates_out_of_range_fields(self):
+        # _parse_plain tells an overflowing field from 2**63 - 1 only because
+        # np.fromstring saturates it to 2**63 - 1; a numpy that wraps or
+        # raises instead must fail here
+        fields = [2**63, 10**19, 2**64 - 1, 2**64, int("9" * 400), 2**63 - 1]
+        text = "\t".join(map(str, fields)).encode() + b"\n"
+        values = np.fromstring(text, dtype=np.int64, sep=" ")
+        assert values.tolist() == [2**63 - 1] * len(fields)
+
 
 class TestCoincidenceHistogram:
     @pytest.mark.parametrize("seed,bin_width,delay_range", [(1, 7, 140), (2, 1, 64), (3, 10, 500)])
@@ -844,6 +886,101 @@ class TestSimulateTags:
         assert stream.metadata["seed"] == 2
         assert stream.metadata["rep_period_ticks"] == pytest.approx(REP_TICKS)
         assert stream.metadata["duration_ticks"] >= 5000 * REP_TICKS - 1
+
+
+def histogram(bin_width, counts):
+    """A CoincidenceHistogram of the given counts, centred on zero delay."""
+    return CoincidenceHistogram(
+        bin_width=bin_width, delay_range=bin_width * (len(counts) // 2), counts=counts,
+        tick_duration=TICK_SECONDS, duration_ticks=12345, ch_a=1, ch_b=2, n_ch_a=7, n_ch_b=9)
+
+
+class TestTextWriters:
+    """The numpy integer layout against the per-record writers it replaces."""
+
+    @staticmethod
+    def assert_same_bytes(write, oracle, value, tmp_path):
+        write(value, tmp_path / "new")
+        oracle(value, tmp_path / "old")
+        assert (tmp_path / "new").read_bytes() == (tmp_path / "old").read_bytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(records=st.lists(st.tuples(st.integers(1, 3),
+                                      st.integers(0, 2**63 - 1) | st.integers(0, 1000))))
+    @example(records=[(1, 0), (2, 9), (3, 10), (1, 2**63 - 1)])
+    @example(records=[(2, 0)])
+    @example(records=[])
+    def test_tags_text_equals_per_record_writer(self, tmp_path_factory, records):
+        self.assert_same_bytes(write_tags_text, oracles.write_tags_text_records,
+                               TagStream.from_records(records),
+                               tmp_path_factory.mktemp("tags"))
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_tags_text_across_block_edges(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(tags, "_TEXT_BLOCK", block)
+        stream = sim(3000, jitter_std=120e-12, seed=4)
+        assert len(stream) % block or block == 1
+        self.assert_same_bytes(write_tags_text, oracles.write_tags_text_records,
+                               stream, tmp_path)
+
+    def test_empty_stream_writes_the_header_only(self, tmp_path):
+        empty = TagStream(np.zeros(0, np.int64), np.zeros(0, np.int64), tick_duration=50e-12)
+        write_tags_text(empty, tmp_path / "tags.txt")
+        assert (tmp_path / "tags.txt").read_bytes() == b"#tick_ps 50\n"
+
+    @settings(max_examples=60, deadline=None)
+    @given(bin_width=st.integers(1, 10**6),
+           counts=st.lists(st.integers(0, 2**63 - 1) | st.just(0), max_size=40))
+    @example(bin_width=1, counts=[0])
+    @example(bin_width=1, counts=[5])
+    @example(bin_width=7, counts=[0, 3, 0])
+    @example(bin_width=2**63 - 1, counts=[2**63 - 1, 0, 1])
+    def test_coincidence_csv_equals_per_record_writer(self, tmp_path_factory, bin_width, counts):
+        counts = counts[:(len(counts) - 1) // 2 * 2 + 1] or [0]  # an odd number of bins
+        self.assert_same_bytes(write_coincidence_csv, oracles.write_coincidence_csv_records,
+                               histogram(bin_width, counts), tmp_path_factory.mktemp("csv"))
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_coincidence_csv_across_block_edges(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(tags, "_TEXT_BLOCK", block)
+        counts = np.random.default_rng(block).integers(0, 3, 2 * 30 + 1)
+        hist = histogram(10, counts)
+        assert hist.delay_centers.min() < 0 and (counts == 0).any()
+        self.assert_same_bytes(write_coincidence_csv, oracles.write_coincidence_csv_records,
+                               hist, tmp_path)
+
+    def test_coincidence_csv_of_a_simulated_stream(self, tmp_path):
+        stream = sim(50_000, jitter_std=120e-12, seed=2)
+        hist = coincidence_histogram(stream, 1, 2, bin_width=10, delay_range=2000)
+        self.assert_same_bytes(write_coincidence_csv, oracles.write_coincidence_csv_records,
+                               hist, tmp_path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.tuples(st.integers(-2**63, 2**63 - 1), st.integers(-9, 9)),
+                         min_size=1))
+    @example(rows=[(-2**63, 0), (0, -1), (2**63 - 1, 10)])
+    def test_int_text_is_str_of_each_value(self, rows):
+        a, b = (np.array(column, dtype=np.int64) for column in zip(*rows))
+        want = "".join(f"{x};{y}|" for x, y in rows).encode()
+        assert tags._int_text((a, b), b";|") == want
+
+    def test_memory_bounded_by_block(self, tmp_path):
+        # 10**6 records of 19-digit timestamps: 22 MB of text
+        n = 1_000_000
+        ticks = np.arange(n, dtype=np.int64) * 4099 + 2**62
+        stream = TagStream(np.ones(n, np.int64), ticks)
+        tracemalloc.start()
+        try:
+            write_tags_text(stream, tmp_path / "tags.txt")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = (tmp_path / "tags.txt").stat().st_size
+        assert size == len("#tick_ps 81\n") + 22 * n
+        # the text of one block, its layout matrix and the translated copy
+        # are a few blocks' worth (6.0 MB measured); the whole text is 22 MB
+        block_text = 22 * tags._TEXT_BLOCK
+        assert peak < 6 * block_text < size / 2
 
 
 class TestResultWriters:
