@@ -36,48 +36,7 @@ _EXPORTS = {
 }
 _SUBMODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    # dispersion
-    "DispersionError",
-    "SellmeierGlass",
-    "FUSED_SILICA",
-    "CrossSection",
-    "solve_mode",
-    "neff_table",
-    "load_glass",
-    # taper profiles
-    "TaperProfile",
-    "SegmentedProfile",
-    "parse_profile",
-    "load_profile",
-    "segment",
-    # joint spectra
-    "PumpSpec",
-    "SpectralGrid",
-    "JsaGrid",
-    "ModeBank",
-    "pump_function",
-    "phase_matching",
-    "jsa",
-    "schmidt_analysis",
-    "marginals",
-    "phase_matched_pair",
-    # rates
-    "DEFAULT_CONVERSION_EFFICIENCY",
-    "LossBudget",
-    "pair_rates",
-    "fit_power_scan",
-    "rate_budget_report",
-    # time tags
-    "TagStream",
-    "parse_tags",
-    "SimulationConfig",
-    "simulate_tags",
-    "coincidence_histogram",
-    "peak_and_accidentals",
-    "heralded_g2",
-]
+__all__ = ["__version__", *_SUBMODULE_OF]
 
 
 def __getattr__(name):

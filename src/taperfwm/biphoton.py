@@ -40,7 +40,6 @@ from .dispersion import (
     neff_table,
 )
 from .profile import SegmentedProfile
-from .tags import _write_json
 
 __all__ = [
     "PumpSpec",
@@ -58,7 +57,6 @@ __all__ = [
     "phase_matched_pair",
     "write_matrix_csv",
     "write_marginals_csv",
-    "write_jsa_json",
 ]
 
 _LN2 = float(np.log(2.0))
@@ -75,10 +73,9 @@ class PumpSpec:
 
     ``sigma`` is the standard deviation of the *amplitude* spectrum in rad/s;
     the intensity spectrum then has FWHM ``2 sigma sqrt(ln 2)`` in angular
-    frequency.  ``pulse_duration`` is the intensity FWHM in time and is only
-    tied to ``sigma`` when the pulse is flagged transform-limited
-    (``tau = 2 sqrt(ln 2) / sigma``); otherwise the pulse is chirped and the
-    two are independent.  Spectral phase is not modeled.
+    frequency.  ``pulse_duration`` is the intensity FWHM in time and is
+    independent of ``sigma``: the paper's 100 ps pulses with a 2 nm spectrum
+    are far from transform-limited.  Spectral phase is not modeled.
     """
 
     wavelength: float  # central vacuum wavelength, m
@@ -86,19 +83,11 @@ class PumpSpec:
     pulse_duration: float  # intensity FWHM, s
     rep_rate: float  # Hz
     avg_power: float  # W
-    transform_limited: bool = False
 
     def __post_init__(self):
         for name in ("wavelength", "sigma", "pulse_duration", "rep_rate", "avg_power"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        if self.transform_limited:
-            tau = 2.0 * np.sqrt(_LN2) / self.sigma
-            if abs(self.pulse_duration - tau) > 1e-6 * tau:
-                raise ValueError(
-                    f"transform-limited pulse requires duration {tau:.6e} s for "
-                    f"sigma={self.sigma:.6e} rad/s, got {self.pulse_duration:.6e} s"
-                )
 
     @classmethod
     def from_spectral_fwhm(
@@ -108,7 +97,6 @@ class PumpSpec:
         pulse_duration: float,
         rep_rate: float,
         avg_power: float,
-        transform_limited: bool = False,
     ) -> "PumpSpec":
         """Build from the intensity-spectrum FWHM expressed in wavelength.
 
@@ -118,7 +106,7 @@ class PumpSpec:
         if not fwhm_wavelength > 0:
             raise ValueError("fwhm_wavelength must be positive")
         sigma = np.pi * C_VAC * fwhm_wavelength / (wavelength**2 * np.sqrt(_LN2))
-        return cls(wavelength, float(sigma), pulse_duration, rep_rate, avg_power, transform_limited)
+        return cls(wavelength, float(sigma), pulse_duration, rep_rate, avg_power)
 
     @property
     def omega0(self) -> float:
@@ -198,9 +186,7 @@ class JsaGrid:
     """Joint spectral amplitude F on a SpectralGrid, plus provenance metadata.
 
     ``amplitude[i, j]`` is F at (signal_omega[i], idler_omega[j]) in the raw
-    (unnormalized) scale of the pump-envelope x phase-matching product; the
-    exporters normalize the peak to 1 and record ``raw_peak_amplitude`` from
-    the metadata so the scale stays recoverable.
+    (unnormalized) scale of the pump-envelope x phase-matching product.
     """
 
     grid: SpectralGrid
@@ -518,8 +504,7 @@ def jsa(
 
     Returns a :class:`JsaGrid` holding the raw-scale amplitude and a
     metadata block (pump parameters, profile hash, segmentation, mode
-    labels, overlap-evaluation mode, raw peak, software version) consumed by
-    the exporters.
+    labels, overlap-evaluation mode, raw peak, software version).
     """
     envelope = pump_function(pump, grid)
     matched, eta_bound = _phase_matching_info(segmented, grid, pump.omega0, eta_mode)
@@ -532,7 +517,6 @@ def jsa(
             "pulse_duration_s": pump.pulse_duration,
             "rep_rate_hz": pump.rep_rate,
             "avg_power_w": pump.avg_power,
-            "transform_limited": pump.transform_limited,
         },
         "profile": {
             "label": segmented.label,
@@ -681,25 +665,3 @@ def write_marginals_csv(jsa_grid: JsaGrid, path):
         text = format_rows(np.column_stack([omega, weight])).decode()
         lines += [f"{axis},{row}" for row in text.splitlines()]
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def write_jsa_json(jsa_grid: JsaGrid, path):
-    """Write the peak-normalized amplitude plus full metadata as JSON.
-
-    The raw scale is recoverable from metadata['raw_peak_amplitude'].  Keys
-    are sorted and separators fixed, so identical inputs produce
-    byte-identical files.
-    """
-    raw_peak = float(np.max(np.abs(jsa_grid.amplitude)))
-    if raw_peak == 0.0:
-        raise ValueError("refusing to export an identically zero amplitude")
-    norm = jsa_grid.amplitude / raw_peak
-    payload = {
-        "schema": "taperfwm.jsa/1",
-        "signal_omega": [float(v) for v in jsa_grid.grid.signal_omega],
-        "idler_omega": [float(v) for v in jsa_grid.grid.idler_omega],
-        "amplitude_real": norm.real.tolist(),
-        "amplitude_imag": norm.imag.tolist(),
-        "metadata": jsa_grid.metadata,
-    }
-    _write_json(payload, path)

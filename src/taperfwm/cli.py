@@ -193,11 +193,10 @@ class RunConfig:
         schema_default = _SCHEMA[key][2]
         return default if schema_default is None else schema_default
 
-    def require(self, key: str, hint: str = ""):
+    def require(self, key: str):
         value = self.get(key)
         if value is None:
-            extra = f" ({hint})" if hint else ""
-            raise ConfigError(f"missing required config key {key!r}{extra}")
+            raise ConfigError(f"missing required config key {key!r}")
         return value
 
 
@@ -311,8 +310,9 @@ def cmd_jsi(config: RunConfig) -> int:
     if raw_peak == 0.0:
         raise ValueError("joint spectral intensity is identically zero on this grid")
 
+    profile_hash = segmented.content_hash()
     provenance = [
-        f"profile {segmented.label or '<unnamed>'} hash {segmented.content_hash()}",
+        f"profile {segmented.label or '<unnamed>'} hash {profile_hash}",
         f"n_segments {segmented.n_segments}",
         f"eta_mode {eta_mode}",
         f"pump_wavelength_nm {config.get('pump_wavelength_nm')!r}"
@@ -351,7 +351,7 @@ def cmd_jsi(config: RunConfig) -> int:
             "schmidt_coefficients": [float(v) for v in coefficients[:32]],
             "n_coefficients_total": int(len(coefficients)),
             "eta_mode": eta_mode,
-            "profile_hash": segmented.content_hash(),
+            "profile_hash": profile_hash,
             "n_segments": segmented.n_segments,
             "grid_points": [grid.n_signal, grid.n_idler],
             "raw_peak_intensity": raw_peak,

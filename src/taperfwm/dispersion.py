@@ -1,18 +1,18 @@
 """Material dispersion and guided modes of a circular step-index waveguide.
 
 The waist of a tapered fiber is modelled as a silica cylinder surrounded by
-air.  This module provides the Sellmeier material model, a full-vector
-solver for the fundamental HE11 mode (Bessel J core, modified Bessel K
-cladding), its normalized transverse (LP01) field profile, and tabulated
-``n_eff(omega)`` with monotone cubic interpolation for fast downstream
-evaluation.
+air (index 1).  This module provides the Sellmeier material model, a
+full-vector solver for the fundamental HE11 mode (Bessel J in the core,
+modified Bessel K in the air), its normalized transverse (LP01) field
+profile, and tabulated ``n_eff(omega)`` with monotone cubic interpolation
+for fast downstream evaluation.
 
-The solver works in the cladding decay w, with core parameter
-u = sqrt((V - w)(V + w)) and n_eff^2 = n2^2 + (w / a k0)^2.  HE11 is the only
+The solver works in the decay w outside the core, with core parameter
+u = sqrt((V - w)(V + w)) and n_eff^2 = 1 + (w / a k0)^2.  HE11 is the only
 root of a pole-free form of the m = 1 hybrid-mode characteristic equation
 with u below the first zero j_{0,1} of J_0, so one bracket in w, clipped at
 both ends, holds it; bisection in log w takes it to adjacent doubles, which
-keeps full relative precision in w even where n_eff - n2 is 1e-9.
+keeps full relative precision in w even where n_eff - 1 is 1e-9.
 
 Bessel values come from ``j0``/``j1``, with J'_1 = J_0 - J_1/u (Abramowitz &
 Stegun 9.1.27), and the exponentially scaled K_n e^w from ``k0e`` and ``k1e``
@@ -209,39 +209,30 @@ def load_glass(path: Union[str, Path]) -> SellmeierGlass:
 
 @dataclass(frozen=True)
 class CrossSection:
-    """One cross-section of the taper: a step-index cylinder.
+    """One cross-section of the taper: a glass cylinder in air (index 1).
 
     Attributes:
         diameter: Core diameter in meters.
         core: Core glass model.
-        cladding: Either a constant index (air: 1.0) or a SellmeierGlass.
     """
 
     diameter: float
     core: SellmeierGlass = FUSED_SILICA
-    cladding: Union[float, SellmeierGlass] = 1.0
 
     def __post_init__(self):
         if not (self.diameter > 0.0 and np.isfinite(self.diameter)):
             raise ValueError(f"diameter must be positive and finite, got {self.diameter}")
-        if isinstance(self.cladding, (int, float)) and not self.cladding > 0.0:
-            raise ValueError(f"cladding index must be positive, got {self.cladding}")
 
     def core_index(self, wavelength):
         return self.core.index(wavelength)
-
-    def cladding_index(self, wavelength):
-        if isinstance(self.cladding, SellmeierGlass):
-            return self.cladding.index(wavelength)
-        return float(self.cladding) if np.ndim(wavelength) == 0 else np.full(np.shape(wavelength), float(self.cladding))
 
 
 # --------------------------------------------------------------------------
 # characteristic equation
 # --------------------------------------------------------------------------
 
-# Bracket clips in the cladding decay w, as fractions of V^2 (the same numbers
-# as fractions of n1^2 - n2^2 in n_eff^2).  Bottom: w^2 >= _CLIP_BOT V^2, since
+# Bracket clips in the outside decay w, as fractions of V^2 (the same numbers
+# as fractions of n1^2 - 1 in n_eff^2).  Bottom: w^2 >= _CLIP_BOT V^2, since
 # h loses precision to cancellation as w -> 0; a root below it is physically
 # unbound (evanescent decay length >> 1e4 radii) and reported as not guided.
 # Top: u^2 = V^2 - w^2 >= _CLIP_TOP V^2 keeps u > 0, where the 1/u terms are
@@ -281,7 +272,7 @@ def _char_fn(nu, v) -> Callable[[np.ndarray], tuple]:
     h = J'_1(u) - x u J_1(u) with u = sqrt((V - w)(V + w)), J'_1 = J_0 - J_1/u
     and x = mid - split the HE root of the quadratic in J'_1/(u J_1) built from
     K'_1/(w K_1) = -(K_0 + K_2)/(2 w K_1); h = 0 at the HE1n modes.  ``nu`` is
-    n2^2/n1^2 and ``v`` the V number, scalars or arrays broadcastable against
+    1/n1^2 and ``v`` the V number, scalars or arrays broadcastable against
     the ``w`` argument.  The scaled K_0, K_1, K_2 come from ``_bessel_ke``;
     their e^w factors cancel in the ratio, so signs and zeros are unaffected.
 
@@ -318,26 +309,25 @@ def _w_bracket(v):
 
 
 def _guide_params(cross_section: CrossSection, omegas):
-    """Core index n1, cladding index n2 and a*k0 at each angular frequency."""
+    """Core index n1 and a*k0 at each angular frequency; the outside index is 1."""
     omegas = np.asarray(omegas, dtype=float)
     lam = 2.0 * np.pi * C_VAC / omegas
     n1 = np.asarray(cross_section.core_index(lam), dtype=float)
-    n2 = np.asarray(cross_section.cladding_index(lam), dtype=float)
-    return n1, n2, (cross_section.diameter / 2.0) * omegas / C_VAC
+    return n1, (cross_section.diameter / 2.0) * omegas / C_VAC
 
 
 def _transverse_params(cross_section: CrossSection, omegas, n_effs):
-    """Core parameter u = a k0 sqrt(n1^2 - n_eff^2) and cladding decay w = a k0 sqrt(n_eff^2 - n2^2)."""
-    n1, n2, ak0 = _guide_params(cross_section, omegas)
+    """Core parameter u = a k0 sqrt(n1^2 - n_eff^2) and outside decay w = a k0 sqrt(n_eff^2 - 1)."""
+    n1, ak0 = _guide_params(cross_section, omegas)
     n_effs = np.asarray(n_effs, dtype=float)
-    return ak0 * np.sqrt(n1**2 - n_effs**2), ak0 * np.sqrt(n_effs**2 - n2**2)
+    return ak0 * np.sqrt(n1**2 - n_effs**2), ak0 * np.sqrt(n_effs**2 - 1.0)
 
 
 def _solve_many(cross_section: CrossSection, omegas: np.ndarray) -> np.ndarray:
     """HE11 effective indices at each angular frequency (vectorized).
 
     Each frequency's root w of h is bisected in log w on ``_w_bracket`` to
-    adjacent doubles, and n_eff = sqrt(n2^2 + (w/(a k0))^2).
+    adjacent doubles, and n_eff = sqrt(1 + (w/(a k0))^2).
 
     Raises NoGuidedModeError listing every frequency whose bracket is empty or
     has ends of one sign, DispersionError if V^2 overflows, and
@@ -345,16 +335,16 @@ def _solve_many(cross_section: CrossSection, omegas: np.ndarray) -> np.ndarray:
     the root fails its residual check.
     """
     omegas = np.asarray(omegas, dtype=float)
-    n1, n2, ak0 = _guide_params(cross_section, omegas)
+    n1, ak0 = _guide_params(cross_section, omegas)
     d_nm = cross_section.diameter * 1e9
-    if np.any(n1 <= n2):
-        i = int(np.argmax(n1 <= n2))
+    if np.any(n1 <= 1.0):  # a user glass can fall below air
+        i = int(np.argmax(n1 <= 1.0))
         raise NoGuidedModeError(
-            f"guidance condition violated: core index {n1.flat[i]:.6f} <= cladding "
-            f"index {n2.flat[i]:.6f} at wavelength {2*np.pi*C_VAC/omegas.flat[i]*1e9:.1f} nm"
+            f"guidance condition violated: core index {n1.flat[i]:.6f} <= air index 1 "
+            f"at wavelength {2*np.pi*C_VAC/omegas.flat[i]*1e9:.1f} nm"
         )
-    v = ak0 * np.sqrt(n1**2 - n2**2)
-    h = _char_fn(n2**2 / n1**2, v)
+    v = ak0 * np.sqrt(n1**2 - 1.0)
+    h = _char_fn(1.0 / n1**2, v)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         if not np.all(np.isfinite(v * v)):
             raise DispersionError(f"mode solver overflows at diameter {d_nm:.6g} nm (V = {v.max():.6g})")
@@ -393,7 +383,7 @@ def _solve_many(cross_section: CrossSection, omegas: np.ndarray) -> np.ndarray:
             f"{scale[i]:.3e} for HE11 at wavelength {2*np.pi*C_VAC/omegas[i]*1e9:.2f} nm, "
             f"diameter {d_nm:.1f} nm"
         )
-    return np.sqrt(n2**2 + (w / ak0) ** 2)
+    return np.sqrt(1.0 + (w / ak0) ** 2)
 
 
 # --------------------------------------------------------------------------
@@ -416,7 +406,7 @@ class ModeSolution:
     beta: float
     cross_section: CrossSection
     u: float  # core transverse parameter a*k0*sqrt(n1^2 - n_eff^2)
-    w: float  # cladding decay parameter a*k0*sqrt(n_eff^2 - n2^2)
+    w: float  # outside decay parameter a*k0*sqrt(n_eff^2 - 1)
 
     def field_at(self, r):
         """Normalized profile u(rho) at radius ``r`` (meters; scalar or array)."""

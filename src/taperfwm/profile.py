@@ -118,7 +118,6 @@ class SegmentedProfile:
 
     segment_length: float
     segments: tuple[CrossSection, ...]
-    z_midpoints: np.ndarray
     label: str = ""
 
     def __post_init__(self):
@@ -148,7 +147,6 @@ def segment(
     n_segments: int,
     *,
     core: SellmeierGlass = FUSED_SILICA,
-    cladding: Union[float, SellmeierGlass] = 1.0,
 ) -> SegmentedProfile:
     """Divide ``profile`` into ``n_segments`` equal segments of length span/N.
 
@@ -163,10 +161,5 @@ def segment(
     z_mid = profile.z[0] + (np.arange(n_segments) + 0.5) * length
     # np.interp can round one ulp past a sample; the clip keeps the hull exact
     diam = np.clip(np.interp(z_mid, profile.z, profile.diameter), profile.diameter.min(), profile.diameter.max())
-    segments = tuple(CrossSection(diameter=float(d), core=core, cladding=cladding) for d in diam)
-    return SegmentedProfile(
-        segment_length=length,
-        segments=segments,
-        z_midpoints=z_mid,
-        label=profile.label,
-    )
+    segments = tuple(CrossSection(diameter=float(d), core=core) for d in diam)
+    return SegmentedProfile(segment_length=length, segments=segments, label=profile.label)

@@ -23,7 +23,6 @@ __all__ = [
     "PowerScanFit",
     "pair_rates",
     "fit_power_scan",
-    "car",
     "rate_budget_report",
     "read_power_scan_csv",
     "write_fit_report_json",
@@ -133,13 +132,14 @@ class PowerScanFit:
         }
 
 
-def fit_power_scan(points, *, weighting: str = "none", integration_time: float = 1.0) -> PowerScanFit:
+def fit_power_scan(points, *, weighting: str = "none") -> PowerScanFit:
     """Least-squares fit of (power W, rate Hz) points in the basis {1, P, P^2}.
 
-    ``weighting="poisson"`` uses inverse-variance weights with
-    ``var(rate) = rate / integration_time`` (Poisson counts); rates must then
-    be strictly positive.  The covariance is the residual-scaled
-    ``(X^T W X)^{-1}``; with exactly three points it degenerates to ~0.
+    ``weighting="poisson"`` uses inverse-variance weights ``1 / rate``
+    (Poisson counts; a common integration time would scale every weight
+    alike and leave the fit unchanged); rates must then be strictly
+    positive.  The covariance is the residual-scaled ``(X^T W X)^{-1}``;
+    with exactly three points it degenerates to ~0.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -153,11 +153,9 @@ def fit_power_scan(points, *, weighting: str = "none", integration_time: float =
     design = np.column_stack([np.ones_like(power), power, power * power])
     target = rate
     if weighting == "poisson":
-        if not integration_time > 0:
-            raise ValueError("integration_time must be positive")
         if np.any(rate <= 0):
             raise ValueError("poisson weighting requires strictly positive rates")
-        sqrt_w = np.sqrt(integration_time / rate)
+        sqrt_w = np.sqrt(1.0 / rate)
         design = design * sqrt_w[:, None]
         target = rate * sqrt_w
     elif weighting != "none":
@@ -178,13 +176,6 @@ def fit_power_scan(points, *, weighting: str = "none", integration_time: float =
         residual_norm=float(np.sqrt(rss)),
         n_points=int(pts.shape[0]),
     )
-
-
-def car(peak_rate: float, accidental_rate: float) -> float:
-    """Coincidence-to-accidental ratio.  ``accidental_rate`` must be positive."""
-    if not accidental_rate > 0:
-        raise ValueError("accidental_rate must be positive")
-    return peak_rate / accidental_rate
 
 
 def rate_budget_report(

@@ -87,7 +87,6 @@ class TagStream:
     channels: np.ndarray
     timestamps: np.ndarray
     tick_duration: float = TICK_SECONDS
-    channel_set: frozenset = DEFAULT_CHANNELS
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -102,9 +101,10 @@ class TagStream:
         if ts.size:
             if ch.min() < 0 or ch.max() > 255:
                 raise ValueError("channel ids must fit an unsigned byte")
-            if not np.isin(ch, list(self.channel_set)).all():
-                bad = ch[~np.isin(ch, list(self.channel_set))][0]
-                raise ValueError(f"channel {bad} not in declared set {sorted(self.channel_set)}")
+            unknown = ch[~np.isin(ch, list(DEFAULT_CHANNELS))]
+            if unknown.size:
+                raise ValueError(
+                    f"channel {unknown[0]} not in declared set {sorted(DEFAULT_CHANNELS)}")
             if ts.min() < 0:
                 raise ValueError("timestamps must be non-negative")
             dt = np.diff(ts)
@@ -117,12 +117,12 @@ class TagStream:
 
     @classmethod
     def from_records(cls, records, tick_duration: float = TICK_SECONDS,
-                     channel_set=DEFAULT_CHANNELS, metadata=None) -> "TagStream":
+                     metadata=None) -> "TagStream":
         """Build a stream from (channel, timestamp) pairs, sorting as needed."""
         pairs = np.array([(c, t) for c, t in records], dtype=np.int64).reshape(-1, 2)
         ch, ts = pairs[:, 0], pairs[:, 1]
         order = np.lexsort((ch, ts))
-        return cls(ch[order], ts[order], tick_duration, channel_set, dict(metadata or {}))
+        return cls(ch[order], ts[order], tick_duration, dict(metadata or {}))
 
     def __len__(self) -> int:
         return int(self.timestamps.size)
@@ -142,7 +142,7 @@ class TagStream:
             return int(meta)
         if self.timestamps.size == 0:
             return 0
-        return int(self.timestamps[-1] - self.timestamps[0] + 1)
+        return int(self.timestamps[-1]) - int(self.timestamps[0]) + 1  # in int64 it can wrap
 
     @property
     def duration_seconds(self) -> float:
@@ -152,7 +152,7 @@ class TagStream:
 # ---------------------------------------------------------------------------
 # parsing / serialization
 
-def parse_tags(source, *, channels=DEFAULT_CHANNELS) -> TagStream:
+def parse_tags(source) -> TagStream:
     """Parse a tag stream from a path (str/Path) or raw bytes.
 
     Binary payloads are recognized by the ``TTAG1`` magic; everything else is
@@ -167,9 +167,9 @@ def parse_tags(source, *, channels=DEFAULT_CHANNELS) -> TagStream:
     else:
         data = bytes(source)
     if data.startswith(_BINARY_MAGIC):
-        ch, ts, tick = _parse_binary(data, channels)
+        ch, ts, tick = _parse_binary(data)
     else:
-        ch, ts, tick = _parse_plain(data, channels) or _parse_lines(data, channels)
+        ch, ts, tick = _parse_plain(data) or _parse_lines(data)
     out_of_order = 0
     if ts.size > 1:
         later = (ts[1:] < ts[:-1]) | ((ts[1:] == ts[:-1]) & (ch[1:] < ch[:-1]))
@@ -178,11 +178,10 @@ def parse_tags(source, *, channels=DEFAULT_CHANNELS) -> TagStream:
         warnings.warn(f"{out_of_order} out-of-order records sorted", TagOrderWarning)
         order = np.lexsort((ch, ts))
         ch, ts = ch[order], ts[order]
-    return TagStream(ch, ts, tick, frozenset(channels),
-                     {"out_of_order_records": out_of_order})
+    return TagStream(ch, ts, tick, {"out_of_order_records": out_of_order})
 
 
-def _parse_plain(data: bytes, channels):
+def _parse_plain(data: bytes):
     """Fast path for a body of plain ``channel<TAB>ticks`` lines after the
     leading comment lines, through ``np.fromstring``; the comment lines go
     through the line loop.  Returns None for any other input and for any
@@ -193,7 +192,7 @@ def _parse_plain(data: bytes, channels):
     body = data[head_end:]
     if not _is_plain_body(body):
         return None
-    head_ch, _, tick = _parse_lines(data[:head_end], channels)
+    head_ch, _, tick = _parse_lines(data[:head_end])
     values = np.fromstring(body, dtype=np.int64, sep=" ")
     if head_ch.size or values.size != 2 * body.count(b"\n"):  # an empty field
         return None
@@ -204,7 +203,7 @@ def _parse_plain(data: bytes, channels):
         if any(tokens[i].lstrip(b"0") != _INT64_MAX_TEXT for i in saturated.tolist()):
             return None
     fields = values.reshape(-1, 2)
-    if not np.isin(fields[:, 0], list(channels)).all():
+    if not np.isin(fields[:, 0], list(DEFAULT_CHANNELS)).all():
         return None
     return fields[:, 0], fields[:, 1].copy(), tick
 
@@ -216,7 +215,7 @@ def _is_plain_body(body: bytes) -> bool:
     return body.endswith(b"\n") and skeleton == b"\t\n" * (len(skeleton) // 2)
 
 
-def _parse_lines(data: bytes, channels):
+def _parse_lines(data: bytes):
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as err:
@@ -250,9 +249,9 @@ def _parse_lines(data: bytes, channels):
             chan, t = int(parts[0]), int(parts[1])
         except ValueError:  # more digits than int() converts
             raise TagParseError(f"line {lineno}: integer field out of range in {raw!r}") from None
-        if chan not in channels:
+        if chan not in DEFAULT_CHANNELS:
             raise TagParseError(
-                f"line {lineno}: unknown channel {chan} (declared {sorted(channels)})")
+                f"line {lineno}: unknown channel {chan} (declared {sorted(DEFAULT_CHANNELS)})")
         if t < 0:
             raise TagParseError(f"line {lineno}: negative timestamp {t}")
         if t > _INT64_MAX:
@@ -263,7 +262,7 @@ def _parse_lines(data: bytes, channels):
             TICK_SECONDS if tick is None else tick)
 
 
-def _parse_binary(data: bytes, channels):
+def _parse_binary(data: bytes):
     header = len(_BINARY_MAGIC) + 4
     if len(data) < header:
         raise TagParseError(f"byte {len(data)}: truncated binary header")
@@ -276,11 +275,11 @@ def _parse_binary(data: bytes, channels):
     rec = np.frombuffer(body, dtype=np.dtype([("channel", "u1"), ("ticks", "<u8")]))
     ch = rec["channel"].astype(np.int64)
     raw_ts = rec["ticks"]
-    bad = ~np.isin(ch, list(channels))
+    bad = ~np.isin(ch, list(DEFAULT_CHANNELS))
     if bad.any():
         i = int(np.argmax(bad))
         raise TagParseError(
-            f"byte {header + 9 * i}: unknown channel {ch[i]} (declared {sorted(channels)})")
+            f"byte {header + 9 * i}: unknown channel {ch[i]} (declared {sorted(DEFAULT_CHANNELS)})")
     too_big = raw_ts > np.uint64(_INT64_MAX)
     if too_big.any():
         i = int(np.argmax(too_big))
@@ -376,29 +375,35 @@ def coincidence_histogram(stream: TagStream, ch_a: int = 1, ch_b: int = 2, *,
     """Histogram of delays t_b - t_a over all cross-channel pairs in range.
 
     Every (a, b) pair with |t_b - t_a| <= delay_range contributes once; when
-    ch_a == ch_b the self-pairing of a record with itself is excluded.  Cost
-    is O(tags + pairs in range).  Pairs are binned over blocks of channel-b
-    tags holding at most ``_PAIR_BLOCK`` pairs each (a block is never less
-    than one tag), so the working set beyond the per-tag arrays is
-    O(block + bins) however many pairs fall in range.
+    ch_a == ch_b the self-pairing of a record with itself is excluded.
+    ``2 * delay_range + bin_width`` must fit in int64, so that no delay or
+    search bound wraps.  Cost is O(tags + pairs in range).  Pairs are binned
+    over blocks of channel-b tags holding at most ``_PAIR_BLOCK`` pairs each
+    (a block is never less than one tag), so the working set beyond the
+    per-tag arrays is O(block + bins) however many pairs fall in range.
     """
     if bin_width < 1:
         raise ValueError("bin_width must be at least one tick")
     if delay_range < 0 or delay_range % bin_width:
         raise ValueError("delay_range must be a non-negative multiple of bin_width")
+    if 2 * delay_range + bin_width > _INT64_MAX:
+        raise ValueError(f"2 * delay_range + bin_width must be at most 2**63 - 1 ticks "
+                         f"(delay_range {delay_range}, bin_width {bin_width})")
     ta = stream.channel_timestamps(ch_a)
     tb = stream.channel_timestamps(ch_b)
     half = delay_range // bin_width
     try:
         counts = np.zeros(2 * half + 1, dtype=np.int64)
-    except MemoryError:
+    except (MemoryError, ValueError):  # numpy raises ValueError beyond the address space
         raise ValueError(f"cannot allocate {2 * half + 1} histogram bins "
                          f"(delay_range {delay_range} / bin_width {bin_width} ticks)") from None
     if ta.size and tb.size:
         # the per_b[j] channel-a tags within reach of tb[j] start at ta[lo[j]]; in
         # the list of all pairs, ordered by b, pair p of tb[j] is with ta[p - shift[j]]
         lo = np.searchsorted(ta, tb - delay_range, side="left")
-        per_b = np.searchsorted(ta, tb + delay_range, side="right") - lo
+        # ticks are non-negative, so as uint64 the upper bound cannot wrap
+        per_b = np.searchsorted(ta.view(np.uint64), tb.view(np.uint64) + np.uint64(delay_range),
+                                side="right") - lo
         pairs_through = np.cumsum(per_b)
         shift = pairs_through - per_b - lo
         j0 = 0
@@ -411,7 +416,7 @@ def coincidence_histogram(stream: TagStream, ch_a: int = 1, ch_b: int = 2, *,
             if ch_a == ch_b:  # a record does not pair with itself
                 delays = delays[a_idx != np.repeat(np.arange(j0, j1), per)]
             # round-half-up binning keeps bin k centred on k*bin_width
-            k = np.floor_divide(2 * delays + bin_width, 2 * bin_width)
+            k = np.floor_divide(delays + bin_width // 2, bin_width)
             counts += np.bincount(k + half, minlength=counts.size)
             j0 = j1
     return CoincidenceHistogram(
@@ -497,22 +502,27 @@ def heralded_g2(stream: TagStream, herald_ch: int = 2, ch_a: int = 1, ch_b: int 
 
     For each herald i, A_i (B_i) flags a ch_a (ch_b) click inside the window
     [t_i - window//2, t_i - window//2 + window); the default 10-tick window is
-    one 810 ps histogram bar.  g2_h(m) = sum_i A_i B_{i+m} * H / (sum A sum B)
-    for m = 0..m_max (clamped to H-1).
+    one 810 ps histogram bar, and the window is at most 2**63 - 1 ticks.
+    g2_h(m) = sum_i A_i B_{i+m} * H / (sum A sum B) for m = 0..m_max (clamped
+    to H-1).
     """
     if window < 1:
         raise ValueError("window must be at least one tick")
+    if window > _INT64_MAX:
+        raise ValueError("window must be at most 2**63 - 1 ticks")
     if m_max < 0:
         raise ValueError("m_max must be non-negative")
     th = stream.channel_timestamps(herald_ch)
     if th.size == 0:
         raise ValueError("no herald events; g2_h normalization undefined")
     shift = window // 2
+    # ticks are non-negative, so as uint64 the window's end cannot wrap
+    end = th.view(np.uint64) + np.uint64(window - shift)
 
     def click_flags(channel: int) -> np.ndarray:
         t = stream.channel_timestamps(channel)
         lo = np.searchsorted(t, th - shift, side="left")
-        hi = np.searchsorted(t, th - shift + window, side="left")
+        hi = np.searchsorted(t.view(np.uint64), end, side="left")
         return (hi > lo).astype(np.int64)
 
     a = click_flags(ch_a)
@@ -803,7 +813,7 @@ def simulate_tags(config: SimulationConfig) -> TagStream:
         "n_pulses": n_pulses,
         "seed": config.seed,
     }
-    return TagStream(ch, ts, tick, DEFAULT_CHANNELS, metadata)
+    return TagStream(ch, ts, tick, metadata)
 
 
 # ---------------------------------------------------------------------------

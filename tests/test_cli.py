@@ -256,6 +256,16 @@ class TestModes:
         assert err.startswith("domain error:") and "diameter 1e+300 nm" in err
         assert "Traceback" not in err
 
+    def test_sub_unity_glass_is_domain_error(self, tmp_path, capsys):
+        # n = 0.98 at 1062 nm: below the air around the core, so nothing is guided
+        glass = tmp_path / "sub_unity.glass"
+        glass.write_text("name sub-unity\nB 0.1\nC 4.0\nvalidity_um 0.5 1.5\n")
+        code = run("modes", "--diameter_nm", 890, "--glass", glass, "--out_dir", tmp_path / "out")
+        assert code == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert err.startswith("domain error: guidance condition violated") and "Traceback" not in err
+        assert not (tmp_path / "out" / "modes.csv").exists()
+
     def test_nested_out_dir_created(self, tmp_path):
         out = tmp_path / "a" / "b" / "c"
         assert run(
@@ -517,6 +527,19 @@ class TestTagsCoincidences:
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "coincidences.csv").exists()
 
+    def test_int64_overflowing_delay_range_is_domain_error(self, tmp_path, capsys):
+        top = 2**63 - 1
+        tags = tmp_path / "top.txt"
+        write_tags_text(TagStream.from_records([(1, top - 9), (2, top - 5)]), tags)
+        assert run(
+            "tags", "coincidences", "--tags_in", tags, "--delay_range_ticks", top,
+            "--bin_width_ticks", top, "--out_dir", tmp_path / "out",
+        ) == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert "2 * delay_range + bin_width must be at most 2**63 - 1" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "coincidences.csv").exists()
+
     def test_malformed_tags_file_is_io_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("1\t2\t3\n")
@@ -596,6 +619,14 @@ class TestTagsG2h:
         bad.write_text(text, encoding="utf-8")
         assert run("tags", "g2h", "--tags_in", bad, "--out_dir", tmp_path / "out") == EXIT_IO
         assert line in capsys.readouterr().err
+
+    def test_window_beyond_int64_is_domain_error(self, tmp_path, capsys):
+        tags = tmp_path / "three.txt"
+        write_tags_text(TagStream.from_records([(1, 0), (2, 1), (3, 2)]), tags)
+        assert run("tags", "g2h", "--tags_in", tags, "--window_ticks", 2**63,
+                   "--out_dir", tmp_path / "out") == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert "window must be at most 2**63 - 1 ticks" in err and "Traceback" not in err
 
     def test_no_heralds_is_domain_error(self, tmp_path, capsys):
         stream = TagStream.from_records([(1, 0), (1, 100), (3, 200)])

@@ -120,6 +120,8 @@ class TestGlassFile:
 
 WAIST = CrossSection(diameter=890e-9)
 OM_PUMP = omega_of(1062e-9)
+# a resonance above the band pulls n below 1: 0.9802 at 1062 nm
+SUB_UNITY_GLASS = SellmeierGlass("sub-unity", ((0.1, 4.0),), (0.5, 1.5))
 
 
 class TestSolveMode:
@@ -155,13 +157,16 @@ class TestSolveMode:
     def test_scan_and_bisect_oracle_agreement(self, d):
         # the earlier n_eff scan and bisection, wherever both solve
         omegas = omega_of(np.linspace(500e-9, 1600e-9, 61))
-        ref = scan_bisect_he11(*dispersion._guide_params(CrossSection(diameter=d), omegas))
+        n1, ak0 = dispersion._guide_params(CrossSection(diameter=d), omegas)
+        ref = scan_bisect_he11(n1, 1.0, ak0)  # in air
         assert np.all(np.isfinite(ref))
         assert np.max(np.abs(dispersion._solve_many(CrossSection(diameter=d), omegas) - ref)) <= 2e-15
 
     def test_guidance_violation(self):
-        cs = CrossSection(diameter=890e-9, cladding=1.6)
-        with pytest.raises(NoGuidedModeError, match="guidance"):
+        # a glass file can give a core index below that of the air around it
+        cs = CrossSection(diameter=890e-9, core=SUB_UNITY_GLASS)
+        assert cs.core_index(1062e-9) == pytest.approx(0.9802, abs=1e-4)
+        with pytest.raises(NoGuidedModeError, match="guidance condition violated"):
             solve_mode(cs, OM_PUMP)
 
     def test_invalid_omega(self):
@@ -401,8 +406,8 @@ class TestBesselKernels:
         edge = np.geomspace(1e-12, 1e-3, 10)
         t = np.concatenate([np.linspace(0.0, 1.0, 201), edge, 1.0 - edge])[:, None]
         for d, lams in _kernel_points(name):
-            n1, n2, ak0 = dispersion._guide_params(CrossSection(diameter=d), omega_of(lams))
-            nu, v = n2**2 / n1**2, ak0 * np.sqrt(n1**2 - n2**2)
+            n1, ak0 = dispersion._guide_params(CrossSection(diameter=d), omega_of(lams))
+            nu, v = 1.0 / n1**2, ak0 * np.sqrt(n1**2 - 1.0)
             w_lo, w_hi = dispersion._w_bracket(v)
             w = w_lo + t * (w_hi - w_lo)
             mine = dispersion._char_fn(nu, v)(w)[0]

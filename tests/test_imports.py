@@ -26,6 +26,8 @@ def unused_imports(source: str) -> list[str]:
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ) and isinstance(node.value, ast.List) and all(
+            isinstance(item, ast.Constant) for item in node.value.elts
         ):
             used.update(ast.literal_eval(node.value))
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)

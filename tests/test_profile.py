@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taperfwm.dispersion import FUSED_SILICA
+from taperfwm.dispersion import FUSED_SILICA, SellmeierGlass
 from taperfwm.profile import TaperProfile, load_profile, parse_profile, segment
 
 DATA = Path(__file__).resolve().parents[1] / "data"
@@ -106,8 +106,9 @@ class TestSegment:
 
     def test_segments_carry_materials(self):
         profile = parse_profile("0 890e-9\n0.014 890e-9\n")
-        seg = segment(profile, 3, cladding=1.33)
-        assert all(s.core is FUSED_SILICA and s.cladding == 1.33 for s in seg.segments)
+        glass = SellmeierGlass("flat", ((0.5, 0.01),), (0.3, 2.0))
+        assert all(s.core is FUSED_SILICA for s in segment(profile, 3).segments)
+        assert all(s.core is glass for s in segment(profile, 3, core=glass).segments)
 
 
 class TestProfileObject:

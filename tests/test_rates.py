@@ -1,4 +1,4 @@
-"""Rate bookkeeping: budgets, pair rates, power-scan decomposition, CAR."""
+"""Rate bookkeeping: budgets, pair rates, power-scan decomposition."""
 
 import json
 
@@ -12,7 +12,6 @@ from taperfwm.rates import (
     DEFAULT_CONVERSION_EFFICIENCY,
     LossBudget,
     PowerScanFit,
-    car,
     fit_power_scan,
     pair_rates,
     rate_budget_report,
@@ -184,7 +183,7 @@ class TestFitPowerScan:
 
     def test_poisson_weighting_keeps_exact_fit_exact(self):
         pts = np.column_stack([POWERS, scan_rates(POWERS)])
-        fit = fit_power_scan(pts, weighting="poisson", integration_time=10.0)
+        fit = fit_power_scan(pts, weighting="poisson")
         assert fit.dark == pytest.approx(DARK, rel=1e-9)
         assert fit.linear == pytest.approx(LINEAR, rel=1e-9)
         assert fit.quadratic == pytest.approx(QUAD, rel=1e-9)
@@ -218,19 +217,6 @@ class TestFitPowerScan:
     def test_nonfinite_coefficients_rejected_by_type(self):
         with pytest.raises(ValueError, match="finite"):
             PowerScanFit(np.nan, 1.0, 1.0, np.zeros((3, 3)), 0.0, 5)
-
-
-class TestCar:
-    def test_forty_to_one(self):
-        assert car(40.0, 1.0) == 40.0
-
-    def test_equal_rates(self):
-        assert car(2.5, 2.5) == 1.0
-
-    @pytest.mark.parametrize("accidental", [0.0, -1.0])
-    def test_nonpositive_accidentals_rejected(self, accidental):
-        with pytest.raises(ValueError, match="accidental"):
-            car(40.0, accidental)
 
 
 class TestRateBudgetReport:

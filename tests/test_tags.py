@@ -35,6 +35,7 @@ from taperfwm.tags import (
 
 REP = 54e-9
 REP_TICKS = REP / TICK_SECONDS  # 666.67, deliberately not an integer
+TOP = 2**63 - 1  # the largest tick
 
 
 def sim(n_pulses, **overrides):
@@ -83,7 +84,7 @@ class TestTagRecordAndStream:
 
     def test_channel_must_fit_unsigned_byte(self):
         with pytest.raises(ValueError, match="unsigned byte"):
-            TagStream(np.array([300]), np.array([0]), channel_set=frozenset({300}))
+            TagStream(np.array([300]), np.array([0]))
 
     def test_nonpositive_tick_rejected(self):
         with pytest.raises(ValueError, match="tick_duration"):
@@ -105,6 +106,9 @@ class TestTagRecordAndStream:
         s2 = TagStream.from_records([(1, 10)], metadata={"duration_ticks": 500})
         assert s2.duration_ticks == 500
         assert s2.duration_seconds == pytest.approx(500 * TICK_SECONDS)
+
+    def test_duration_of_the_whole_tick_range(self):
+        assert TagStream.from_records([(1, 0), (2, TOP)]).duration_ticks == 2**63
 
     def test_empty_stream_valid(self):
         s = TagStream(np.array([], dtype=int), np.array([], dtype=int))
@@ -128,8 +132,9 @@ class TestParseTags:
             parse_tags(b"9\t0\n")
 
     def test_declared_channel_set_enforced(self):
-        with pytest.raises(TagParseError, match="unknown channel 3"):
-            parse_tags(b"3\t0\n", channels=frozenset({1, 2}))
+        # the set is fixed: 1 and 3 are the signal arms, 2 the herald
+        with pytest.raises(TagParseError, match=r"line 2: unknown channel 4 \(declared \[1, 2, 3\]\)"):
+            parse_tags(b"3\t0\n4\t1\n")
 
     def test_negative_timestamp(self):
         with pytest.raises(TagParseError, match="line 2: negative"):
@@ -265,9 +270,9 @@ class TestTextFastPath:
     @given(records=record_lists, head=heads)
     def test_fast_path_equals_line_loop(self, records, head):
         data = tag_text(records, head)
-        fast = tags._parse_plain(data, tags.DEFAULT_CHANNELS)
+        fast = tags._parse_plain(data)
         assert fast is not None
-        ch, ts, tick = tags._parse_lines(data, tags.DEFAULT_CHANNELS)
+        ch, ts, tick = tags._parse_lines(data)
         assert fast[0].tolist() == ch.tolist()
         assert fast[1].tolist() == ts.tolist()
         assert fast[2] == tick
@@ -278,8 +283,8 @@ class TestTextFastPath:
         plain = tag_text(records, head)
         trailing_comment = plain + b"# end\n"
         crlf = tag_text(records, head, newline=b"\r\n")
-        assert tags._parse_plain(trailing_comment, tags.DEFAULT_CHANNELS) is None
-        assert tags._parse_plain(crlf, tags.DEFAULT_CHANNELS) is None
+        assert tags._parse_plain(trailing_comment) is None
+        assert tags._parse_plain(crlf) is None
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TagOrderWarning)
             streams = [parse_tags(d) for d in (plain, trailing_comment, crlf)]
@@ -301,7 +306,7 @@ class TestTextFastPath:
     def test_malformed_body_reports_its_line(self, body, plain, message):
         data = b"#tick_ps 81\n" + body
         assert tags._is_plain_body(body) is plain
-        assert tags._parse_plain(data, tags.DEFAULT_CHANNELS) is None
+        assert tags._parse_plain(data) is None
         with pytest.raises(TagParseError, match=message):
             parse_tags(data)
 
@@ -310,9 +315,9 @@ class TestTextFastPath:
     ])
     def test_nineteen_digit_timestamps_take_the_fast_path(self, ticks):
         data = b"#tick_ps 81\n" + tag_text([(1, 5), (2, ticks), (3, ticks)])
-        fast = tags._parse_plain(data, tags.DEFAULT_CHANNELS)
+        fast = tags._parse_plain(data)
         assert fast is not None
-        ch, ts, _ = tags._parse_lines(data, tags.DEFAULT_CHANNELS)
+        ch, ts, _ = tags._parse_lines(data)
         assert fast[0].tolist() == ch.tolist() == [1, 2, 3]
         assert fast[1].tolist() == ts.tolist() == [5, ticks, ticks]
 
@@ -322,9 +327,9 @@ class TestTextFastPath:
         b"1\t0000009223372036854775807\n",
     ])
     def test_leading_zeros_take_the_fast_path(self, body):
-        fast = tags._parse_plain(body, tags.DEFAULT_CHANNELS)
+        fast = tags._parse_plain(body)
         assert fast is not None
-        ch, ts, _ = tags._parse_lines(body, tags.DEFAULT_CHANNELS)
+        ch, ts, _ = tags._parse_lines(body)
         assert fast[0].tolist() == ch.tolist()
         assert fast[1].tolist() == ts.tolist()
 
@@ -334,7 +339,7 @@ class TestTextFastPath:
     def test_timestamps_of_2_63_and_more_leave_the_fast_path(self, ticks):
         data = b"#tick_ps 81\n1\t5\n2\t" + ticks + b"\n3\t9\n"
         assert tags._is_plain_body(data[12:])
-        assert tags._parse_plain(data, tags.DEFAULT_CHANNELS) is None
+        assert tags._parse_plain(data) is None
         with pytest.raises(TagParseError, match="line 3: timestamp overflows signed 64-bit"):
             parse_tags(data)
 
@@ -448,6 +453,37 @@ class TestCoincidenceHistogram:
         h0 = coincidence_histogram(base, 1, 2, bin_width=7, delay_range=70)
         h1 = coincidence_histogram(shifted, 1, 2, bin_width=7, delay_range=70)
         assert h0.counts.tolist() == h1.counts.tolist()
+
+    def test_pair_at_top_of_tick_range(self):
+        # tb + delay_range passes 2**63 - 1 there; the search bound must not wrap
+        stream = TagStream.from_records([(1, TOP - 9), (2, TOP - 5)])
+        hist = coincidence_histogram(stream, 1, 2, bin_width=2, delay_range=10)
+        assert hist.counts.tolist() == [0] * 7 + [1] + [0] * 3
+
+    @given(records=st.lists(st.tuples(st.integers(1, 2), st.integers(0, 400)), max_size=30),
+           bin_width=st.integers(1, 9), half=st.integers(0, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_top_of_tick_range_matches_brute_force(self, records, bin_width, half):
+        stream = TagStream.from_records([(c, TOP - back) for c, back in records])
+        hist = coincidence_histogram(stream, 1, 2, bin_width=bin_width,
+                                     delay_range=half * bin_width)
+        _, expected = oracles.brute_force_coincidences(stream, 1, 2, bin_width, half * bin_width)
+        assert hist.counts.tolist() == expected
+
+    def test_widest_accepted_ranges_bin_exactly(self):
+        # 2 * delay_range + bin_width = 3 * bin_width, at most 2**63 - 1
+        width = TOP // 3
+        stream = TagStream.from_records([(1, 0), (2, width), (2, TOP)])
+        hist = coincidence_histogram(stream, 1, 2, bin_width=width, delay_range=width)
+        assert hist.counts.tolist() == [0, 0, 1]
+        equal = TagStream.from_records([(1, 5), (2, 5)])
+        assert coincidence_histogram(equal, 1, 2, bin_width=TOP, delay_range=0).counts.tolist() == [1]
+
+    @pytest.mark.parametrize("bin_width,delay_range", [(TOP, TOP), (1, 2**62), (2**63, 0)])
+    def test_int64_overflowing_range_rejected(self, bin_width, delay_range):
+        stream = TagStream.from_records([(1, TOP - 9), (2, TOP - 5)])
+        with pytest.raises(ValueError, match=r"2 \* delay_range \+ bin_width must be at most"):
+            coincidence_histogram(stream, 1, 2, bin_width=bin_width, delay_range=delay_range)
 
     def test_bin_count_and_symmetric_centers(self):
         stream = random_stream(2, n=50)
@@ -584,6 +620,27 @@ class TestHeraldedG2:
         stream = TagStream.from_records([(2, 1000), (2, 2000), (1, 1001)])
         with pytest.raises(ValueError, match="singles"):
             heralded_g2(stream, window=10)
+
+    def test_window_at_top_of_tick_range(self):
+        # the window of the herald at 2**63 - 5 ends past 2**63 - 1
+        stream = TagStream.from_records([(1, TOP - 5), (2, TOP - 4), (3, TOP - 3)])
+        assert heralded_g2(stream, window=10).triples.tolist() == [1]
+        assert heralded_g2(stream, window=TOP).triples.tolist() == [1]
+
+    @given(records=st.lists(st.tuples(st.integers(1, 3), st.integers(0, 200)), max_size=30),
+           window=st.integers(1, 60))
+    @settings(max_examples=60, deadline=None)
+    def test_top_of_tick_range_matches_brute_force(self, records, window):
+        stream = TagStream.from_records([(2, TOP), (1, TOP), (3, TOP)]
+                                        + [(c, TOP - back) for c, back in records])
+        hist = heralded_g2(stream, window=window, m_max=3)
+        expected = oracles.brute_force_g2(stream, 2, 1, 3, window, 3)
+        assert hist.triples.tolist() == [t for _, t, _ in expected]
+
+    def test_window_beyond_int64_rejected(self):
+        stream = TagStream.from_records([(1, 0), (2, 1), (3, 2)])
+        with pytest.raises(ValueError, match=r"at most 2\*\*63 - 1"):
+            heralded_g2(stream, window=2**63)
 
     def test_m_max_clamped_to_herald_count(self):
         records = [(2, 1000 * k) for k in (1, 2, 3)] + [(1, 1000), (3, 2000), (1, 3000), (3, 3000)]
