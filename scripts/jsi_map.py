@@ -82,7 +82,7 @@ def main() -> int:
     ap.add_argument("--out", type=Path, default=Path("out/jsi_map"))
     args = ap.parse_args()
 
-    pump = PumpSpec.from_spectral_fwhm(1062e-9, 2e-9, 100e-12, 18e6, 0.118)
+    pump = PumpSpec.from_spectral_fwhm(1062e-9, 2e-9)
     diameters = np.linspace(args.d_min * 1e-9, args.d_max * 1e-9, args.steps)
 
     print(f"phase-matched pairs, pump {pump.wavelength * 1e9:.0f} nm")

@@ -11,7 +11,6 @@ import argparse
 
 import numpy as np
 
-from taperfwm.biphoton import PumpSpec
 from taperfwm.rates import (
     DEFAULT_CONVERSION_EFFICIENCY,
     fit_power_scan,
@@ -30,8 +29,8 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=42)
     args = ap.parse_args()
 
-    pump = PumpSpec.from_spectral_fwhm(1062e-9, 2e-9, 100e-12, 18e6, 0.118)
-    print(rate_budget_report(DEFAULT_CONVERSION_EFFICIENCY, pump,
+    # 1062 nm pump pulses at 18 MHz and 118 mW average power
+    print(rate_budget_report(DEFAULT_CONVERSION_EFFICIENCY, 1062e-9, 18e6, 0.118,
                              args.photons_per_pulse, total_loss_db=args.loss_db))
 
     # Synthetic scan: rate(P) = D + b P + a P^2 with multiplicative noise.

@@ -73,31 +73,22 @@ class PumpSpec:
 
     ``sigma`` is the standard deviation of the *amplitude* spectrum in rad/s;
     the intensity spectrum then has FWHM ``2 sigma sqrt(ln 2)`` in angular
-    frequency.  ``pulse_duration`` is the intensity FWHM in time and is
-    independent of ``sigma``: the paper's 100 ps pulses with a 2 nm spectrum
-    are far from transform-limited.  Spectral phase is not modeled.
+    frequency.  The spectral width, not the pulse duration, is the input:
+    the paper's 100 ps pulses with a 2 nm spectrum are chirped, far from
+    transform-limited, and spectral phase is not modeled, so the duration
+    does not enter the joint spectral amplitude.
     """
 
     wavelength: float  # central vacuum wavelength, m
     sigma: float  # amplitude-spectrum std dev, rad/s
-    pulse_duration: float  # intensity FWHM, s
-    rep_rate: float  # Hz
-    avg_power: float  # W
 
     def __post_init__(self):
-        for name in ("wavelength", "sigma", "pulse_duration", "rep_rate", "avg_power"):
+        for name in ("wavelength", "sigma"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
 
     @classmethod
-    def from_spectral_fwhm(
-        cls,
-        wavelength: float,
-        fwhm_wavelength: float,
-        pulse_duration: float,
-        rep_rate: float,
-        avg_power: float,
-    ) -> "PumpSpec":
+    def from_spectral_fwhm(cls, wavelength: float, fwhm_wavelength: float) -> "PumpSpec":
         """Build from the intensity-spectrum FWHM expressed in wavelength.
 
         A wavelength FWHM ``dl`` at center ``l0`` maps to an angular-frequency
@@ -106,16 +97,12 @@ class PumpSpec:
         if not fwhm_wavelength > 0:
             raise ValueError("fwhm_wavelength must be positive")
         sigma = np.pi * C_VAC * fwhm_wavelength / (wavelength**2 * np.sqrt(_LN2))
-        return cls(wavelength, float(sigma), pulse_duration, rep_rate, avg_power)
+        return cls(wavelength, float(sigma))
 
     @property
     def omega0(self) -> float:
         """Central angular frequency 2 pi c / wavelength."""
         return 2.0 * np.pi * C_VAC / self.wavelength
-
-    @property
-    def pulse_energy(self) -> float:
-        return self.avg_power / self.rep_rate
 
 
 @dataclass(frozen=True)
@@ -514,9 +501,6 @@ def jsa(
         "pump": {
             "wavelength_m": pump.wavelength,
             "sigma_rad_s": pump.sigma,
-            "pulse_duration_s": pump.pulse_duration,
-            "rep_rate_hz": pump.rep_rate,
-            "avg_power_w": pump.avg_power,
         },
         "profile": {
             "label": segmented.label,

@@ -46,6 +46,7 @@ from .rates import fit_power_scan, read_power_scan_csv, write_fit_report_json
 from .tags import (
     SimulationConfig,
     TagParseError,
+    _check_car_window,
     _write_json,
     coincidence_histogram,
     heralded_g2,
@@ -91,9 +92,6 @@ _SCHEMA: dict = {
     "n_segments": ("int", None, 100, "number of piecewise-uniform segments"),
     "pump_wavelength_nm": ("float", None, 1062.0, "pump center wavelength in nm"),
     "pump_fwhm_nm": ("float", None, 2.0, "pump spectral FWHM in nm"),
-    "pump_duration_ps": ("float", None, 100.0, "pump pulse duration in ps"),
-    "rep_rate_mhz": ("float", None, 18.0, "pump repetition rate in MHz"),
-    "avg_power_mw": ("float", None, 118.0, "average pump power in mW"),
     "signal_window_nm": ("floats", 2, (850.0, 950.0), "signal wavelength window [lo, hi] in nm"),
     "idler_window_nm": ("floats", 2, (1250.0, 1450.0), "idler wavelength window [lo, hi] in nm"),
     "grid_points": ("int", None, 256, "points per spectral axis"),
@@ -236,16 +234,6 @@ def _resolve_segmented(config: RunConfig):
     return segment(profile, n_segments, core=glass)
 
 
-def _resolve_pump(config: RunConfig) -> PumpSpec:
-    return PumpSpec.from_spectral_fwhm(
-        config.get("pump_wavelength_nm") * 1e-9,
-        config.get("pump_fwhm_nm") * 1e-9,
-        config.get("pump_duration_ps") * 1e-12,
-        config.get("rep_rate_mhz") * 1e6,
-        config.get("avg_power_mw") * 1e-3,
-    )
-
-
 def _resolve_grid(config: RunConfig) -> SpectralGrid:
     signal = tuple(v * 1e-9 for v in config.get("signal_window_nm"))
     idler = tuple(v * 1e-9 for v in config.get("idler_window_nm"))
@@ -298,7 +286,8 @@ def cmd_modes(config: RunConfig) -> int:
 def cmd_jsi(config: RunConfig) -> int:
     """Phase-matching, pump, and JSI panels plus marginals and Schmidt report."""
     segmented = _resolve_segmented(config)
-    pump = _resolve_pump(config)
+    pump = PumpSpec.from_spectral_fwhm(config.get("pump_wavelength_nm") * 1e-9,
+                                       config.get("pump_fwhm_nm") * 1e-9)
     grid = _resolve_grid(config)
     eta_mode = config.get("eta_mode")
 
@@ -403,6 +392,9 @@ def _load_stream(config: RunConfig):
 
 def cmd_tags_coincidences(config: RunConfig) -> int:
     """Cross-correlation histogram (+ CAR summary) from a tag file."""
+    window = config.get("window_ticks")
+    rep_period = config.get("rep_period_ns") * 1e-9
+    _check_car_window(rep_period, window)
     stream = _load_stream(config)
     hist = coincidence_histogram(
         stream,
@@ -417,9 +409,9 @@ def cmd_tags_coincidences(config: RunConfig) -> int:
     print(f"wrote {out / 'coincidences.csv'}")
     print(f"wrote {out / 'coincidences.json'}")
 
-    rep_ticks = config.get("rep_period_ns") * 1e-9 / stream.tick_duration
+    rep_ticks = rep_period / stream.tick_duration
     try:
-        summary = peak_and_accidentals(hist, rep_ticks, config.get("window_ticks"))
+        summary = peak_and_accidentals(hist, rep_ticks, window)
     except ValueError as err:
         print(f"CAR not computed: {err}")
         return EXIT_OK
@@ -430,7 +422,7 @@ def cmd_tags_coincidences(config: RunConfig) -> int:
             "accidental_rate_hz": _finite_or_none(summary["accidental_rate"]),
             "car": _finite_or_none(summary["CAR"]),
             "rep_period_ticks": rep_ticks,
-            "window_ticks": config.get("window_ticks"),
+            "window_ticks": window,
         },
         out / "car.json",
     )
@@ -533,7 +525,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, extra = parser.parse_known_args(argv)
+    if extra and extra[0].startswith("--"):  # a flag outside the schema reads as a config key
+        parser.error(f"unknown config key {extra[0][2:].split('=')[0]!r}")
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     overrides = {}
     try:
         for key in _SCHEMA:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .biphoton import PumpSpec
+from .dispersion import C_VAC
 from .tags import _write_json
 
 __all__ = [
@@ -42,24 +42,15 @@ class LossBudget:
 
     ``signal_db`` / ``idler_db`` are the full channel budgets (coupling,
     filters, detector quantum efficiency folded in), so 0 dB means a lossless
-    channel with a perfect detector.  The detector efficiencies are carried
-    separately so reports can split the optical part from the detector part;
-    defaults are typical Si (signal, ~900 nm) and InGaAs (idler, ~1310 nm)
-    single-photon detector values.
+    channel with a perfect detector.
     """
 
     signal_db: float
     idler_db: float
-    detector_efficiency_signal: float = 0.40
-    detector_efficiency_idler: float = 0.12
 
     def __post_init__(self):
         if self.signal_db > 0 or self.idler_db > 0:
             raise ValueError("channel budgets are losses: dB values must be <= 0")
-        for name in ("detector_efficiency_signal", "detector_efficiency_idler"):
-            eff = getattr(self, name)
-            if not 0.0 < eff <= 1.0:
-                raise ValueError(f"{name} must lie in (0, 1]")
 
     @property
     def signal_transmittance(self) -> float:
@@ -70,9 +61,15 @@ class LossBudget:
         return 10.0 ** (self.idler_db / 10.0)
 
 
+def _check_positive(**values) -> None:
+    for name, value in values.items():
+        if not value > 0:
+            raise ValueError(f"{name} must be positive")
+
+
 def pair_rates(
     efficiency_eta: float,
-    pump: PumpSpec,
+    rep_rate: float,
     photons_per_pulse: float,
     budget: LossBudget,
 ) -> dict:
@@ -80,13 +77,13 @@ def pair_rates(
 
     ``R_internal = efficiency_eta * photons_per_pulse * rep_rate`` counts pairs
     created in the waist; ``R_observed`` applies both channel transmittances
-    (a coincidence requires both photons to survive their channels).
+    (a coincidence requires both photons to survive their channels); the
+    pump ``rep_rate`` is in Hz.
     """
-    if not efficiency_eta > 0:
-        raise ValueError("efficiency_eta must be positive")
+    _check_positive(efficiency_eta=efficiency_eta, rep_rate=rep_rate)
     if photons_per_pulse < 0:
         raise ValueError("photons_per_pulse must be non-negative")
-    r_internal = efficiency_eta * photons_per_pulse * pump.rep_rate
+    r_internal = efficiency_eta * photons_per_pulse * rep_rate
     r_observed = r_internal * budget.signal_transmittance * budget.idler_transmittance
     return {"R_internal": r_internal, "R_observed": r_observed}
 
@@ -180,7 +177,9 @@ def fit_power_scan(points, *, weighting: str = "none") -> PowerScanFit:
 
 def rate_budget_report(
     efficiency_eta: float,
-    pump: PumpSpec,
+    wavelength: float,
+    rep_rate: float,
+    avg_power: float,
     photons_per_pulse: float,
     *,
     total_loss_db: float = -17.0,
@@ -192,20 +191,24 @@ def rate_budget_report(
     budget, and the same figure applied to *each* channel.  It also
     cross-checks ``photons_per_pulse`` against pulse energy / photon energy
     and flags a mismatch rather than silently substituting either value.
+    The pump is given by its vacuum ``wavelength`` (m), ``rep_rate`` (Hz)
+    and ``avg_power`` (W).
     """
+    _check_positive(wavelength=wavelength, avg_power=avg_power)
     if total_loss_db > 0:
         raise ValueError("total_loss_db must be <= 0")
-    rates = pair_rates(efficiency_eta, pump, photons_per_pulse, LossBudget(0.0, 0.0))
+    rates = pair_rates(efficiency_eta, rep_rate, photons_per_pulse, LossBudget(0.0, 0.0))
     r_internal = rates["R_internal"]
     product_total = 10.0 ** (total_loss_db / 10.0)
     product_each = 10.0 ** (2.0 * total_loss_db / 10.0)
-    n_energy = pump.pulse_energy / (HBAR * pump.omega0)
+    pulse_energy = avg_power / rep_rate
+    n_energy = pulse_energy / (HBAR * (2.0 * math.pi * C_VAC / wavelength))
     ratio = n_energy / photons_per_pulse if photons_per_pulse > 0 else np.inf
 
     lines = [
         "pair rate budget",
-        f"  pump: {pump.wavelength * 1e9:.1f} nm, rep rate {pump.rep_rate / 1e6:.3f} MHz, "
-        f"avg power {pump.avg_power * 1e3:.1f} mW",
+        f"  pump: {wavelength * 1e9:.1f} nm, rep rate {rep_rate / 1e6:.3f} MHz, "
+        f"avg power {avg_power * 1e3:.1f} mW",
         f"  photons per pulse (input): {photons_per_pulse:.3e}",
         f"  photons per pulse (pulse energy / photon energy): {n_energy:.3e}",
     ]

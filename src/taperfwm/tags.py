@@ -370,6 +370,13 @@ class CoincidenceHistogram:
         return np.arange(-half, half + 1, dtype=np.int64) * self.bin_width
 
 
+def _check_channels(**channels) -> None:
+    """Reject analysis channels outside the declared set {1, 2, 3}."""
+    for name, channel in channels.items():
+        if channel not in DEFAULT_CHANNELS:
+            raise ValueError(f"{name} {channel!r} not in declared set {sorted(DEFAULT_CHANNELS)}")
+
+
 def coincidence_histogram(stream: TagStream, ch_a: int = 1, ch_b: int = 2, *,
                           bin_width: int, delay_range: int) -> CoincidenceHistogram:
     """Histogram of delays t_b - t_a over all cross-channel pairs in range.
@@ -382,6 +389,7 @@ def coincidence_histogram(stream: TagStream, ch_a: int = 1, ch_b: int = 2, *,
     (a block is never less than one tag), so the working set beyond the
     per-tag arrays is O(block + bins) however many pairs fall in range.
     """
+    _check_channels(ch_a=ch_a, ch_b=ch_b)
     if bin_width < 1:
         raise ValueError("bin_width must be at least one tick")
     if delay_range < 0 or delay_range % bin_width:
@@ -426,6 +434,13 @@ def coincidence_histogram(stream: TagStream, ch_a: int = 1, ch_b: int = 2, *,
     )
 
 
+def _check_car_window(rep_period: float, window: int) -> None:
+    if window < 1:
+        raise ValueError("window must be at least one tick")
+    if not rep_period > 0:
+        raise ValueError("rep_period must be positive")
+
+
 def peak_and_accidentals(hist: CoincidenceHistogram, rep_period: float, window: int) -> dict:
     """Zero-delay peak rate vs the accidental floor sampled one and two pulse
     periods away.
@@ -435,10 +450,7 @@ def peak_and_accidentals(hist: CoincidenceHistogram, rep_period: float, window: 
     and +2 rep periods (rounded to the nearest tick).  Rates are counts per
     second of acquisition; CAR is their ratio (inf when no accidentals).
     """
-    if window < 1:
-        raise ValueError("window must be at least one tick")
-    if not rep_period > 0:
-        raise ValueError("rep_period must be positive")
+    _check_car_window(rep_period, window)
     centers = hist.delay_centers
 
     def window_counts(center: int) -> int:
@@ -506,6 +518,7 @@ def heralded_g2(stream: TagStream, herald_ch: int = 2, ch_a: int = 1, ch_b: int 
     g2_h(m) = sum_i A_i B_{i+m} * H / (sum A sum B) for m = 0..m_max (clamped
     to H-1).
     """
+    _check_channels(herald_ch=herald_ch, ch_a=ch_a, ch_b=ch_b)
     if window < 1:
         raise ValueError("window must be at least one tick")
     if window > _INT64_MAX:

@@ -63,7 +63,7 @@ def uniform_profile(diameter: float, length: float = 0.014) -> TaperProfile:
 
 @pytest.fixture(scope="module")
 def pump():
-    return PumpSpec.from_spectral_fwhm(LAMBDA_PUMP, 2e-9, 100e-12, 18e6, 0.118)
+    return PumpSpec.from_spectral_fwhm(LAMBDA_PUMP, 2e-9)
 
 
 def _jsi_peak_nm(diameter, pump, n_grid=256, n_segments=100):

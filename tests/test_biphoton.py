@@ -49,7 +49,7 @@ def uniform_profile(diameter, length=0.014):
 
 @pytest.fixture(scope="module")
 def pump():
-    return PumpSpec.from_spectral_fwhm(LAMBDA_PUMP, 2e-9, 100e-12, 18e6, 0.1)
+    return PumpSpec.from_spectral_fwhm(LAMBDA_PUMP, 2e-9)
 
 
 @pytest.fixture(scope="module")
@@ -76,21 +76,12 @@ class TestPumpSpec:
     def test_omega0(self, pump):
         assert pump.omega0 == pytest.approx(2.0 * np.pi * C_VAC / LAMBDA_PUMP, rel=0)
 
-    @pytest.mark.parametrize(
-        "field", ["wavelength", "sigma", "pulse_duration", "rep_rate", "avg_power"]
-    )
+    @pytest.mark.parametrize("field", ["wavelength", "sigma"])
     def test_positivity(self, field):
-        kwargs = dict(
-            wavelength=1062e-9, sigma=2e12, pulse_duration=100e-12, rep_rate=18e6, avg_power=0.1
-        )
+        kwargs = dict(wavelength=1062e-9, sigma=2e12)
         kwargs[field] = 0.0
         with pytest.raises(ValueError, match=field):
             PumpSpec(**kwargs)
-
-    def test_chirped_pulse_accepted(self):
-        # 100 ps duration with a 2 nm-wide spectrum is far from transform
-        # limited; without the flag that must be legal.
-        PumpSpec.from_spectral_fwhm(1062e-9, 2e-9, 100e-12, 18e6, 0.1)
 
 
 class TestSpectralGrid:
@@ -458,7 +449,7 @@ class TestPumpFunction:
     def test_band_width_shrinks_with_sigma(self, grid128):
         counts = []
         for fwhm in (4e-9, 2e-9, 1e-9):
-            p = PumpSpec.from_spectral_fwhm(LAMBDA_PUMP, fwhm, 100e-12, 18e6, 0.1)
+            p = PumpSpec.from_spectral_fwhm(LAMBDA_PUMP, fwhm)
             envelope = np.abs(pump_function(p, grid128))
             counts.append(int(np.sum(envelope >= 0.5 * envelope.max())))
         assert counts[0] > counts[1] > counts[2]

@@ -13,7 +13,9 @@ from taperfwm.dispersion import FUSED_SILICA, CrossSection, solve_mode
 from taperfwm.profile import parse_profile, segment
 from taperfwm.tags import TagStream, parse_tags, write_tags_text
 
-FIXTURE_PROFILE = Path(__file__).resolve().parents[1] / "data" / "uniform_waist_900.txt"
+ROOT = Path(__file__).resolve().parents[1]
+FIXTURE_PROFILE = ROOT / "data" / "uniform_waist_900.txt"
+REMOVED_PUMP_KEYS = ["pump_duration_ps", "rep_rate_mhz", "avg_power_mw"]
 
 
 def run(*argv):
@@ -88,6 +90,12 @@ class TestVersionAndUsage:
             assert f"--{key}" in leaf_help
         assert "COMMAND" in text
 
+    def test_docs_config_table_lists_the_schema_keys_in_order(self):
+        text = (ROOT / "docs" / "formats.md").read_text(encoding="utf-8")
+        table = text.split("| key | type | default | meaning |\n")[1].split("\n\n")[0]
+        rows = table.splitlines()[1:]  # below the |---| rule
+        assert [row.split("|")[1].strip().strip("`") for row in rows] == list(cli._SCHEMA)
+
 
 class TestConfigHandling:
     def test_unknown_key_rejected(self, tmp_path, capsys):
@@ -95,6 +103,23 @@ class TestConfigHandling:
         cfg.write_text('{"grid_pointz": 16}')
         assert run("jsi", "-c", cfg) == EXIT_CONFIG
         assert "grid_pointz" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", REMOVED_PUMP_KEYS)
+    def test_removed_pump_key_is_unknown(self, tmp_path, capsys, key):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"diameter_nm": 900.0, "length_mm": 14.0, key: 5.0}))
+        assert run("jsi", "-c", cfg, "--out_dir", tmp_path / "out") == EXIT_CONFIG
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", REMOVED_PUMP_KEYS)
+    def test_removed_pump_flag_is_unknown(self, tmp_path, capsys, key):
+        with pytest.raises(SystemExit) as exc:
+            run("jsi", "--diameter_nm", 900, "--length_mm", 14, f"--{key}", 5,
+                "--out_dir", tmp_path / "out")
+        assert exc.value.code == EXIT_CONFIG
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_invalid_json_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
@@ -317,9 +342,7 @@ class TestJsi:
         diameter, length = 900.0 * 1e-9, 14.0 * 1e-3
         profile = parse_profile(f"0 {diameter!r}\n{length!r} {diameter!r}")
         segmented = segment(profile, 3)
-        pump = PumpSpec.from_spectral_fwhm(
-            1062.0 * 1e-9, 2.0 * 1e-9, 100.0 * 1e-12, 18.0 * 1e6, 118.0 * 1e-3
-        )
+        pump = PumpSpec.from_spectral_fwhm(1062.0 * 1e-9, 2.0 * 1e-9)
         grid = SpectralGrid.from_wavelength_windows(
             (850.0 * 1e-9, 950.0 * 1e-9), (1250.0 * 1e-9, 1450.0 * 1e-9), n_signal=24
         )
@@ -513,6 +536,40 @@ class TestTagsCoincidences:
     def test_missing_tags_file_is_io_error(self, tmp_path):
         assert run("tags", "coincidences", "--tags_in", tmp_path / "none.txt") == EXIT_IO
 
+    @pytest.mark.parametrize("flag, channel", [
+        ("--ch_a", 7), ("--ch_a", 300), ("--ch_a", -1), ("--ch_b", 0),
+    ])
+    def test_undeclared_channel_is_domain_error(self, comb_out, tmp_path, capsys, flag, channel):
+        out = tmp_path / "out"
+        assert run("tags", "coincidences", "--tags_in", comb_out / "tags.bin", flag, channel,
+                   "--out_dir", out) == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert f"{flag[2:]} {channel} not in declared set [1, 2, 3]" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--window_ticks", 0), ("--rep_period_ns", 0), ("--rep_period_ns", -54),
+        ("--rep_period_ns", 1e-320),  # positive, but 0.0 once in seconds
+    ])
+    def test_bad_car_window_is_domain_error_before_any_work(self, comb_out, tmp_path, capsys,
+                                                            flag, value):
+        out = tmp_path / "out"
+        assert run("tags", "coincidences", "--tags_in", comb_out / "tags.bin", flag, value,
+                   "--out_dir", out) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert "must be" in captured.err and "Traceback" not in captured.err
+        assert "CAR not computed" not in captured.out
+        assert not out.exists()
+
+    def test_stream_without_duration_skips_car(self, tmp_path, capsys):
+        empty = tmp_path / "empty.txt"
+        empty.write_bytes(b"#tick_ps 81\n")
+        out = tmp_path / "out"
+        assert run("tags", "coincidences", "--tags_in", empty, "--out_dir", out) == EXIT_OK
+        assert "CAR not computed: histogram carries no acquisition duration" in (
+            capsys.readouterr().out)
+        assert (out / "coincidences.csv").exists() and not (out / "car.json").exists()
+
     def test_unallocatable_delay_range_is_domain_error(self, tmp_path, capsys):
         # 2e15 + 1 int64 bins (16 PB) exceed any address space, so the
         # allocation fails at once without reserving memory
@@ -627,6 +684,14 @@ class TestTagsG2h:
                    "--out_dir", tmp_path / "out") == EXIT_DOMAIN
         err = capsys.readouterr().err
         assert "window must be at most 2**63 - 1 ticks" in err and "Traceback" not in err
+
+    def test_undeclared_herald_channel_is_domain_error(self, tmp_path, capsys):
+        tags = tmp_path / "three.txt"
+        write_tags_text(TagStream.from_records([(1, 0), (2, 1), (3, 2)]), tags)
+        assert run("tags", "g2h", "--tags_in", tags, "--herald_ch", 7,
+                   "--out_dir", tmp_path / "out") == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert "herald_ch 7 not in declared set [1, 2, 3]" in err and "no herald" not in err
 
     def test_no_heralds_is_domain_error(self, tmp_path, capsys):
         stream = TagStream.from_records([(1, 0), (1, 100), (3, 200)])

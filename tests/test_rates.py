@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taperfwm.biphoton import PumpSpec
+from taperfwm.dispersion import C_VAC
 from taperfwm.rates import (
     DEFAULT_CONVERSION_EFFICIENCY,
     LossBudget,
@@ -31,30 +31,25 @@ def scan_rates(powers):
     return DARK + LINEAR * powers + QUAD * powers**2
 
 
-@pytest.fixture(scope="module")
-def pump():
-    return PumpSpec.from_spectral_fwhm(1062e-9, 2e-9, 100e-12, 18e6, 0.118)
+# The paper's pump: 1062 nm pulses at 18 MHz and 118 mW average power.
+WAVELENGTH = 1062e-9
+REP_RATE = 18e6
+AVG_POWER = 0.118
+PUMP = (WAVELENGTH, REP_RATE, AVG_POWER)
+
+
+def energy_photon_number():
+    """Pump photons per pulse from pulse energy / photon energy."""
+    return AVG_POWER / REP_RATE / (1.054571817e-34 * 2.0 * np.pi * C_VAC / WAVELENGTH)
 
 
 class TestLossBudget:
-    def test_detector_efficiency_defaults(self):
-        budget = LossBudget(-5.0, -8.0)
-        assert budget.detector_efficiency_signal == 0.40
-        assert budget.detector_efficiency_idler == 0.12
-
     @pytest.mark.parametrize("kwargs", [{"signal_db": 0.1}, {"idler_db": 3.0}])
     def test_positive_db_rejected(self, kwargs):
         base = {"signal_db": 0.0, "idler_db": 0.0}
         base.update(kwargs)
         with pytest.raises(ValueError, match="dB"):
             LossBudget(**base)
-
-    @pytest.mark.parametrize("eff", [0.0, -0.2, 1.5])
-    def test_efficiency_outside_unit_interval_rejected(self, eff):
-        with pytest.raises(ValueError, match="detector_efficiency"):
-            LossBudget(0.0, 0.0, detector_efficiency_signal=eff)
-        with pytest.raises(ValueError, match="detector_efficiency"):
-            LossBudget(0.0, 0.0, detector_efficiency_idler=eff)
 
     def test_transmittance_decades(self):
         budget = LossBudget(-10.0, -20.0)
@@ -66,24 +61,24 @@ class TestLossBudget:
 
 
 class TestPairRates:
-    def test_reference_operating_point(self, pump):
+    def test_reference_operating_point(self):
         # eta 7e-10 with 2.67e8 photons/pulse at 18 MHz: 3.36e6 internal pairs/s.
-        rates = pair_rates(DEFAULT_CONVERSION_EFFICIENCY, pump, 2.67e8, LossBudget(0.0, 0.0))
+        rates = pair_rates(DEFAULT_CONVERSION_EFFICIENCY, REP_RATE, 2.67e8, LossBudget(0.0, 0.0))
         expected = 7e-10 * 2.67e8 * 18e6
         assert rates["R_internal"] == pytest.approx(expected, rel=1e-12)
         assert rates["R_internal"] == pytest.approx(3.4e6, rel=0.02)
 
-    def test_zero_photons_gives_zero_rates(self, pump):
-        rates = pair_rates(7e-10, pump, 0.0, LossBudget(-3.0, -7.0))
+    def test_zero_photons_gives_zero_rates(self):
+        rates = pair_rates(7e-10, REP_RATE, 0.0, LossBudget(-3.0, -7.0))
         assert rates["R_internal"] == 0.0
         assert rates["R_observed"] == 0.0
 
-    def test_identity_budget(self, pump):
-        rates = pair_rates(7e-10, pump, 1e8, LossBudget(0.0, 0.0))
+    def test_identity_budget(self):
+        rates = pair_rates(7e-10, REP_RATE, 1e8, LossBudget(0.0, 0.0))
         assert rates["R_observed"] == rates["R_internal"]
 
-    def test_observed_factorizes_over_channels(self, pump):
-        rates = pair_rates(7e-10, pump, 1e8, LossBudget(-4.0, -13.0))
+    def test_observed_factorizes_over_channels(self):
+        rates = pair_rates(7e-10, REP_RATE, 1e8, LossBudget(-4.0, -13.0))
         expected = rates["R_internal"] * 10 ** (-4.0 / 10) * 10 ** (-13.0 / 10)
         assert rates["R_observed"] == pytest.approx(expected, rel=1e-12)
 
@@ -92,21 +87,26 @@ class TestPairRates:
         scale=st.floats(1e-3, 1e3),
     )
     @settings(max_examples=50, deadline=None)
-    def test_linear_in_photon_number(self, pump, photons, scale):
+    def test_linear_in_photon_number(self, photons, scale):
         budget = LossBudget(-2.0, -11.0)
-        base = pair_rates(7e-10, pump, photons, budget)
-        scaled = pair_rates(7e-10, pump, scale * photons, budget)
+        base = pair_rates(7e-10, REP_RATE, photons, budget)
+        scaled = pair_rates(7e-10, REP_RATE, scale * photons, budget)
         assert scaled["R_internal"] == pytest.approx(scale * base["R_internal"], rel=1e-12)
         assert scaled["R_observed"] == pytest.approx(scale * base["R_observed"], rel=1e-12)
 
     @pytest.mark.parametrize("eta", [0.0, -1e-10])
-    def test_nonpositive_efficiency_rejected(self, pump, eta):
+    def test_nonpositive_efficiency_rejected(self, eta):
         with pytest.raises(ValueError, match="efficiency"):
-            pair_rates(eta, pump, 1e8, LossBudget(0.0, 0.0))
+            pair_rates(eta, REP_RATE, 1e8, LossBudget(0.0, 0.0))
 
-    def test_negative_photon_number_rejected(self, pump):
+    def test_negative_photon_number_rejected(self):
         with pytest.raises(ValueError, match="photons_per_pulse"):
-            pair_rates(7e-10, pump, -1.0, LossBudget(0.0, 0.0))
+            pair_rates(7e-10, REP_RATE, -1.0, LossBudget(0.0, 0.0))
+
+    @pytest.mark.parametrize("rep_rate", [0.0, -18e6])
+    def test_nonpositive_rep_rate_rejected(self, rep_rate):
+        with pytest.raises(ValueError, match="rep_rate must be positive"):
+            pair_rates(7e-10, rep_rate, 1e8, LossBudget(0.0, 0.0))
 
 
 class TestFitPowerScan:
@@ -220,8 +220,8 @@ class TestFitPowerScan:
 
 
 class TestRateBudgetReport:
-    def test_both_loss_readings_present(self, pump):
-        report = rate_budget_report(7e-10, pump, 2.67e8)
+    def test_both_loss_readings_present(self):
+        report = rate_budget_report(7e-10, *PUMP, 2.67e8)
         r_internal = 7e-10 * 2.67e8 * 18e6
         assert f"{r_internal:.3e}" in report
         assert f"{r_internal * 10 ** -1.7:.3e}" in report  # -17 dB combined
@@ -229,22 +229,28 @@ class TestRateBudgetReport:
         assert "combined over both channels" in report
         assert "in each channel" in report
 
-    def test_photon_number_mismatch_flagged(self, pump):
+    def test_photon_number_mismatch_flagged(self):
         # 2.67e8 photons/pulse vs pulse-energy estimate ~3.5e10: ~130x apart.
-        report = rate_budget_report(7e-10, pump, 2.67e8)
+        report = rate_budget_report(7e-10, *PUMP, 2.67e8)
         assert "WARNING" in report
-        n_energy = pump.pulse_energy / (1.054571817e-34 * pump.omega0)
+        n_energy = energy_photon_number()
         assert f"{n_energy:.3e}" in report
         assert n_energy / 2.67e8 > 100
 
-    def test_consistent_photon_number_not_flagged(self, pump):
-        n_energy = pump.pulse_energy / (1.054571817e-34 * pump.omega0)
-        report = rate_budget_report(7e-10, pump, n_energy)
+    def test_consistent_photon_number_not_flagged(self):
+        report = rate_budget_report(7e-10, *PUMP, energy_photon_number())
         assert "WARNING" not in report
 
-    def test_positive_loss_rejected(self, pump):
+    def test_positive_loss_rejected(self):
         with pytest.raises(ValueError, match="total_loss_db"):
-            rate_budget_report(7e-10, pump, 2.67e8, total_loss_db=1.0)
+            rate_budget_report(7e-10, *PUMP, 2.67e8, total_loss_db=1.0)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    @pytest.mark.parametrize("field", ["wavelength", "rep_rate", "avg_power"])
+    def test_nonpositive_pump_rejected(self, field, value):
+        pump = dict(zip(("wavelength", "rep_rate", "avg_power"), PUMP), **{field: value})
+        with pytest.raises(ValueError, match=f"{field} must be positive"):
+            rate_budget_report(7e-10, **pump, photons_per_pulse=2.67e8)
 
 
 class TestPowerScanCsv:

@@ -426,6 +426,13 @@ class TestCoincidenceHistogram:
         with pytest.raises(ValueError, match=msg):
             coincidence_histogram(stream, 1, 2, bin_width=bin_width, delay_range=delay_range)
 
+    @pytest.mark.parametrize("channel", [0, 4, 7, 300, -1])
+    @pytest.mark.parametrize("arg", ["ch_a", "ch_b"])
+    def test_undeclared_channel_rejected(self, arg, channel):
+        stream = random_stream(1, n=10)
+        with pytest.raises(ValueError, match=rf"{arg} {channel} not in declared set \[1, 2, 3\]"):
+            coincidence_histogram(stream, bin_width=10, delay_range=100, **{arg: channel})
+
     def test_pulsed_source_comb(self):
         # pulsed source: every peak sits on a multiple of the 54 ns period and
         # the zero-delay peak (true coincidences) dominates the accidentals
@@ -610,6 +617,13 @@ class TestHeraldedG2:
             1.0 / hist.triples[0] + 1.0 / hist.singles_a + 1.0 / hist.singles_b)
         assert abs(hist.zero_separation - predicted) <= 3.0 * sigma
         assert 0.1 < hist.zero_separation < 0.35
+
+    @pytest.mark.parametrize("channel", [0, 4, 7, 300, -1])
+    @pytest.mark.parametrize("arg", ["herald_ch", "ch_a", "ch_b"])
+    def test_undeclared_channel_rejected(self, arg, channel):
+        stream = random_stream(1, n=10)
+        with pytest.raises(ValueError, match=rf"{arg} {channel} not in declared set \[1, 2, 3\]"):
+            heralded_g2(stream, **{arg: channel})
 
     def test_zero_heralds_rejected(self):
         stream = TagStream.from_records([(1, 0), (3, 5)])
