@@ -111,6 +111,43 @@ def scan_bisect_he11(n1, n2, ak0):
     return np.where(flips.any(axis=0), 0.5 * (lo + hi), np.nan)
 
 
+# --- the HE11 solver as the package ran it before its inverse-quadratic steps --
+
+
+def bisect_logw_he11(n1, ak0):
+    """HE11 n_eff for each column of the ``n1``, ``a*k0`` arrays of a rod in air,
+    NaN where the clipped bracket is empty or its ends have one sign: the
+    package's earlier solver in one block.  It bisects the pole-free h(w), with
+    u = sqrt((V - w)(V + w)), 60 times at the geometric mean of the bracket
+    [max(sqrt(2e-9) V, sqrt(V^2 - j01^2)), sqrt(1 - 1e-8) V] and takes the
+    geometric mean of the last bracket, with the same j0/j1/k0e/k1e kernels."""
+    nu = 1.0 / n1**2
+    v = ak0 * np.sqrt(n1**2 - 1.0)
+    j01 = 2.404825557695773
+
+    def h(w):
+        u = np.sqrt((v - w) * (v + w))
+        ju0, ju1 = j0(u), j1(u)
+        k0, k1 = k0e(w), k1e(w)
+        kk = -(k0 + (k0 + (2.0 / w) * k1)) / (2.0 * w * k1)
+        csq = (1.0 / u**2 + 1.0 / w**2) * (1.0 / u**2 + nu / w**2)
+        mid = -kk * (1.0 + nu) / 2.0
+        split = np.sqrt((kk * (1.0 - nu) / 2.0) ** 2 + csq)
+        return (ju0 - (1 / u) * ju1) - (mid - split) * u * ju1
+
+    with np.errstate(all="ignore"):
+        lo = np.maximum(v * np.sqrt(2e-9), np.sqrt(np.maximum((v - j01) * (v + j01), 0.0)))
+        hi = v * np.sqrt(1.0 - 1e-8)
+        flo, fhi = h(lo), h(hi)
+        for _ in range(60):
+            mid = np.sqrt(lo) * np.sqrt(hi)
+            same = np.signbit(h(mid)) == np.signbit(flo)
+            lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+        w = np.sqrt(lo) * np.sqrt(hi)
+    guided = (lo < hi) & (np.signbit(flo) != np.signbit(fhi))
+    return np.where(guided, np.sqrt(1.0 + (w / ak0) ** 2), np.nan)
+
+
 # --- general-order Bessel forms of the mode solver's kernels ------------------
 # The package evaluates J and K through order-specialised kernels (j0/j1,
 # k0e/k1e and recurrences).  These are the same formulas written with the

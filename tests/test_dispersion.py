@@ -25,6 +25,7 @@ from taperfwm.dispersion import (
 from taperfwm.profile import load_profile, segment
 
 from oracles import (
+    bisect_logw_he11,
     dense_scan_he11,
     field_rows_general,
     he11_char_fn_general,
@@ -161,6 +162,52 @@ class TestSolveMode:
         ref = scan_bisect_he11(n1, 1.0, ak0)  # in air
         assert np.all(np.isfinite(ref))
         assert np.max(np.abs(dispersion._solve_many(CrossSection(diameter=d), omegas) - ref)) <= 2e-15
+
+    @pytest.mark.parametrize(
+        "d, lam_hi, tol",
+        [(300e-9, 1600e-9, 1e-15), (900e-9, 1600e-9, 1e-15), (3e-6, 1600e-9, 1e-15),
+         (20e-6, 1600e-9, 1e-15), (120e-9, 750e-9, 2e-15)],
+    )
+    def test_logw_bisection_oracle_agreement(self, d, lam_hi, tol):
+        # the earlier 60-step bisection in log w on the same bracket.  At 120 nm
+        # the roots reach the bottom clip (n_eff - 1 ~ 1e-9) and the rounding
+        # noise of h spans about 1e-15 in n_eff: on this grid both solvers are
+        # within 1.1e-15 of a 50-digit root and differ by up to 1.1e-15
+        omegas = omega_of(np.linspace(500e-9, lam_hi, 61))
+        n1, ak0 = dispersion._guide_params(CrossSection(diameter=d), omegas)
+        ref = bisect_logw_he11(n1, ak0)
+        assert np.all(np.isfinite(ref))
+        assert np.max(np.abs(dispersion._solve_many(CrossSection(diameter=d), omegas) - ref)) <= tol
+
+    @pytest.mark.parametrize(
+        "d, steps",
+        [(2e-3, [125, 200, 496, 904]), (3e-3, [3, 79, 342, 1220, 5051])],
+    )
+    def test_thick_waist_solves_where_bisection_failed(self, d, steps):
+        # points of an 8001-point 800-1600 nm sweep (lam = 800 nm + step x 0.1 nm)
+        # where the bisection's geometric-mean root failed the residual check;
+        # the better of the two adjacent doubles passes it
+        omegas = omega_of(np.linspace(800e-9, 1600e-9, 8001)[steps])
+        n1, ak0 = dispersion._guide_params(CrossSection(diameter=d), omegas)
+        n_eff = np.array([solve_mode(CrossSection(diameter=d), om).n_eff for om in omegas])
+        assert np.all((1.0 < n_eff) & (n_eff < n1))
+        assert np.max(np.abs(n_eff - bisect_logw_he11(n1, ak0))) <= 1e-15
+
+    @pytest.mark.parametrize("d", [700e-9, 900e-9, 3e-6])
+    def test_char_fn_evaluations_per_frequency(self, d, monkeypatch):
+        # a 753-point solve (a 48-node table grid refined 16 times) evaluates
+        # h at most 16 times per frequency, the bracket ends included
+        evaluated = []
+        char_fn = dispersion._char_fn
+
+        def counting(nu, v):
+            h = char_fn(nu, v)
+            return lambda w: (evaluated.append(np.size(w)), h(w))[1]
+
+        monkeypatch.setattr(dispersion, "_char_fn", counting)
+        omegas = np.linspace(omega_of(1600e-9), omega_of(800e-9), 753)
+        dispersion._solve_many(CrossSection(diameter=d), omegas)
+        assert sum(evaluated) <= 16 * omegas.size
 
     def test_guidance_violation(self):
         # a glass file can give a core index below that of the air around it
@@ -347,6 +394,28 @@ class TestNeffTable:
             neff_table(CrossSection(diameter=120e-9), grid)
         for lam in lam_nm:
             assert f"{lam:.2f} nm" in str(err.value)
+
+    def test_one_solve_for_grid_and_checks(self, monkeypatch):
+        # the dense grid and the five held-out midpoints share one solve, and
+        # give the same table and check values as two separate solves would
+        grid = np.linspace(omega_of(1600e-9), omega_of(800e-9), 48)
+        dense = dispersion._refined_grid(grid, dispersion._TABLE_REFINE)
+        checks = dense[:-1] + 0.5 * np.diff(dense)
+        checks = checks[np.linspace(0, checks.size - 1, 5).astype(int)]
+        solved = []
+        solve_many = dispersion._solve_many
+
+        def recording(cs, omegas):
+            solved.append(np.array(omegas))
+            return solve_many(cs, omegas)
+
+        monkeypatch.setattr(dispersion, "_solve_many", recording)
+        table = neff_table(WAIST, grid)
+        assert len(solved) == 1 and np.array_equal(solved[0], np.concatenate((dense, checks)))
+        joint = solve_many(WAIST, solved[0])
+        assert np.array_equal(joint[:dense.size], solve_many(WAIST, dense))
+        assert np.array_equal(joint[dense.size:], solve_many(WAIST, checks))
+        assert np.array_equal(table.n_eff, dispersion._Pchip(dense, solve_many(WAIST, dense))(grid))
 
     def test_non_increasing_grid_rejected(self):
         om = omega_of(1062e-9)
