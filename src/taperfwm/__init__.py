@@ -25,10 +25,7 @@ _EXPORTS = {
         "neff_table", "solve_mode",
     ),
     "profile": ("SegmentedProfile", "TaperProfile", "load_profile", "parse_profile", "segment"),
-    "rates": (
-        "DEFAULT_CONVERSION_EFFICIENCY", "LossBudget", "fit_power_scan", "pair_rates",
-        "rate_budget_report",
-    ),
+    "rates": ("DEFAULT_CONVERSION_EFFICIENCY", "fit_power_scan", "rate_budget_report"),
     "tags": (
         "SimulationConfig", "TagStream", "coincidence_histogram", "heralded_g2", "parse_tags",
         "peak_and_accidentals", "simulate_tags",

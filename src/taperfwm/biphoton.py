@@ -158,15 +158,6 @@ class SpectralGrid:
     def n_idler(self) -> int:
         return self.idler_omega.size
 
-    @property
-    def signal_wavelength(self) -> np.ndarray:
-        """Vacuum wavelengths of the signal axis (descending, meters)."""
-        return 2.0 * np.pi * C_VAC / self.signal_omega
-
-    @property
-    def idler_wavelength(self) -> np.ndarray:
-        return 2.0 * np.pi * C_VAC / self.idler_omega
-
 
 @dataclass(frozen=True)
 class JsaGrid:
@@ -198,23 +189,21 @@ class JsaGrid:
 
 
 class ModeBank:
-    """Lazy cache of HE11 effective-index tables over one frequency interval.
+    """The frequency nodes of HE11 effective-index tables over one interval.
 
-    One table is built per cross-section on first use and reused for every
-    query; all tables share the same angular-frequency span, so a bank built
-    for a grid serves every segment of a taper.
+    ``table(cs)`` builds a new table on every call and keeps none, so callers
+    build each cross-section's table once and hold it.  All tables of a bank
+    share the same angular-frequency span, so a bank built for a grid serves
+    every segment of a taper.
     """
 
     def __init__(self, omega_lo: float, omega_hi: float):
         if not 0 < omega_lo < omega_hi:
             raise ValueError("need 0 < omega_lo < omega_hi")
         self._grid = np.linspace(omega_lo, omega_hi, _BANK_NODES)
-        self._tables: dict[CrossSection, NeffTable] = {}
 
     def table(self, cross_section: CrossSection) -> NeffTable:
-        if cross_section not in self._tables:
-            self._tables[cross_section] = neff_table(cross_section, self._grid)
-        return self._tables[cross_section]
+        return neff_table(cross_section, self._grid)
 
 
 def delta_k(
@@ -222,15 +211,16 @@ def delta_k(
     omega_p: float,
     omega_s,
     omega_i,
-    tables: Optional[ModeBank] = None,
+    table: Optional[NeffTable] = None,
 ):
     """Wave-vector mismatch k(w_p) + k(w_s + w_i - w_p) - k(w_s) - k(w_i) [rad/m].
 
     All four waves are HE11; the second pump photon is taken at the returned
     frequency ``w_s + w_i - w_p``.  Symmetric under swapping ``omega_s`` and
     ``omega_i``; exactly zero at full degeneracy.  ``omega_s``/``omega_i``
-    broadcast; without ``tables`` each distinct frequency is solved directly
-    (slow but exact), with ``tables`` the bank's interpolant is used.
+    broadcast; without ``table`` each distinct frequency is solved directly
+    (slow but exact), with ``table`` (built for ``cross_section``) its
+    interpolant ``table.k`` is used.
 
     Raises NoGuidedModeError if any involved frequency is below cutoff.
     """
@@ -240,8 +230,8 @@ def delta_k(
     if np.any(omega_r <= 0):
         raise ValueError("returned pump frequency omega_s + omega_i - omega_p must be positive")
 
-    if tables is not None:
-        k = tables.table(cross_section).k
+    if table is not None:
+        k = table.k
     else:
         def k(om):
             om = np.asarray(om, dtype=float)
@@ -590,10 +580,10 @@ def phase_matched_pair(
     if not 0 < lo < hi:
         raise ValueError("signal_window must satisfy 0 < min < max")
     span = [lo, hi, 2.0 * omega_p - hi, 2.0 * omega_p - lo, omega_p]
-    tables = ModeBank(min(span), max(span))
+    table = ModeBank(min(span), max(span)).table(cross_section)
 
     def mismatch(w):
-        return delta_k(cross_section, omega_p, w, 2.0 * omega_p - w, tables)
+        return delta_k(cross_section, omega_p, w, 2.0 * omega_p - w, table)
 
     f_lo, f_hi = mismatch(lo), mismatch(hi)
     if np.sign(f_lo) == np.sign(f_hi):

@@ -545,7 +545,7 @@ def main(argv=None) -> int:
     except (TagParseError, InputDataError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_IO
-    except (DispersionError, ValueError) as err:
+    except (DispersionError, ValueError, MemoryError) as err:
         print(f"domain error: {err}", file=sys.stderr)
         return EXIT_DOMAIN
     except OSError as err:

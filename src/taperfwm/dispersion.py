@@ -226,9 +226,6 @@ class CrossSection:
         if not (self.diameter > 0.0 and np.isfinite(self.diameter)):
             raise ValueError(f"diameter must be positive and finite, got {self.diameter}")
 
-    def core_index(self, wavelength):
-        return self.core.index(wavelength)
-
 
 # --------------------------------------------------------------------------
 # characteristic equation
@@ -251,18 +248,14 @@ _J01 = 2.404825557695773
 _RESIDUAL_RTOL = 1e-8
 
 
-def _bessel_ke(x, hi: int) -> list:
-    """[K_0(x) e^x, ..., K_hi(x) e^x] from ``k0e``/``k1e`` by upward recurrence.
+def _bessel_ke(x) -> tuple:
+    """(K_0(x) e^x, K_1(x) e^x, K_2(x) e^x) from ``k0e``/``k1e``.
 
-    K_{n+1} = K_{n-1} + (2n/x) K_n is stable for K, and the common e^x factor
-    obeys the same recurrence.
+    K_2 = K_0 + (2/x) K_1 is the stable upward recurrence for K, and the
+    common e^x factor obeys it too.
     """
-    out = [k0e(x)]
-    if hi >= 1:
-        out.append(k1e(x))
-    for n in range(1, hi):
-        out.append(out[n - 1] + (2.0 * n / x) * out[n])
-    return out
+    k0, k1 = k0e(x), k1e(x)
+    return k0, k1, k0 + (2.0 / x) * k1
 
 
 def _char_fn(nu, v) -> Callable[[np.ndarray], tuple]:
@@ -286,7 +279,7 @@ def _char_fn(nu, v) -> Callable[[np.ndarray], tuple]:
         w = np.asarray(w, dtype=float)
         u = np.sqrt((v - w) * (v + w))
         ju0, ju1 = j0(u), j1(u)
-        k0, k1, k2 = _bessel_ke(w, 2)
+        k0, k1, k2 = _bessel_ke(w)
         kk = -(k0 + k2) / (2.0 * w * k1)  # K'_1/(w K_1)
         csq = (1.0 / u**2 + 1.0 / w**2) * (1.0 / u**2 + nu / w**2)
         mid = -kk * (1.0 + nu) / 2.0
@@ -355,7 +348,7 @@ def _guide_params(cross_section: CrossSection, omegas):
     """Core index n1 and a*k0 at each angular frequency; the outside index is 1."""
     omegas = np.asarray(omegas, dtype=float)
     lam = 2.0 * np.pi * C_VAC / omegas
-    n1 = np.asarray(cross_section.core_index(lam), dtype=float)
+    n1 = np.asarray(cross_section.core.index(lam), dtype=float)
     return n1, (cross_section.diameter / 2.0) * omegas / C_VAC
 
 

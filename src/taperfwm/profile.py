@@ -52,21 +52,6 @@ class TaperProfile:
     def span(self) -> float:
         return float(self.z[-1] - self.z[0])
 
-    def diameter_at(self, z):
-        """Linear interpolation of the samples; z must lie inside the profile."""
-        z_arr = np.asarray(z, dtype=float)
-        if np.any(z_arr < self.z[0]) or np.any(z_arr > self.z[-1]):
-            raise ValueError(f"position outside profile range [{self.z[0]}, {self.z[-1]}] m")
-        out = np.interp(z_arr, self.z, self.diameter)
-        return out.item() if np.ndim(z) == 0 else out
-
-    def content_hash(self) -> str:
-        """SHA-256 over the exact sample bytes; used in exported metadata."""
-        h = hashlib.sha256()
-        h.update(self.z.tobytes())
-        h.update(self.diameter.tobytes())
-        return h.hexdigest()
-
 
 def parse_profile(text: str, *, label: str = "", source: str = "<string>") -> TaperProfile:
     """Parse the two-column profile format: ``z_meters<whitespace>diameter_meters``.

@@ -1,7 +1,7 @@
 """Absolute rate bookkeeping for a pulsed photon-pair source.
 
-Conversion-efficiency calibration to internal pair rate, channel loss budget
-to observed rate, and decomposition of a singles-rate power scan into
+Conversion-efficiency calibration to internal pair rate, a quoted loss
+figure to observed rate, and decomposition of a singles-rate power scan into
 constant (dark counts), linear (spontaneous Raman) and quadratic (four-wave
 mixing) parts.
 """
@@ -19,9 +19,7 @@ from .tags import _write_json
 
 __all__ = [
     "DEFAULT_CONVERSION_EFFICIENCY",
-    "LossBudget",
     "PowerScanFit",
-    "pair_rates",
     "fit_power_scan",
     "rate_budget_report",
     "read_power_scan_csv",
@@ -36,56 +34,10 @@ DEFAULT_CONVERSION_EFFICIENCY = 7e-10
 HBAR = 6.62607015e-34 / (2 * math.pi)
 
 
-@dataclass(frozen=True)
-class LossBudget:
-    """Per-channel power budgets in dB, detector efficiency included.
-
-    ``signal_db`` / ``idler_db`` are the full channel budgets (coupling,
-    filters, detector quantum efficiency folded in), so 0 dB means a lossless
-    channel with a perfect detector.
-    """
-
-    signal_db: float
-    idler_db: float
-
-    def __post_init__(self):
-        if self.signal_db > 0 or self.idler_db > 0:
-            raise ValueError("channel budgets are losses: dB values must be <= 0")
-
-    @property
-    def signal_transmittance(self) -> float:
-        return 10.0 ** (self.signal_db / 10.0)
-
-    @property
-    def idler_transmittance(self) -> float:
-        return 10.0 ** (self.idler_db / 10.0)
-
-
 def _check_positive(**values) -> None:
     for name, value in values.items():
         if not value > 0:
             raise ValueError(f"{name} must be positive")
-
-
-def pair_rates(
-    efficiency_eta: float,
-    rep_rate: float,
-    photons_per_pulse: float,
-    budget: LossBudget,
-) -> dict:
-    """Internal and observed pair rates from a conversion-efficiency calibration.
-
-    ``R_internal = efficiency_eta * photons_per_pulse * rep_rate`` counts pairs
-    created in the waist; ``R_observed`` applies both channel transmittances
-    (a coincidence requires both photons to survive their channels); the
-    pump ``rep_rate`` is in Hz.
-    """
-    _check_positive(efficiency_eta=efficiency_eta, rep_rate=rep_rate)
-    if photons_per_pulse < 0:
-        raise ValueError("photons_per_pulse must be non-negative")
-    r_internal = efficiency_eta * photons_per_pulse * rep_rate
-    r_observed = r_internal * budget.signal_transmittance * budget.idler_transmittance
-    return {"R_internal": r_internal, "R_observed": r_observed}
 
 
 @dataclass(frozen=True)
@@ -194,11 +146,13 @@ def rate_budget_report(
     The pump is given by its vacuum ``wavelength`` (m), ``rep_rate`` (Hz)
     and ``avg_power`` (W).
     """
-    _check_positive(wavelength=wavelength, avg_power=avg_power)
+    _check_positive(wavelength=wavelength, avg_power=avg_power,
+                    efficiency_eta=efficiency_eta, rep_rate=rep_rate)
     if total_loss_db > 0:
         raise ValueError("total_loss_db must be <= 0")
-    rates = pair_rates(efficiency_eta, rep_rate, photons_per_pulse, LossBudget(0.0, 0.0))
-    r_internal = rates["R_internal"]
+    if photons_per_pulse < 0:
+        raise ValueError("photons_per_pulse must be non-negative")
+    r_internal = efficiency_eta * photons_per_pulse * rep_rate
     product_total = 10.0 ** (total_loss_db / 10.0)
     product_each = 10.0 ** (2.0 * total_loss_db / 10.0)
     pulse_energy = avg_power / rep_rate

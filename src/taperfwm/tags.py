@@ -99,8 +99,6 @@ class TagStream:
         ch = ch.astype(np.int64, copy=False)
         ts = ts.astype(np.int64, copy=False)
         if ts.size:
-            if ch.min() < 0 or ch.max() > 255:
-                raise ValueError("channel ids must fit an unsigned byte")
             unknown = ch[~np.isin(ch, list(DEFAULT_CHANNELS))]
             if unknown.size:
                 raise ValueError(
@@ -143,10 +141,6 @@ class TagStream:
         if self.timestamps.size == 0:
             return 0
         return int(self.timestamps[-1]) - int(self.timestamps[0]) + 1  # in int64 it can wrap
-
-    @property
-    def duration_seconds(self) -> float:
-        return self.duration_ticks * self.tick_duration
 
 
 # ---------------------------------------------------------------------------

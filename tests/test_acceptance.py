@@ -159,7 +159,7 @@ def test_05_mode_solver_against_dense_scan():
         cs = CrossSection(diameter)
         n_eff = solve_mode(cs, omega(lam)).n_eff
         worst = max(worst, abs(n_eff - oracles.dense_scan_he11(diameter, lam)))
-        bounds_ok &= 1.0 < n_eff < float(cs.core_index(lam))  # between air and the core
+        bounds_ok &= 1.0 < n_eff < float(cs.core.index(lam))  # between air and the core
     ok = worst <= 1e-8 and bounds_ok
     _report(
         5, ok,

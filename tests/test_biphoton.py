@@ -43,6 +43,19 @@ def omega(lam):
     return 2.0 * np.pi * C_VAC / lam
 
 
+def count_neff_tables(monkeypatch) -> list:
+    """Record the cross-section of every ``neff_table`` call that biphoton makes."""
+    calls = []
+    build = biphoton.neff_table
+
+    def counted(cross_section, omega_grid):
+        calls.append(cross_section)
+        return build(cross_section, omega_grid)
+
+    monkeypatch.setattr(biphoton, "neff_table", counted)
+    return calls
+
+
 def uniform_profile(diameter, length=0.014):
     return TaperProfile(np.array([0.0, length]), np.array([diameter, diameter]))
 
@@ -97,9 +110,6 @@ class TestSpectralGrid:
     def test_default_size(self):
         g = SpectralGrid.from_wavelength_windows(SIGNAL_WINDOW, IDLER_WINDOW)
         assert g.n_signal == 256 and g.n_idler == 256
-
-    def test_wavelength_axes_descend(self, grid128):
-        assert np.all(np.diff(grid128.signal_wavelength) < 0)
 
     def test_bad_windows(self):
         with pytest.raises(ValueError, match="window"):
@@ -234,21 +244,21 @@ class TestDeltaK:
 
     def test_signal_idler_symmetry(self):
         cs = CrossSection(900e-9)
-        bank = ModeBank(omega(1500e-9), omega(800e-9))
+        table = ModeBank(omega(1500e-9), omega(800e-9)).table(cs)
         rng = np.random.default_rng(7)
         w0 = omega(LAMBDA_PUMP)
         ws = omega(rng.uniform(850e-9, 950e-9, 6))
         wi = omega(rng.uniform(1250e-9, 1400e-9, 6))
-        fwd = delta_k(cs, w0, ws, wi, bank)
-        rev = delta_k(cs, w0, wi, ws, bank)
+        fwd = delta_k(cs, w0, ws, wi, table)
+        rev = delta_k(cs, w0, wi, ws, table)
         np.testing.assert_allclose(fwd, rev, rtol=0, atol=1e-6)
 
     def test_table_path_matches_direct_solves(self):
         cs = CrossSection(890e-9)
-        bank = ModeBank(omega(1450e-9), omega(840e-9))
+        table = ModeBank(omega(1450e-9), omega(840e-9)).table(cs)
         w0 = omega(LAMBDA_PUMP)
         ws, wi = omega(880e-9), omega(1310e-9)
-        fast = delta_k(cs, w0, ws, wi, bank)
+        fast = delta_k(cs, w0, ws, wi, table)
         slow = delta_k(cs, w0, ws, wi)
         assert fast == pytest.approx(slow, abs=0.01)  # rad/m; values are O(1e3)
 
@@ -293,6 +303,12 @@ class TestPhaseMatchedPair:
         w0 = omega(LAMBDA_PUMP)
         ws, wi = phase_matched_pair(CrossSection(890e-9), w0, (omega(950e-9), omega(850e-9)))
         assert ws + wi == pytest.approx(2.0 * w0, rel=1e-15)
+
+    def test_builds_one_table(self, monkeypatch):
+        # brentq evaluates the mismatch many times; all of them read one table.
+        calls = count_neff_tables(monkeypatch)
+        phase_matched_pair(CrossSection(885e-9), omega(LAMBDA_PUMP), (omega(950e-9), omega(850e-9)))
+        assert len(calls) == 1
 
     def test_no_crossing_raises(self):
         with pytest.raises(ValueError, match="sign"):
@@ -393,6 +409,12 @@ class TestSegmentSumBands:
         expected, _ = oracles.segment_sum_loop(seg, grid128, pump.omega0, "per_point")
         assert np.array_equal(phase_matching(seg, grid128, pump.omega0), expected)
 
+    def test_one_table_per_distinct_diameter(self, pump, monkeypatch):
+        calls = count_neff_tables(monkeypatch)
+        grid = SpectralGrid.from_wavelength_windows(SIGNAL_WINDOW, IDLER_WINDOW, 8)
+        phase_matching(stepped_taper(), grid, pump.omega0)
+        assert len(calls) == 4 and len(set(calls)) == 4
+
     @pytest.mark.parametrize("block", [None, 1, 7, 64])
     @pytest.mark.parametrize("n_signal, n_idler", [(37, 53), (37, 3)])
     def test_band_sizes(self, pump, monkeypatch, block, n_signal, n_idler):
@@ -488,8 +510,8 @@ class TestJsa:
         grid = SpectralGrid.from_wavelength_windows(SIGNAL_WINDOW, IDLER_WINDOW, 256)
         result = jsa(segment(uniform_profile(885e-9), 100), pump, grid)
         i, j = np.unravel_index(np.argmax(result.intensity), result.intensity.shape)
-        ls = grid.signal_wavelength[i]
-        li = grid.idler_wavelength[j]
+        ls = 2.0 * np.pi * C_VAC / grid.signal_omega[i]
+        li = 2.0 * np.pi * C_VAC / grid.idler_omega[j]
         assert 870e-9 <= ls <= 890e-9
         assert 1290e-9 <= li <= 1330e-9
 
@@ -499,8 +521,8 @@ class TestJsa:
         grid = SpectralGrid.from_wavelength_windows(SIGNAL_WINDOW, IDLER_WINDOW, 256)
         result = jsa(segment(uniform_profile(900e-9), 100), pump, grid)
         i, j = np.unravel_index(np.argmax(result.intensity), result.intensity.shape)
-        assert grid.idler_wavelength[j] >= 1390e-9
-        assert 850e-9 <= grid.signal_wavelength[i] <= 862e-9
+        assert 2.0 * np.pi * C_VAC / grid.idler_omega[j] >= 1390e-9
+        assert 850e-9 <= 2.0 * np.pi * C_VAC / grid.signal_omega[i] <= 862e-9
 
     def test_energy_band_contains_all_mass(self, pump, jsa_885, grid128):
         total = grid128.signal_omega[:, None] + grid128.idler_omega[None, :]
@@ -590,7 +612,7 @@ class TestMarginals:
         grid = SpectralGrid.from_wavelength_windows(SIGNAL_WINDOW, IDLER_WINDOW, 256)
         result = jsa(segment(uniform_profile(885e-9), 100), pump, grid)
         _, idl = marginals(result)
-        peak = grid.idler_wavelength[np.argmax(idl)]
+        peak = 2.0 * np.pi * C_VAC / grid.idler_omega[np.argmax(idl)]
         assert 1290e-9 <= peak <= 1330e-9
 
     def test_zero_rejected(self):

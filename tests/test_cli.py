@@ -281,6 +281,15 @@ class TestModes:
         assert err.startswith("domain error:") and "diameter 1e+300 nm" in err
         assert "Traceback" not in err
 
+    def test_unallocatable_scan_is_domain_error(self, tmp_path, capsys):
+        # 2**45 wavelengths need 256 TiB per array, beyond any 47-bit address
+        # space, so the allocation is refused before any memory is touched
+        code = run("modes", "--diameter_nm", 900, "--wavelength_points", 2**45,
+                   "--out_dir", tmp_path / "out")
+        assert code == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert err.startswith("domain error: Unable to allocate 256. TiB") and "Traceback" not in err
+
     def test_sub_unity_glass_is_domain_error(self, tmp_path, capsys):
         # n = 0.98 at 1062 nm: below the air around the core, so nothing is guided
         glass = tmp_path / "sub_unity.glass"
@@ -437,6 +446,18 @@ class TestJsi:
     def test_unknown_eta_mode_is_domain_error(self, tmp_path):
         assert run(*JSI_ARGS, "--eta_mode", "corners",
                    "--out_dir", tmp_path / "out") == EXIT_DOMAIN
+
+    @pytest.mark.parametrize("n_segments, grid_points, size", [
+        (2**45, 8, "256. TiB"),  # 2**45 segment midpoints
+        (2, 2**23, "512. TiB"),  # a 2**23 x 2**23 grid
+    ])
+    def test_unallocatable_size_is_domain_error(self, tmp_path, capsys, n_segments, grid_points, size):
+        # requests of 2**48 bytes and more exceed any 47-bit address space
+        code = run("jsi", "--diameter_nm", 900, "--length_mm", 14, "--n_segments", n_segments,
+                   "--grid_points", grid_points, "--out_dir", tmp_path / "out")
+        assert code == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert err.startswith(f"domain error: Unable to allocate {size}") and "Traceback" not in err
 
 
 class TestTagsSimulate:

@@ -128,7 +128,7 @@ SUB_UNITY_GLASS = SellmeierGlass("sub-unity", ((0.1, 4.0),), (0.5, 1.5))
 class TestSolveMode:
     def test_he11_inside_guidance_bounds(self):
         sol = solve_mode(WAIST, OM_PUMP)
-        assert 1.0 < sol.n_eff < WAIST.core_index(1062e-9)
+        assert 1.0 < sol.n_eff < WAIST.core.index(1062e-9)
 
     def test_beta_consistency_exact(self):
         sol = solve_mode(WAIST, OM_PUMP)
@@ -212,7 +212,7 @@ class TestSolveMode:
     def test_guidance_violation(self):
         # a glass file can give a core index below that of the air around it
         cs = CrossSection(diameter=890e-9, core=SUB_UNITY_GLASS)
-        assert cs.core_index(1062e-9) == pytest.approx(0.9802, abs=1e-4)
+        assert cs.core.index(1062e-9) == pytest.approx(0.9802, abs=1e-4)
         with pytest.raises(NoGuidedModeError, match="guidance condition violated"):
             solve_mode(cs, OM_PUMP)
 
@@ -228,7 +228,7 @@ class TestSolveMode:
 
     def test_cladding_limit_large_diameter(self):
         sol = solve_mode(CrossSection(diameter=50e-6), OM_PUMP)
-        assert abs(sol.n_eff - WAIST.core_index(1062e-9)) <= 1e-3
+        assert abs(sol.n_eff - WAIST.core.index(1062e-9)) <= 1e-3
 
 
 class TestModeField:
@@ -459,13 +459,10 @@ def _char_fn_scale(nu, v, w):
 class TestBesselKernels:
     def test_k_recurrence_matches_kve(self):
         w = np.geomspace(1e-3, 1e3, 2001)
-        for n, k in enumerate(dispersion._bessel_ke(w, 6)):
+        ks = dispersion._bessel_ke(w)
+        assert len(ks) == 3
+        for n, k in enumerate(ks):
             np.testing.assert_allclose(k, kve(n, w), rtol=1e-14, atol=0)
-
-    def test_k_orders_zero_and_one_only_as_needed(self):
-        w = np.array([0.5, 2.0])
-        assert len(dispersion._bessel_ke(w, 0)) == 1
-        assert len(dispersion._bessel_ke(w, 1)) == 2
 
     @pytest.mark.parametrize("name", KERNEL_MODES)
     def test_char_fn_matches_general_order(self, name):
@@ -512,7 +509,7 @@ class TestBesselKernels:
 def test_he11_always_inside_bounds(d_nm, lam_nm):
     cs = CrossSection(diameter=d_nm * 1e-9)
     sol = solve_mode(cs, omega_of(lam_nm * 1e-9))
-    assert 1.0 < sol.n_eff < cs.core_index(lam_nm * 1e-9)
+    assert 1.0 < sol.n_eff < cs.core.index(lam_nm * 1e-9)
 
 
 @settings(max_examples=200, deadline=None)
@@ -526,4 +523,4 @@ def test_root_or_not_guided(log_d, lam):
         sol = solve_mode(cs, omega_of(lam))
     except NoGuidedModeError:
         return
-    assert 1.0 < sol.n_eff < cs.core_index(lam)
+    assert 1.0 < sol.n_eff < cs.core.index(lam)

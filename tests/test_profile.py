@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taperfwm.dispersion import FUSED_SILICA, SellmeierGlass
-from taperfwm.profile import TaperProfile, load_profile, parse_profile, segment
+from taperfwm.profile import SegmentedProfile, TaperProfile, load_profile, parse_profile, segment
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -94,7 +95,7 @@ class TestSegment:
         length = profile.span / n
         for q in range(n):
             z_lo, z_hi = profile.z[0] + q * length, profile.z[0] + (q + 1) * length
-            dense = profile.diameter_at(np.linspace(z_lo, z_hi, 200))
+            dense = np.interp(np.linspace(z_lo, z_hi, 200), profile.z, profile.diameter)
             local_variation = dense.max() - dense.min()
             for child in (fine.diameters[2 * q], fine.diameters[2 * q + 1]):
                 assert abs(coarse.diameters[q] - child) <= local_variation + 1e-15
@@ -112,17 +113,17 @@ class TestSegment:
 
 
 class TestProfileObject:
-    def test_diameter_at_bounds(self):
-        profile = parse_profile("0 880e-9\n0.014 900e-9\n")
-        assert profile.diameter_at(0.007) == pytest.approx(890e-9)
-        with pytest.raises(ValueError):
-            profile.diameter_at(0.015)
-
     def test_content_hash_changes_with_data(self):
-        a = parse_profile("0 890e-9\n0.014 890e-9\n")
-        b = parse_profile("0 890e-9\n0.014 891e-9\n")
-        assert a.content_hash() != b.content_hash()
-        assert a.content_hash() == parse_profile("0 890e-9\n0.014 890e-9\n").content_hash()
+        # the segmentation's hash is the profile_hash that the jsi outputs write
+        profile = load_profile(DATA / "measured_profile.txt")
+        seg = segment(profile, 10)
+        assert seg.content_hash() == segment(profile, 10).content_hash()
+        segments = list(seg.segments)
+        segments[3] = replace(segments[3], diameter=np.nextafter(segments[3].diameter, 1.0))
+        moved = SegmentedProfile(seg.segment_length, tuple(segments))
+        longer = SegmentedProfile(np.nextafter(seg.segment_length, 1.0), seg.segments)
+        hashes = {seg.content_hash(), moved.content_hash(), longer.content_hash()}
+        assert len(hashes) == 3
 
 
 def test_segment_clips_interpolation_rounding_to_hull():

@@ -1,4 +1,4 @@
-"""Rate bookkeeping: budgets, pair rates, power-scan decomposition."""
+"""Rate bookkeeping: the rate budget report and power-scan decomposition."""
 
 import json
 
@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 from taperfwm.dispersion import C_VAC
 from taperfwm.rates import (
     DEFAULT_CONVERSION_EFFICIENCY,
-    LossBudget,
     PowerScanFit,
     fit_power_scan,
-    pair_rates,
     rate_budget_report,
     read_power_scan_csv,
     write_fit_report_json,
@@ -41,72 +39,6 @@ PUMP = (WAVELENGTH, REP_RATE, AVG_POWER)
 def energy_photon_number():
     """Pump photons per pulse from pulse energy / photon energy."""
     return AVG_POWER / REP_RATE / (1.054571817e-34 * 2.0 * np.pi * C_VAC / WAVELENGTH)
-
-
-class TestLossBudget:
-    @pytest.mark.parametrize("kwargs", [{"signal_db": 0.1}, {"idler_db": 3.0}])
-    def test_positive_db_rejected(self, kwargs):
-        base = {"signal_db": 0.0, "idler_db": 0.0}
-        base.update(kwargs)
-        with pytest.raises(ValueError, match="dB"):
-            LossBudget(**base)
-
-    def test_transmittance_decades(self):
-        budget = LossBudget(-10.0, -20.0)
-        assert budget.signal_transmittance == pytest.approx(0.1, rel=1e-12)
-        assert budget.idler_transmittance == pytest.approx(0.01, rel=1e-12)
-        unity = LossBudget(0.0, 0.0)
-        assert unity.signal_transmittance == 1.0
-        assert unity.idler_transmittance == 1.0
-
-
-class TestPairRates:
-    def test_reference_operating_point(self):
-        # eta 7e-10 with 2.67e8 photons/pulse at 18 MHz: 3.36e6 internal pairs/s.
-        rates = pair_rates(DEFAULT_CONVERSION_EFFICIENCY, REP_RATE, 2.67e8, LossBudget(0.0, 0.0))
-        expected = 7e-10 * 2.67e8 * 18e6
-        assert rates["R_internal"] == pytest.approx(expected, rel=1e-12)
-        assert rates["R_internal"] == pytest.approx(3.4e6, rel=0.02)
-
-    def test_zero_photons_gives_zero_rates(self):
-        rates = pair_rates(7e-10, REP_RATE, 0.0, LossBudget(-3.0, -7.0))
-        assert rates["R_internal"] == 0.0
-        assert rates["R_observed"] == 0.0
-
-    def test_identity_budget(self):
-        rates = pair_rates(7e-10, REP_RATE, 1e8, LossBudget(0.0, 0.0))
-        assert rates["R_observed"] == rates["R_internal"]
-
-    def test_observed_factorizes_over_channels(self):
-        rates = pair_rates(7e-10, REP_RATE, 1e8, LossBudget(-4.0, -13.0))
-        expected = rates["R_internal"] * 10 ** (-4.0 / 10) * 10 ** (-13.0 / 10)
-        assert rates["R_observed"] == pytest.approx(expected, rel=1e-12)
-
-    @given(
-        photons=st.floats(1.0, 1e12),
-        scale=st.floats(1e-3, 1e3),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_linear_in_photon_number(self, photons, scale):
-        budget = LossBudget(-2.0, -11.0)
-        base = pair_rates(7e-10, REP_RATE, photons, budget)
-        scaled = pair_rates(7e-10, REP_RATE, scale * photons, budget)
-        assert scaled["R_internal"] == pytest.approx(scale * base["R_internal"], rel=1e-12)
-        assert scaled["R_observed"] == pytest.approx(scale * base["R_observed"], rel=1e-12)
-
-    @pytest.mark.parametrize("eta", [0.0, -1e-10])
-    def test_nonpositive_efficiency_rejected(self, eta):
-        with pytest.raises(ValueError, match="efficiency"):
-            pair_rates(eta, REP_RATE, 1e8, LossBudget(0.0, 0.0))
-
-    def test_negative_photon_number_rejected(self):
-        with pytest.raises(ValueError, match="photons_per_pulse"):
-            pair_rates(7e-10, REP_RATE, -1.0, LossBudget(0.0, 0.0))
-
-    @pytest.mark.parametrize("rep_rate", [0.0, -18e6])
-    def test_nonpositive_rep_rate_rejected(self, rep_rate):
-        with pytest.raises(ValueError, match="rep_rate must be positive"):
-            pair_rates(7e-10, rep_rate, 1e8, LossBudget(0.0, 0.0))
 
 
 class TestFitPowerScan:
@@ -220,6 +152,25 @@ class TestFitPowerScan:
 
 
 class TestRateBudgetReport:
+    def test_reference_operating_point(self):
+        # eta 7e-10 with 2.67e8 photons/pulse at 18 MHz: 3.36e6 internal pairs/s.
+        report = rate_budget_report(DEFAULT_CONVERSION_EFFICIENCY, *PUMP, 2.67e8)
+        assert "R_internal = eta * photons_per_pulse * rep_rate = 3.364e+06 pairs/s" in report
+
+    @pytest.mark.parametrize("eta", [0.0, -1e-10])
+    def test_nonpositive_efficiency_rejected(self, eta):
+        with pytest.raises(ValueError, match="efficiency"):
+            rate_budget_report(eta, *PUMP, 2.67e8)
+
+    @pytest.mark.parametrize("rep_rate", [0.0, -18e6])
+    def test_nonpositive_rep_rate_rejected(self, rep_rate):
+        with pytest.raises(ValueError, match="rep_rate must be positive"):
+            rate_budget_report(7e-10, WAVELENGTH, rep_rate, AVG_POWER, 2.67e8)
+
+    def test_negative_photon_number_rejected(self):
+        with pytest.raises(ValueError, match="photons_per_pulse"):
+            rate_budget_report(7e-10, *PUMP, -1.0)
+
     def test_both_loss_readings_present(self):
         report = rate_budget_report(7e-10, *PUMP, 2.67e8)
         r_internal = 7e-10 * 2.67e8 * 18e6

@@ -83,8 +83,9 @@ class TestTagRecordAndStream:
             TagStream(np.array([4]), np.array([0]))
 
     def test_channel_must_fit_unsigned_byte(self):
-        with pytest.raises(ValueError, match="unsigned byte"):
-            TagStream(np.array([300]), np.array([0]))
+        for channel in (256, -1):
+            with pytest.raises(ValueError, match=rf"channel {channel} not in declared set \[1, 2, 3\]"):
+                TagStream(np.array([channel]), np.array([0]))
 
     def test_nonpositive_tick_rejected(self):
         with pytest.raises(ValueError, match="tick_duration"):
@@ -105,7 +106,6 @@ class TestTagRecordAndStream:
         assert s.duration_ticks == 100
         s2 = TagStream.from_records([(1, 10)], metadata={"duration_ticks": 500})
         assert s2.duration_ticks == 500
-        assert s2.duration_seconds == pytest.approx(500 * TICK_SECONDS)
 
     def test_duration_of_the_whole_tick_range(self):
         assert TagStream.from_records([(1, 0), (2, TOP)]).duration_ticks == 2**63
