@@ -26,7 +26,6 @@ from typing import Optional
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from . import __version__
 from ._floattext import format_rows
 from .dispersion import (
     C_VAC,
@@ -76,7 +75,8 @@ class PumpSpec:
     frequency.  The spectral width, not the pulse duration, is the input:
     the paper's 100 ps pulses with a 2 nm spectrum are chirped, far from
     transform-limited, and spectral phase is not modeled, so the duration
-    does not enter the joint spectral amplitude.
+    does not enter the joint spectral amplitude.  ``sigma`` must stay below
+    ``omega0``: a wider spectrum reaches zero frequency.
     """
 
     wavelength: float  # central vacuum wavelength, m
@@ -86,6 +86,8 @@ class PumpSpec:
         for name in ("wavelength", "sigma"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        if not self.sigma < self.omega0:
+            raise ValueError("sigma must be below omega0, or the spectrum reaches zero frequency")
 
     @classmethod
     def from_spectral_fwhm(cls, wavelength: float, fwhm_wavelength: float) -> "PumpSpec":
@@ -191,16 +193,18 @@ class JsaGrid:
 class ModeBank:
     """The frequency nodes of HE11 effective-index tables over one interval.
 
+    The interval spans every angular frequency passed in; a NaN is rejected.
     ``table(cs)`` builds a new table on every call and keeps none, so callers
     build each cross-section's table once and hold it.  All tables of a bank
     share the same angular-frequency span, so a bank built for a grid serves
     every segment of a taper.
     """
 
-    def __init__(self, omega_lo: float, omega_hi: float):
-        if not 0 < omega_lo < omega_hi:
-            raise ValueError("need 0 < omega_lo < omega_hi")
-        self._grid = np.linspace(omega_lo, omega_hi, _BANK_NODES)
+    def __init__(self, *omegas: float):
+        lo, hi = np.min(omegas), np.max(omegas)
+        if not 0 < lo < hi:
+            raise ValueError("need positive frequencies spanning 0 < omega_lo < omega_hi")
+        self._grid = np.linspace(lo, hi, _BANK_NODES)
 
     def table(self, cross_section: CrossSection) -> NeffTable:
         return neff_table(cross_section, self._grid)
@@ -301,8 +305,8 @@ def overlap_integral(mode_p, mode_p2, mode_s, mode_i) -> float:
     return float(np.sum(weights * prod))
 
 
-def _eta_factory(table: NeffTable, omega_p: float):
-    """Return eta(ws_array, wi_array) -> matrix for the cross-section of an HE11 table.
+def _eta(table: NeffTable, omega_p: float, ws, wi) -> np.ndarray:
+    """Four-mode overlap matrix eta[signal, idler] on the cross-section of an HE11 table.
 
     Both pump factors are evaluated at the central pump frequency; the
     returned-frequency detuning stays within the pump bandwidth wherever the
@@ -319,13 +323,9 @@ def _eta_factory(table: NeffTable, omega_p: float):
     r, weights = _quad_nodes(cs.diameter / 2.0, w_total)
     u_p = batch_field_matrix(cs, np.array([omega_p]), np.array([n_p]), r)[0]
     pump_weight = weights * u_p**2
-
-    def eta(ws, wi):
-        u_s = batch_field_matrix(cs, ws, table(ws), r)
-        u_i = batch_field_matrix(cs, wi, table(wi), r)
-        return u_s @ (pump_weight[None, :] * u_i).T
-
-    return eta
+    u_s = batch_field_matrix(cs, ws, table(ws), r)
+    u_i = batch_field_matrix(cs, wi, table(wi), r)
+    return u_s @ (pump_weight[None, :] * u_i).T
 
 
 # --------------------------------------------------------------------------
@@ -333,18 +333,25 @@ def _eta_factory(table: NeffTable, omega_p: float):
 # --------------------------------------------------------------------------
 
 
-def _auto_bank(grid: SpectralGrid, omega_p: float) -> ModeBank:
-    ws, wi = grid.signal_omega, grid.idler_omega
-    candidates = [
-        ws[0],
-        ws[-1],
-        wi[0],
-        wi[-1],
-        omega_p,
-        ws[0] + wi[0] - omega_p,
-        ws[-1] + wi[-1] - omega_p,
-    ]
-    return ModeBank(min(candidates), max(candidates))
+def _segment_terms(table: NeffTable, omega_p: float, ws, wi, length: float, eta_mode: str):
+    """One segment's phase-matching term on the (ws, wi) grid: ``(base, step, bound)``.
+
+    ``base`` is ``l sinc(dk l / 2) exp(i dk l / 2) eta`` and ``step`` is
+    ``exp(i dk l)``, with dk from :func:`delta_k` on ``table``.  ``bound`` is
+    the corner-sampled relative error of the grid-centre eta for
+    ``eta_mode='center'``, else None.
+    """
+    if eta_mode == "per_point":
+        eta, bound = _eta(table, omega_p, ws, wi), None
+    else:
+        ends_s = np.array([0.5 * (ws[0] + ws[-1]), ws[0], ws[-1]])
+        ends_i = np.array([0.5 * (wi[0] + wi[-1]), wi[0], wi[-1]])
+        probe = _eta(table, omega_p, ends_s, ends_i)
+        eta = probe[0, 0]
+        bound = float(np.max(np.abs(probe[1:, 1:] / probe[0, 0] - 1.0)))
+    dk = delta_k(table.cross_section, omega_p, ws[:, None], wi[None, :], table)
+    half = 0.5 * dk * length
+    return length * np.sinc(half / np.pi) * np.exp(1j * half) * eta, np.exp(2j * half), bound
 
 
 # Grid values summed per band of signal rows.  The band's running sum, suffix
@@ -359,12 +366,11 @@ def _phase_matching_info(segmented, grid, omega_p, eta_mode):
     if eta_mode not in ("per_point", "center"):
         raise ValueError(f"eta_mode must be 'per_point' or 'center', got {eta_mode!r}")
     ws, wi = grid.signal_omega, grid.idler_omega
-    omega_r = ws[:, None] + wi[None, :] - omega_p
-    if np.any(omega_r <= 0):
+    if np.any(ws[:, None] + wi[None, :] - omega_p <= 0):
         raise ValueError("grid reaches non-positive returned pump frequencies")
-    bank = _auto_bank(grid, omega_p)
+    bank = ModeBank(ws[0], ws[-1], wi[0], wi[-1], omega_p,
+                    ws[0] + wi[0] - omega_p, ws[-1] + wi[-1] - omega_p)
 
-    length = segmented.segment_length
     cache: dict[CrossSection, tuple[np.ndarray, np.ndarray]] = {}
     terms = []
     eta_bound = 0.0
@@ -375,30 +381,15 @@ def _phase_matching_info(segmented, grid, omega_p, eta_mode):
         cs = segmented.segments[q]
         if cs not in cache:
             try:
-                table = bank.table(cs)
-                k_p = float(table.k(omega_p))
-                k_r = table.k(omega_r)
-                k_s = table.k(ws)
-                k_i = table.k(wi)
-                eta_fn = _eta_factory(table, omega_p)
-                if eta_mode == "per_point":
-                    eta = eta_fn(ws, wi)
-                else:
-                    ends_s = np.array([0.5 * (ws[0] + ws[-1]), ws[0], ws[-1]])
-                    ends_i = np.array([0.5 * (wi[0] + wi[-1]), wi[0], wi[-1]])
-                    probe = eta_fn(ends_s, ends_i)
-                    eta = probe[0, 0]
-                    eta_bound = max(
-                        eta_bound, float(np.max(np.abs(probe[1:, 1:] / probe[0, 0] - 1.0)))
-                    )
+                base, step, bound = _segment_terms(bank.table(cs), omega_p, ws, wi,
+                                                   segmented.segment_length, eta_mode)
             except NoGuidedModeError as err:
                 raise NoGuidedModeError(
                     f"segment {q} (diameter {cs.diameter*1e9:.1f} nm): {err}"
                 ) from err
-            dk = k_p + k_r - k_s[:, None] - k_i[None, :]
-            half = 0.5 * dk * length
-            base = length * np.sinc(half / np.pi) * np.exp(1j * half) * eta
-            cache[cs] = (base, np.exp(2j * half))
+            if bound is not None:
+                eta_bound = max(eta_bound, bound)
+            cache[cs] = (base, step)
         terms.append(cache[cs])
 
     total = np.zeros((ws.size, wi.size), dtype=complex)
@@ -480,40 +471,18 @@ def jsa(
     """Assemble the joint spectral amplitude (pump envelope x phase matching).
 
     Returns a :class:`JsaGrid` holding the raw-scale amplitude and a
-    metadata block (pump parameters, profile hash, segmentation, mode
-    labels, overlap-evaluation mode, raw peak, software version).
+    metadata block of what neither the amplitude nor the arguments tell:
+    ``eta_mode``, ``eta_center_relative_error_bound`` (None unless
+    ``eta_mode='center'``) and ``tolerances``.
     """
     envelope = pump_function(pump, grid)
     matched, eta_bound = _phase_matching_info(segmented, grid, pump.omega0, eta_mode)
-    amplitude = envelope * matched
-    raw_peak = float(np.max(np.abs(amplitude)))
     metadata = {
-        "pump": {
-            "wavelength_m": pump.wavelength,
-            "sigma_rad_s": pump.sigma,
-        },
-        "profile": {
-            "label": segmented.label,
-            "content_hash": segmented.content_hash(),
-            "n_segments": segmented.n_segments,
-            "segment_length_m": segmented.segment_length,
-        },
-        "modes": {"pump": "HE11", "signal": "HE11", "idler": "HE11"},
         "eta_mode": eta_mode,
         "eta_center_relative_error_bound": eta_bound,
-        "raw_peak_amplitude": raw_peak,
-        "grid": {
-            "n_signal": grid.n_signal,
-            "n_idler": grid.n_idler,
-            "signal_omega_min": float(grid.signal_omega[0]),
-            "signal_omega_max": float(grid.signal_omega[-1]),
-            "idler_omega_min": float(grid.idler_omega[0]),
-            "idler_omega_max": float(grid.idler_omega[-1]),
-        },
         "tolerances": {"neff_table_midpoint_abs": _TABLE_TOL},
-        "version": __version__,
     }
-    return JsaGrid(grid, amplitude, metadata)
+    return JsaGrid(grid, envelope * matched, metadata)
 
 
 # --------------------------------------------------------------------------
@@ -579,8 +548,7 @@ def phase_matched_pair(
     lo, hi = float(signal_window[0]), float(signal_window[1])
     if not 0 < lo < hi:
         raise ValueError("signal_window must satisfy 0 < min < max")
-    span = [lo, hi, 2.0 * omega_p - hi, 2.0 * omega_p - lo, omega_p]
-    table = ModeBank(min(span), max(span)).table(cross_section)
+    table = ModeBank(lo, hi, 2.0 * omega_p - hi, 2.0 * omega_p - lo, omega_p).table(cross_section)
 
     def mismatch(w):
         return delta_k(cross_section, omega_p, w, 2.0 * omega_p - w, table)

@@ -541,10 +541,7 @@ def heralded_g2(stream: TagStream, herald_ch: int = 2, ch_a: int = 1, ch_b: int 
         raise ValueError("zero heralded singles in one arm; g2_h normalization undefined")
     m_hi = min(m_max, n_heralds - 1)
     separations = np.arange(m_hi + 1, dtype=np.int64)
-    triples = np.array(
-        [int(a[: n_heralds - m] @ b[m:]) if m else int(a @ b) for m in separations],
-        dtype=np.int64,
-    )
+    triples = np.array([int(a[: n_heralds - m] @ b[m:]) for m in separations], dtype=np.int64)
     g2 = triples * n_heralds / (singles_a * singles_b)
     return HeraldedG2Histogram(
         separations=separations, g2=g2.astype(float), triples=triples,
@@ -761,7 +758,7 @@ def simulate_tags(config: SimulationConfig) -> TagStream:
     q = config.herald_transmittance
     mu = config.mean_pairs_per_pulse
 
-    clicks = {1: [], 2: [], 3: []}
+    clicks = {channel: [np.zeros(0, dtype=np.int64)] for channel in (1, 2, 3)}
     chunk = 1_000_000
     for start in range(0, n_pulses, chunk):
         count = min(chunk, n_pulses - start)
@@ -795,8 +792,6 @@ def simulate_tags(config: SimulationConfig) -> TagStream:
     dead_ticks = config.dead_time / tick
     all_ch, all_ts = [], []
     for channel in (1, 2, 3):
-        if not clicks[channel]:
-            continue
         # jitter and darks arrive unsorted; same-tick arrivals collapse to one click
         ticks = np.sort(np.concatenate(clicks[channel]))
         first = np.ones(ticks.size, dtype=bool)
@@ -805,14 +800,10 @@ def simulate_tags(config: SimulationConfig) -> TagStream:
         all_ch.append(np.full(ticks.size, channel, dtype=np.int64))
         all_ts.append(ticks)
 
-    if all_ts:
-        ch = np.concatenate(all_ch)
-        ts = np.concatenate(all_ts)
-        order = np.lexsort((ch, ts))
-        ch, ts = ch[order], ts[order]
-    else:
-        ch = np.zeros(0, dtype=np.int64)
-        ts = np.zeros(0, dtype=np.int64)
+    ch = np.concatenate(all_ch)
+    ts = np.concatenate(all_ts)
+    order = np.lexsort((ch, ts))
+    ch, ts = ch[order], ts[order]
 
     metadata = {
         "rep_period_ticks": config.rep_period / tick,

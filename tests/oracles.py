@@ -435,7 +435,7 @@ def segment_sum_loop(segmented, grid, omega_p, eta_mode):
     The segment terms come from the package's own helpers; only the
     summation, one full-grid multiply-add per segment, is the reference.
     """
-    from taperfwm.biphoton import _auto_bank, _eta_factory
+    from taperfwm.biphoton import ModeBank, _eta
     from taperfwm.dispersion import CrossSection, NoGuidedModeError
 
     if eta_mode not in ("per_point", "center"):
@@ -444,7 +444,8 @@ def segment_sum_loop(segmented, grid, omega_p, eta_mode):
     omega_r = ws[:, None] + wi[None, :] - omega_p
     if np.any(omega_r <= 0):
         raise ValueError("grid reaches non-positive returned pump frequencies")
-    bank = _auto_bank(grid, omega_p)
+    bank = ModeBank(ws[0], ws[-1], wi[0], wi[-1], omega_p,
+                    ws[0] + wi[0] - omega_p, ws[-1] + wi[-1] - omega_p)
 
     length = segmented.segment_length
     total = np.zeros((ws.size, wi.size), dtype=complex)
@@ -463,13 +464,12 @@ def segment_sum_loop(segmented, grid, omega_p, eta_mode):
                 k_r = table.k(omega_r)
                 k_s = table.k(ws)
                 k_i = table.k(wi)
-                eta_fn = _eta_factory(table, omega_p)
                 if eta_mode == "per_point":
-                    eta = eta_fn(ws, wi)
+                    eta = _eta(table, omega_p, ws, wi)
                 else:
                     ends_s = np.array([0.5 * (ws[0] + ws[-1]), ws[0], ws[-1]])
                     ends_i = np.array([0.5 * (wi[0] + wi[-1]), wi[0], wi[-1]])
-                    probe = eta_fn(ends_s, ends_i)
+                    probe = _eta(table, omega_p, ends_s, ends_i)
                     eta = probe[0, 0]
                     eta_bound = max(
                         eta_bound, float(np.max(np.abs(probe[1:, 1:] / probe[0, 0] - 1.0)))

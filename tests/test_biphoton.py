@@ -17,7 +17,7 @@ from taperfwm.biphoton import (
     ModeBank,
     PumpSpec,
     SpectralGrid,
-    _eta_factory,
+    _eta,
     delta_k,
     jsa,
     marginals,
@@ -95,6 +95,12 @@ class TestPumpSpec:
         kwargs[field] = 0.0
         with pytest.raises(ValueError, match=field):
             PumpSpec(**kwargs)
+
+    def test_sigma_must_stay_below_the_centre_frequency(self, pump):
+        # an amplitude spectrum this wide reaches zero frequency
+        with pytest.raises(ValueError, match="omega0"):
+            PumpSpec(LAMBDA_PUMP, pump.omega0)
+        assert PumpSpec(LAMBDA_PUMP, np.nextafter(pump.omega0, 0.0)).sigma < pump.omega0
 
 
 class TestSpectralGrid:
@@ -219,9 +225,8 @@ class TestOverlapIntegral:
     def test_grid_eta_matches_direct_overlap(self):
         cs = CrossSection(885e-9)
         bank = ModeBank(omega(1400e-9), omega(850e-9))
-        eta_fn = _eta_factory(bank.table(cs), omega(LAMBDA_PUMP))
         ws, wi = omega(880e-9), omega(1320e-9)
-        from_grid = eta_fn(np.array([ws]), np.array([wi]))[0, 0]
+        from_grid = _eta(bank.table(cs), omega(LAMBDA_PUMP), np.array([ws]), np.array([wi]))[0, 0]
         mp = solve_mode(cs, omega(LAMBDA_PUMP))
         direct = overlap_integral(mp, mp, solve_mode(cs, ws), solve_mode(cs, wi))
         assert from_grid == pytest.approx(direct, rel=1e-8)
@@ -234,6 +239,22 @@ class TestOverlapIntegral:
         for arr in (x, wt):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
+
+
+class TestModeBank:
+    def test_spans_every_frequency_given(self):
+        grid = ModeBank(3.0e15, 1.5e15, 2.0e15)._grid
+        assert (grid[0], grid[-1], grid.size) == (1.5e15, 3.0e15, biphoton._BANK_NODES)
+
+    @pytest.mark.parametrize("omegas", [
+        (2.0e15, 1.0e15, float("nan")),  # Python's min and max would skip this NaN
+        (float("nan"), 1.0e15),
+        (1.0e15, 1.0e15),
+        (-1.0e15, 2.0e15),
+    ])
+    def test_rejects_nan_and_empty_or_non_positive_spans(self, omegas):
+        with pytest.raises(ValueError, match="positive frequencies"):
+            ModeBank(*omegas)
 
 
 class TestDeltaK:
@@ -491,16 +512,11 @@ class TestPumpFunction:
 class TestJsa:
     def test_metadata_block(self, jsa_885):
         meta = jsa_885.metadata
-        assert meta["pump"]["wavelength_m"] == LAMBDA_PUMP
-        assert meta["profile"]["n_segments"] == 3
-        assert len(meta["profile"]["content_hash"]) == 64
-        assert meta["modes"] == {"pump": "HE11", "signal": "HE11", "idler": "HE11"}
-        assert meta["eta_mode"] == "per_point"
-        assert meta["raw_peak_amplitude"] > 0
-        assert meta["grid"]["n_signal"] == 128
-        from taperfwm import __version__
-
-        assert meta["version"] == __version__
+        assert meta == {
+            "eta_mode": "per_point",
+            "eta_center_relative_error_bound": None,
+            "tolerances": {"neff_table_midpoint_abs": biphoton._TABLE_TOL},
+        }
 
     def test_amplitude_finite_and_shaped(self, jsa_885, grid128):
         assert jsa_885.amplitude.shape == (grid128.n_signal, grid128.n_idler)

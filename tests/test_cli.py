@@ -447,6 +447,25 @@ class TestJsi:
         assert run(*JSI_ARGS, "--eta_mode", "corners",
                    "--out_dir", tmp_path / "out") == EXIT_DOMAIN
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--pump_fwhm_nm", "1.4e142"),  # sigma**2 overflowed in pump_function
+        ("--pump_fwhm_nm", "1e150"),
+        ("--pump_fwhm_nm", "1e300"),  # an infinite sigma wrote inf and nan cells
+        ("--pump_fwhm_nm", "1769"),  # past 2 sqrt(ln 2) x 1062 nm: reaches zero frequency
+        ("--pump_wavelength_nm", "1e308"),  # wavelength**2 overflows
+    ])
+    def test_absurd_pump_is_domain_error_writing_nothing(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "out"
+        assert run("jsi", "--diameter_nm", 900, "--length_mm", 14, "--n_segments", 2,
+                   "--grid_points", 8, flag, value, "--out_dir", out) == EXIT_DOMAIN
+        assert capsys.readouterr().err.startswith("domain error: ")
+        assert not out.exists()
+
+    def test_widest_pump_below_the_bound_runs(self, tmp_path):
+        assert run("jsi", "--diameter_nm", 900, "--length_mm", 14, "--n_segments", 2,
+                   "--grid_points", 8, "--pump_fwhm_nm", 1768,
+                   "--out_dir", tmp_path / "out") == EXIT_OK
+
     @pytest.mark.parametrize("n_segments, grid_points, size", [
         (2**45, 8, "256. TiB"),  # 2**45 segment midpoints
         (2, 2**23, "512. TiB"),  # a 2**23 x 2**23 grid

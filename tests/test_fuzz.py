@@ -1,0 +1,148 @@
+"""Fuzzed inputs: parsers raise only their documented errors, and the CLI only exits.
+
+Every test is derandomized, so a run draws the same examples each time, and
+each edge value is pinned with an ``@example``.
+"""
+
+import contextlib
+import io
+import tempfile
+import warnings
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from taperfwm.cli import EXIT_CONFIG, EXIT_DOMAIN, EXIT_IO, EXIT_OK, main
+from taperfwm.dispersion import parse_glass
+from taperfwm.profile import parse_profile
+from taperfwm.tags import TagOrderWarning, TagParseError, parse_tags
+
+FUZZ = settings(derandomize=True, deadline=None, max_examples=150)
+
+TOKENS = st.sampled_from([
+    "", "0", "1", "-1", "1e-6", "5e-324", "1e308", "1e400", "-0", "nan", "inf", "-inf",
+    "1_0", "+5", "x", "#", "١٢", "9223372036854775807", "9223372036854775808",
+    "tick_ps", "#tick_ps", "name", "B", "C", "validity_um",
+])
+SEPARATORS = st.sampled_from([" ", "\t", "\t\t", "  ", "#", ""])
+LINES = st.lists(st.lists(TOKENS, max_size=4).flatmap(
+    lambda tokens: SEPARATORS.map(lambda sep: sep.join(tokens))), max_size=6)
+TEXTS = LINES.map("\n".join) | st.text(max_size=80)
+
+
+def rejects_only(errors, parse, data):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TagOrderWarning)
+        try:
+            parse(data)
+        except errors:
+            pass
+
+
+@FUZZ
+@given(TEXTS)
+@example("")
+@example("0 1e-6\n1 nan")
+@example("0 1e-6\n1e400 1e-6")
+@example("0 1e-6\n0 1e-6")
+@example("0 1e-6\n1 -0")
+@example("0 1_0\n+5 1e-6")
+@example("0\t5e-324\n1e308 1e308")
+def test_parse_profile_raises_only_value_error(text):
+    rejects_only(ValueError, parse_profile, text)
+
+
+GLASS_LINES = st.lists(st.tuples(
+    st.sampled_from(["name", "B", "C", "validity_um", "x", "#", ""]),
+    st.lists(TOKENS, max_size=4).map(" ".join)).map(" ".join), max_size=6)
+
+
+@FUZZ
+@given(GLASS_LINES.map("\n".join) | TEXTS)
+@example("")
+@example("name g\nB 1\nC 1\nvalidity_um 1 2")
+@example("name g\nB nan\nC 1\nvalidity_um 1 2")
+@example("name g\nB 1\nC 0\nvalidity_um 1 2")
+@example("name g\nB 1 1\nC 1\nvalidity_um 1 2")
+@example("name g\nB 1e400\nC 1\nvalidity_um 1 inf")
+@example("name g\nB 1\nC 1\nvalidity_um 2 1")
+@example("name\nB\nC\nvalidity_um")
+def test_parse_glass_raises_only_value_error(text):
+    rejects_only(ValueError, parse_glass, text)
+
+
+TAG_LINES = st.lists(st.tuples(TOKENS, SEPARATORS, TOKENS).map("".join), max_size=6)
+RECORDS = st.lists(st.tuples(st.integers(0, 255), st.integers(0, 2**64 - 1)), max_size=4)
+BINARY = (
+    st.binary(max_size=48).map(b"TTAG1".__add__)
+    | st.tuples(st.integers(0, 2**32 - 1), RECORDS, st.binary(max_size=9)).map(
+        lambda t: b"TTAG1" + t[0].to_bytes(4, "little")
+        + b"".join(c.to_bytes(1, "little") + s.to_bytes(8, "little") for c, s in t[1]) + t[2])
+)
+
+
+@FUZZ
+@given(TAG_LINES.map("\n".join).map(str.encode) | st.text(max_size=80).map(str.encode)
+       | st.binary(max_size=48) | BINARY)
+@example(b"")
+@example(b"#tick_ps 0\n1\t5\n")
+@example(b"#tick_ps " + b"9" * 400 + b"\n1\t5\n")
+@example(b"1\t" + b"9" * 5000 + b"\n")
+@example(b"1\t9223372036854775808\n")
+@example(b"4\t5\n")
+@example(b"2\t7\n1\t5\n")
+@example(b"\xff\xfe")
+@example(b"TTAG1")
+@example(b"TTAG1\x00\x00\x00\x00")
+@example(b"TTAG1\x01\x00\x00\x00\x01\xff\xff\xff\xff\xff\xff\xff\xff")
+@example(b"TTAG1\x01\x00\x00\x00\x09\x00\x00\x00\x00\x00\x00\x00\x00")
+@example(b"TTAG1\x01\x00\x00\x00\x01\x00")
+def test_parse_tags_raises_only_tag_parse_error(data):
+    rejects_only((ValueError, TagParseError), parse_tags, data)
+
+
+# --- the CLI: one numeric flag at a time --------------------------------------
+
+EDGES = (0.0, -1.0, 5e-324, 1e-300, 1e150, 1e300, 1e308)
+NUMBERS = st.builds(lambda sign, exponent: sign * 10.0**exponent,
+                    st.sampled_from([1.0, -1.0]), st.floats(-30.0, 30.0))
+CLI_FUZZ = settings(derandomize=True, deadline=None, max_examples=len(EDGES) + 12)
+JSI_RUN = ["jsi", "--diameter_nm=900", "--length_mm=14", "--n_segments=1", "--grid_points=4"]
+
+
+def exit_code(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return main(argv)
+
+
+def edge_examples(test):
+    for value in EDGES:
+        test = example(value)(test)
+    return test
+
+
+@pytest.mark.parametrize("key", ["pump_wavelength_nm", "pump_fwhm_nm", "diameter_nm", "length_mm"])
+@CLI_FUZZ
+@given(NUMBERS)
+@edge_examples
+def test_jsi_exits_with_a_documented_code(key, value):
+    with tempfile.TemporaryDirectory() as out:
+        code = exit_code([*JSI_RUN, f"--{key}={value!r}", f"--out_dir={out}"])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DOMAIN, EXIT_IO)
+
+
+@pytest.mark.parametrize("key", [
+    "jitter_ps", "dead_time_us", "rep_period_ns", "mean_pairs_per_pulse",
+    "herald_transmittance", "signal_transmittance", "splitter_ratio",
+])
+@CLI_FUZZ
+@given(NUMBERS)
+@edge_examples
+def test_tags_simulate_exits_with_a_documented_code(key, value):
+    with tempfile.TemporaryDirectory() as out:
+        code = exit_code(["tags", "simulate", "--duration_s=0.0005", f"--{key}={value!r}",
+                          f"--tags_out={out}/tags.txt"])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DOMAIN, EXIT_IO)

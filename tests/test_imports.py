@@ -44,6 +44,47 @@ def test_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
 
 
+def unused_private_names(sources: dict[str, str]) -> list[str]:
+    """Private module-level names of ``sources`` (file name -> code) that none of them reads."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unused = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unused += [f"{name}: {d} (line {node.lineno})" for d in defined
+                       if d.startswith("_") and not (d.startswith("__") and d.endswith("__"))
+                       and d not in read]
+    return sorted(unused)
+
+
+def test_detects_unused_private_name():
+    sources = {
+        "a.py": "_KEPT = 1\n_DROPPED = 2\ndef _helper():\n    return _KEPT\n"
+                "def __dir__():\n    pass\n",
+        "b.py": "from a import _helper\nclass _Orphan:\n    pass\nvalue = _helper()\n",
+    }
+    assert unused_private_names(sources) == ["a.py: _DROPPED (line 2)", "b.py: _Orphan (line 2)"]
+
+
+def test_every_private_name_is_used_in_the_package():
+    # a helper that only tests call belongs in the tests
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert unused_private_names(sources) == []
+
+
 def fresh_interpreter(probe: str) -> str:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
