@@ -33,6 +33,7 @@ from .dispersion import (
     NeffTable,
     NoGuidedModeError,
     _TABLE_TOL,
+    _root,
     _solve_many,
     _transverse_params,
     batch_field_matrix,
@@ -98,6 +99,8 @@ class PumpSpec:
         """
         if not fwhm_wavelength > 0:
             raise ValueError("fwhm_wavelength must be positive")
+        if wavelength * wavelength == np.inf:
+            raise ValueError(f"pump wavelength {wavelength!r} m is out of range: its square overflows")
         sigma = np.pi * C_VAC * fwhm_wavelength / (wavelength**2 * np.sqrt(_LN2))
         return cls(wavelength, float(sigma))
 
@@ -350,7 +353,10 @@ def _segment_terms(table: NeffTable, omega_p: float, ws, wi, length: float, eta_
         eta = probe[0, 0]
         bound = float(np.max(np.abs(probe[1:, 1:] / probe[0, 0] - 1.0)))
     dk = delta_k(table.cross_section, omega_p, ws[:, None], wi[None, :], table)
-    half = 0.5 * dk * length
+    with np.errstate(over="ignore"):
+        half = 0.5 * dk * length
+    if not np.all(np.isfinite(half)):
+        raise ValueError(f"segment length {length!r} m is out of range: the phase dk l / 2 overflows")
     return length * np.sinc(half / np.pi) * np.exp(1j * half) * eta, np.exp(2j * half), bound
 
 
@@ -537,30 +543,31 @@ def phase_matched_pair(
     """Zero-mismatch signal/idler pair on the energy-conservation line.
 
     Finds ``omega_s`` in ``signal_window`` (rad/s) with
-    ``delta_k(omega_s, 2 omega_p - omega_s) = 0`` by Brent's method and
-    returns ``(omega_s, omega_i)``.  Raises ValueError when the mismatch does
-    not change sign across the window (no crossing for this geometry).
-    ``scipy.optimize`` (for ``brentq``) is imported on the first call, not
-    with the package, because no command of the CLI needs it.
+    ``delta_k(omega_s, 2 omega_p - omega_s) = 0`` on one effective-index table
+    and returns ``(omega_s, omega_i)``.  The root is found by the mode solver's
+    bracketed search (``dispersion._root``: inverse-quadratic steps with
+    geometric-mean fallbacks) to adjacent doubles in ``omega_s``.  Raises
+    ValueError when the mismatch does not change sign across the window (no
+    crossing for this geometry).
     """
-    from scipy.optimize import brentq
-
     lo, hi = float(signal_window[0]), float(signal_window[1])
     if not 0 < lo < hi:
         raise ValueError("signal_window must satisfy 0 < min < max")
     table = ModeBank(lo, hi, 2.0 * omega_p - hi, 2.0 * omega_p - lo, omega_p).table(cross_section)
 
-    def mismatch(w):
-        return delta_k(cross_section, omega_p, w, 2.0 * omega_p - w, table)
+    def mismatch(cols, w):
+        dk = delta_k(cross_section, omega_p, w, 2.0 * omega_p - w, table)
+        return dk, np.zeros_like(dk)  # no residual check, so no term scale
 
-    f_lo, f_hi = mismatch(lo), mismatch(hi)
-    if np.sign(f_lo) == np.sign(f_hi):
+    ends = np.array([[lo], [hi]])
+    f, scale = mismatch(None, ends)
+    if np.signbit(f[0]) == np.signbit(f[1]):
         raise ValueError(
             "phase mismatch does not change sign across the signal window; "
             "no phase-matched pair for this geometry"
         )
-    omega_s = brentq(mismatch, lo, hi, xtol=1e3)
-    return float(omega_s), float(2.0 * omega_p - omega_s)
+    omega_s = float(_root(mismatch, *zip(ends, f, scale))[0][0])
+    return omega_s, 2.0 * omega_p - omega_s
 
 
 # --------------------------------------------------------------------------

@@ -293,8 +293,8 @@ def cmd_jsi(config: RunConfig) -> int:
 
     matched = phase_matching(segmented, grid, pump.omega0, eta_mode=eta_mode)
     envelope = pump_function(pump, grid)
-    amplitude = envelope * matched
-    intensity = np.abs(amplitude) ** 2
+    jsa_grid = JsaGrid(grid, envelope * matched)  # rejects a non-finite amplitude before any write
+    intensity = jsa_grid.intensity
     raw_peak = float(intensity.max())
     if raw_peak == 0.0:
         raise ValueError("joint spectral intensity is identically zero on this grid")
@@ -328,9 +328,9 @@ def cmd_jsi(config: RunConfig) -> int:
         name="joint spectral intensity (peak-normalized)",
         comments=provenance + [f"raw_peak_intensity {raw_peak!r}"],
     )
-    write_marginals_csv(JsaGrid(grid, amplitude), paths["marginals"])
+    write_marginals_csv(jsa_grid, paths["marginals"])
 
-    report = schmidt_analysis(amplitude)
+    report = schmidt_analysis(jsa_grid)
     coefficients = report["schmidt_coefficients"]
     _write_json(
         {

@@ -300,47 +300,50 @@ def _w_bracket(v):
     return np.maximum(v * np.sqrt(_CLIP_BOT), floor), v * np.sqrt(1.0 - _CLIP_TOP)
 
 
-def _root(nu, v, end1, end2):
-    """Root w of h in each column's bracket, with h(w) and its term scale.
+def _root(h, end1, end2):
+    """Root x of h in each column's bracket, with h(x) and its term scale.
 
-    ``end1`` and ``end2`` are the bracket ends as (w, h(w), term scale) arrays,
-    with h of opposite signs.  The steps are Chandrupatla's (1997): the first
-    is the geometric mean of the ends; then an inverse-quadratic step through
-    the newest point, the other end and the point dropped last, where those
-    three points allow one, else the geometric mean; every step is clipped
-    strictly inside the bracket.  A column stops once its ends are adjacent
-    doubles in w or h = 0, at the end with the smaller |h|, or where h is not
-    finite, which the last returned array marks False.
+    ``h(cols, x)`` returns the value of the columns ``cols`` at ``x`` and the
+    size of the terms that value is built from.  ``end1`` and ``end2`` are the
+    bracket ends as (x, h(x), term scale) arrays, with h of opposite signs.
+    The steps are Chandrupatla's (1997): the first is the geometric mean of
+    the ends; then an inverse-quadratic step through the newest point, the
+    other end and the point dropped last, where those three points allow one,
+    else the geometric mean; every step is clipped strictly inside the
+    bracket, so the ends must be positive.  A column stops once its ends are
+    adjacent doubles or h = 0, at the end with the smaller |h|, or where h is
+    not finite, which the last returned array marks False.
     """
     (x1, f1, s1), (x2, f2, s2) = end1, end2
     n = x1.size
     w, fw, sw, ok = np.empty(n), np.empty(n), np.empty(n), np.ones(n, dtype=bool)
     act = np.arange(n)
     x = np.sqrt(x1) * np.sqrt(x2)
-    while act.size:
-        f, s = _char_fn(nu[act], v[act])(x)
-        # x replaces the end of its sign; x1 is the newest point, x2 the end
-        # of the other sign and x3 the point dropped
-        keep = np.signbit(f) == np.signbit(f1)
-        x3, f3 = np.where(keep, x1, x2), np.where(keep, f1, f2)
-        x2, f2, s2 = np.where(keep, x2, x1), np.where(keep, f2, f1), np.where(keep, s2, s1)
-        x1, f1, s1 = x, f, s
-        finite = np.isfinite(f1)
-        done = ~finite | (f1 == 0.0) | (np.nextafter(x1, x2) == x2)
-        if np.any(done):
-            i = act[done]
-            first = np.abs(f1) < np.abs(f2)
-            w[i], fw[i], sw[i] = (np.where(first, p, q)[done] for p, q in ((x1, x2), (f1, f2), (s1, s2)))
-            ok[i] = finite[done]
-            go = ~done
-            act, x1, f1, s1, x2, f2, s2, x3, f3 = (a[go] for a in (act, x1, f1, s1, x2, f2, s2, x3, f3))
-        xi = (x1 - x2) / (x3 - x2)
-        phi = (f1 - f2) / (f3 - f2)
-        quad = (phi**2 < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
-        t = f1 / (f2 - f1) * f3 / (f2 - f3) + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2)
-        x = np.where(quad, x1 + t * (x2 - x1), np.sqrt(x1) * np.sqrt(x2))
-        a, b = np.minimum(x1, x2), np.maximum(x1, x2)
-        x = np.clip(x, np.nextafter(a, b), np.nextafter(b, a))
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        while act.size:
+            f, s = h(act, x)
+            # x replaces the end of its sign; x1 is the newest point, x2 the end
+            # of the other sign and x3 the point dropped
+            keep = np.signbit(f) == np.signbit(f1)
+            x3, f3 = np.where(keep, x1, x2), np.where(keep, f1, f2)
+            x2, f2, s2 = np.where(keep, x2, x1), np.where(keep, f2, f1), np.where(keep, s2, s1)
+            x1, f1, s1 = x, f, s
+            finite = np.isfinite(f1)
+            done = ~finite | (f1 == 0.0) | (np.nextafter(x1, x2) == x2)
+            if np.any(done):
+                i = act[done]
+                first = np.abs(f1) < np.abs(f2)
+                w[i], fw[i], sw[i] = (np.where(first, p, q)[done] for p, q in ((x1, x2), (f1, f2), (s1, s2)))
+                ok[i] = finite[done]
+                go = ~done
+                act, x1, f1, s1, x2, f2, s2, x3, f3 = (a[go] for a in (act, x1, f1, s1, x2, f2, s2, x3, f3))
+            xi = (x1 - x2) / (x3 - x2)
+            phi = (f1 - f2) / (f3 - f2)
+            quad = (phi**2 < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
+            t = f1 / (f2 - f1) * f3 / (f2 - f3) + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2)
+            x = np.where(quad, x1 + t * (x2 - x1), np.sqrt(x1) * np.sqrt(x2))
+            a, b = np.minimum(x1, x2), np.maximum(x1, x2)
+            x = np.clip(x, np.nextafter(a, b), np.nextafter(b, a))
     return w, fw, sw, ok
 
 
@@ -390,7 +393,8 @@ def _solve_many(cross_section: CrossSection, omegas: np.ndarray) -> np.ndarray:
         guided = bracketed & (np.signbit(flo) != np.signbit(fhi))
         finite = np.isfinite(flo) & np.isfinite(fhi)
         j = np.flatnonzero(guided & finite)  # every column, once the two checks below pass
-        w, resid, scale, ok = _root(nu[j], v[j], (lo[j], flo[j], slo[j]), (hi[j], fhi[j], shi[j]))
+        w, resid, scale, ok = _root(lambda cols, x: _char_fn(nu[j[cols]], v[j[cols]])(x),
+                                    (lo[j], flo[j], slo[j]), (hi[j], fhi[j], shi[j]))
         finite[j] = ok
     if np.any(bracketed & ~finite):
         raise SolverConvergenceError(

@@ -64,6 +64,10 @@ _WALK_BLOCK = 1 << 16
 # Largest mean pairs per pulse for which simulate_tags rebuilds Poisson counts
 # from uniforms (_poisson_hot); above it rng.poisson is faster.
 _REBUILD_MAX_MU = 0.3
+# Largest accepted mean pairs per pulse.  numpy's Poisson sampler refuses
+# means above about 9.2e18; below this bound a thermal pair number stays far
+# inside int64, and every detector clicks on every pulse long before it.
+_MAX_MEAN_PAIRS = 1e15
 
 
 class TagParseError(ValueError):
@@ -586,6 +590,11 @@ class SimulationConfig:
             raise ValueError("rep_period must be positive")
         if not self.mean_pairs_per_pulse >= 0:
             raise ValueError("mean_pairs_per_pulse must be non-negative")
+        if not self.mean_pairs_per_pulse <= _MAX_MEAN_PAIRS:
+            raise ValueError(
+                f"mean_pairs_per_pulse must be at most {_MAX_MEAN_PAIRS:g}, "
+                f"got {self.mean_pairs_per_pulse!r}"
+            )
         for name in ("herald_transmittance", "signal_transmittance", "splitter_ratio"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -781,6 +790,10 @@ def simulate_tags(config: SimulationConfig) -> TagStream:
             t = hit * config.rep_period
             if config.jitter_std > 0:
                 t = t + rng.normal(0.0, config.jitter_std, t.size)
+                if not np.all(t / tick < 2.0**63):
+                    raise ValueError(
+                        f"jitter_std ({config.jitter_std!r} s) moves a click past the int64 tick range"
+                    )
             clicks[channel].append(np.maximum(np.rint(t / tick), 0).astype(np.int64))
 
     for channel, rate in zip((1, 2, 3), config.dark_rates):

@@ -326,7 +326,7 @@ class TestPhaseMatchedPair:
         assert ws + wi == pytest.approx(2.0 * w0, rel=1e-15)
 
     def test_builds_one_table(self, monkeypatch):
-        # brentq evaluates the mismatch many times; all of them read one table.
+        # the root search evaluates the mismatch many times; all of them read one table.
         calls = count_neff_tables(monkeypatch)
         phase_matched_pair(CrossSection(885e-9), omega(LAMBDA_PUMP), (omega(950e-9), omega(850e-9)))
         assert len(calls) == 1

@@ -1,6 +1,7 @@
 """CLI: config schema, flag overrides, exit codes, file outputs, determinism."""
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -466,6 +467,18 @@ class TestJsi:
                    "--grid_points", 8, "--pump_fwhm_nm", 1768,
                    "--out_dir", tmp_path / "out") == EXIT_OK
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--length_mm", "1e308", "segment length 1e+305 m"),  # once wrote nan-filled files
+        ("--pump_wavelength_nm", "1e300", "pump wavelength 1.0000000000000001e+291 m"),
+    ])
+    def test_overflowing_input_is_named_and_nothing_written(self, tmp_path, capsys, flag, value,
+                                                            message):
+        out = tmp_path / "out"
+        assert run("jsi", "--diameter_nm", 900, "--length_mm", 14, "--n_segments", 1,
+                   "--grid_points", 4, flag, value, "--out_dir", out) == EXIT_DOMAIN
+        assert capsys.readouterr().err.startswith(f"domain error: {message} is out of range")
+        assert not out.exists()
+
     @pytest.mark.parametrize("n_segments, grid_points, size", [
         (2**45, 8, "256. TiB"),  # 2**45 segment midpoints
         (2, 2**23, "512. TiB"),  # a 2**23 x 2**23 grid
@@ -522,6 +535,27 @@ class TestTagsSimulate:
     def test_invalid_source_parameters_are_domain_errors(self, tmp_path, flag, value):
         assert run("tags", "simulate", flag, value,
                    "--tags_out", tmp_path / "t.txt") == EXIT_DOMAIN
+
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--mean_pairs_per_pulse", "1e30", "mean_pairs_per_pulse"),  # numpy's "lam value too large"
+        ("--jitter_ps", "1e30", "jitter_std"),  # overflowed the int64 tick cast
+    ])
+    def test_out_of_range_source_parameter_is_named(self, tmp_path, capsys, flag, value, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("tags", "simulate", "--duration_s", 0.0005, flag, value,
+                       "--tags_out", tmp_path / "t.txt") == EXIT_DOMAIN
+        assert capsys.readouterr().err.startswith(f"domain error: {name} ")
+        assert not (tmp_path / "t.txt").exists()
+
+    def test_all_signal_to_arm_a_leaves_channel_3_dark(self, tmp_path):
+        # splitter_ratio 1 at full transmittance: no pair photon reaches arm B
+        path = tmp_path / "t.txt"
+        assert run("tags", "simulate", "--duration_s", 0.003, "--mean_pairs_per_pulse", 0.5,
+                   "--signal_transmittance", 1, "--splitter_ratio", 1, "--dead_time_us", 0,
+                   "--tags_out", path) == EXIT_OK
+        counts = parse_tags(path).counts_by_channel()
+        assert counts.get(3, 0) == 0 and counts[1] > 0 and counts[2] > 0
 
     def test_pulses_shorter_than_a_tick_exit_before_simulating(self, tmp_path, monkeypatch, capsys):
         # about 1e300 pulses: rejected when the source is configured
@@ -732,6 +766,18 @@ class TestTagsG2h:
                    "--out_dir", tmp_path / "out") == EXIT_DOMAIN
         err = capsys.readouterr().err
         assert "herald_ch 7 not in declared set [1, 2, 3]" in err and "no herald" not in err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--window_ticks", 0, "window must be at least one tick"),
+        ("--m_max", -1, "m_max must be non-negative"),
+    ])
+    def test_bad_window_or_m_max_is_domain_error(self, tmp_path, capsys, flag, value, message):
+        tags = tmp_path / "three.txt"
+        write_tags_text(TagStream.from_records([(1, 0), (2, 1), (3, 2)]), tags)
+        assert run("tags", "g2h", "--tags_in", tags, flag, value,
+                   "--out_dir", tmp_path / "out") == EXIT_DOMAIN
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_no_heralds_is_domain_error(self, tmp_path, capsys):
         stream = TagStream.from_records([(1, 0), (1, 100), (3, 200)])

@@ -209,6 +209,31 @@ class TestSolveMode:
         dispersion._solve_many(CrossSection(diameter=d), omegas)
         assert sum(evaluated) <= 16 * omegas.size
 
+    def test_root_stops_at_adjacent_doubles(self):
+        # x^3 - c on [1, 2] for c = 2 and 3, and a column whose h turns NaN
+        # on (1.3, 1.6), where the first step (sqrt 2) lands
+        c = np.array([2.0, 3.0, 2.0])
+        seen = []
+
+        def h(cols, x):
+            seen.append(cols.copy())
+            f = x**3 - c[cols]
+            return np.where((cols == 2) & (1.3 < x) & (x < 1.6), np.nan, f), x**3 + c[cols]
+
+        ends = [(x, *h(np.arange(3), x)) for x in (np.ones(3), np.full(3, 2.0))]
+        seen.clear()
+        w, fw, sw, ok = dispersion._root(h, *ends)
+        assert ok.tolist() == [True, True, False]
+        assert seen[0].tolist() == [0, 1, 2] and seen[1].tolist() == [0, 1]  # a stopped column is not asked again
+        for x, f, s, target in zip(w[:2], fw[:2], sw[:2], c[:2]):
+            down, up = np.nextafter(x, 0.0), np.nextafter(x, 3.0)
+            other = up if np.signbit(down**3 - target) == np.signbit(f) else down
+            assert np.signbit(other**3 - target) != np.signbit(f)  # adjacent doubles bracket the root
+            assert abs(f) <= abs(other**3 - target)  # the end with the smaller |h|
+            assert f == x**3 - target and s == x**3 + target
+        assert w[0] == pytest.approx(2.0 ** (1 / 3), rel=1e-15)
+        assert w[1] == pytest.approx(3.0 ** (1 / 3), rel=1e-15)
+
     def test_guidance_violation(self):
         # a glass file can give a core index below that of the air around it
         cs = CrossSection(diameter=890e-9, core=SUB_UNITY_GLASS)

@@ -119,9 +119,10 @@ def test_floattext_needs_no_scipy():
 
 
 def test_only_module_level_scipy_import_is_special_in_dispersion():
+    # every import node, so that one deferred into a function is found too
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
@@ -130,6 +131,17 @@ def test_only_module_level_scipy_import_is_special_in_dispersion():
                 continue
             found += [(path.name, n) for n in names if n.split(".")[0] == "scipy"]
     assert found == [("dispersion.py", "scipy.special")]
+
+
+def test_phase_matched_pair_loads_no_scipy_optimize():
+    # the pair is found by the mode solver's own bracketed root finder
+    probe = (
+        "import sys, taperfwm as tf\n"
+        "w = 2 * 3.141592653589793 * 299792458.0\n"
+        "tf.phase_matched_pair(tf.CrossSection(885e-9), w / 1062e-9, (w / 950e-9, w / 850e-9))\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    assert fresh_interpreter(probe) == "False"
 
 
 def test_lazy_package_keeps_its_public_names():

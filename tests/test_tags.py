@@ -951,6 +951,26 @@ class TestSimulateTags:
             SimulationConfig(duration=duration, mean_pairs_per_pulse=0.05)
         assert SimulationConfig(duration=7.4e8, mean_pairs_per_pulse=0.05).duration == 7.4e8
 
+    def test_jitter_past_the_int64_tick_range_rejected(self):
+        with pytest.raises(ValueError, match="jitter_std"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no cast warning on the way
+                sim(10_000, jitter_std=1e18)
+
+    def test_jittered_clicks_outside_the_acquisition(self):
+        # a click jittered before the start is clamped to tick 0; one jittered
+        # past the end keeps its tick (docs/formats.md, jitter_ps)
+        stream = sim(10_000, jitter_std=10.0)
+        assert stream.timestamps.min() == 0
+        assert stream.timestamps.max() > stream.metadata["duration_ticks"]
+
+    @pytest.mark.parametrize("statistics", ["poisson", "thermal"])
+    def test_largest_mean_pairs_per_pulse_accepted(self, statistics):
+        stream = sim(100, mean_pairs_per_pulse=1e15, pair_statistics=statistics)
+        assert stream.counts_by_channel() == {1: 100, 2: 100, 3: 100}
+        with pytest.raises(ValueError, match=r"mean_pairs_per_pulse must be at most 1e\+15, got 1e\+30"):
+            SimulationConfig(duration=100 * REP, mean_pairs_per_pulse=1e30)
+
     def test_metadata_echo(self):
         stream = sim(5000, seed=2)
         assert stream.metadata["n_pulses"] == 5000
