@@ -57,7 +57,7 @@ def detail_jsa(pump: PumpSpec, diameter_m: float, length_m: float, out_dir: Path
     profile = parse_profile(text, label=f"uniform-{diameter_m * 1e9:.0f}nm")
     segmented = segment(profile, n_segments)
     grid = SpectralGrid.from_wavelength_windows((850e-9, 950e-9), (1250e-9, 1450e-9),
-                                                n_signal=n_grid)
+                                                n_points=n_grid)
     result = jsa(segmented, pump, grid)
     intensity = result.intensity
     i, j = np.unravel_index(np.argmax(intensity), intensity.shape)

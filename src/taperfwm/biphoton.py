@@ -96,11 +96,19 @@ class PumpSpec:
 
         A wavelength FWHM ``dl`` at center ``l0`` maps to an angular-frequency
         FWHM ``2 pi c dl / l0^2``, hence ``sigma = pi c dl / (l0^2 sqrt(ln2))``.
+        ``sigma < omega0`` holds exactly when ``dl < 2 sqrt(ln 2) l0``, which
+        is checked before dividing.
         """
         if not fwhm_wavelength > 0:
             raise ValueError("fwhm_wavelength must be positive")
         if wavelength * wavelength == np.inf:
             raise ValueError(f"pump wavelength {wavelength!r} m is out of range: its square overflows")
+        bound = 2.0 * np.sqrt(_LN2) * wavelength
+        if not fwhm_wavelength < bound:
+            raise ValueError(
+                f"pump FWHM fwhm_wavelength={fwhm_wavelength!r} m must be below 2 sqrt(ln 2) "
+                f"times the pump wavelength ({bound:.6g} m), or the spectrum reaches zero frequency"
+            )
         sigma = np.pi * C_VAC * fwhm_wavelength / (wavelength**2 * np.sqrt(_LN2))
         return cls(wavelength, float(sigma))
 
@@ -136,23 +144,21 @@ class SpectralGrid:
         cls,
         signal: tuple[float, float],
         idler: tuple[float, float],
-        n_signal: int = 256,
-        n_idler: Optional[int] = None,
+        n_points: int = 256,
     ) -> "SpectralGrid":
-        """Uniform-in-omega axes over vacuum-wavelength windows (meters).
+        """Uniform-in-omega axes of ``n_points`` samples each over
+        vacuum-wavelength windows (meters).
 
         Window endpoints map through ``omega = 2 pi c / lambda`` exactly; the
         grid is uniform in angular frequency, not in wavelength.
         """
-        if n_idler is None:
-            n_idler = n_signal
+        if n_points < 2:
+            raise ValueError("grid axes need at least two samples")
         axes = []
-        for (lo, hi), n in ((signal, n_signal), (idler, n_idler)):
+        for lo, hi in (signal, idler):
             if not 0 < lo < hi:
                 raise ValueError("wavelength window must satisfy 0 < min < max")
-            if n < 2:
-                raise ValueError("grid axes need at least two samples")
-            axes.append(np.linspace(2.0 * np.pi * C_VAC / hi, 2.0 * np.pi * C_VAC / lo, n))
+            axes.append(np.linspace(2.0 * np.pi * C_VAC / hi, 2.0 * np.pi * C_VAC / lo, n_points))
         return cls(axes[0], axes[1])
 
     @property
@@ -292,15 +298,16 @@ def overlap_integral(mode_p, mode_p2, mode_s, mode_i) -> float:
     All four modes must live on the same cross-section.  The quasi-LP
     profiles used here are real, so conjugation is a no-op; for co-polarized
     fundamental-mode quartets the result is positive.  Any object with
-    ``cross_section``, ``field_at(r)`` and (optionally) a decay parameter
-    ``w`` works, which the tests use to pass analytic profiles.
+    ``cross_section``, ``field_at(r)`` and an outside decay parameter ``w``
+    works, which the tests use to pass analytic profiles; the sum of the four
+    ``w`` sets the scale of the outer quadrature panel.
     """
     quartet = (mode_p, mode_p2, mode_s, mode_i)
     cs = mode_p.cross_section
     for m in quartet[1:]:
         if m.cross_section != cs:
             raise ValueError("mismatched cross-sections: all four modes must share one segment")
-    w_total = sum(float(getattr(m, "w", 2.0)) for m in quartet)
+    w_total = sum(float(m.w) for m in quartet)
     r, weights = _quad_nodes(cs.diameter / 2.0, w_total)
     prod = np.ones_like(r)
     for m in quartet:

@@ -237,7 +237,7 @@ def _resolve_segmented(config: RunConfig):
 def _resolve_grid(config: RunConfig) -> SpectralGrid:
     signal = tuple(v * 1e-9 for v in config.get("signal_window_nm"))
     idler = tuple(v * 1e-9 for v in config.get("idler_window_nm"))
-    return SpectralGrid.from_wavelength_windows(signal, idler, n_signal=config.get("grid_points"))
+    return SpectralGrid.from_wavelength_windows(signal, idler, n_points=config.get("grid_points"))
 
 
 def _out_dir(config: RunConfig) -> Path:

@@ -428,17 +428,16 @@ def _solve_many(cross_section: CrossSection, omegas: np.ndarray) -> np.ndarray:
 class ModeSolution:
     """HE11 at one cross-section and frequency.
 
-    The scalar profile ``u(rho)`` (quasi-linearly polarized LP01 transverse
-    component) is normalized so that ``integral |u|^2 d^2 rho = 1``; units of
-    ``u`` are 1/m.  ``field_at`` evaluates the closed-form profile at any
-    radius.
+    The scalar profile (quasi-linearly polarized LP01 transverse component)
+    is normalized so that its squared modulus integrates to 1 over the cross
+    section, in units of 1/m.  ``field_at`` evaluates the closed-form profile
+    at any radius; ``w`` is its decay parameter outside the core, which sets
+    the radial reach of :func:`~taperfwm.biphoton.overlap_integral`.
     """
 
     omega: float
     n_eff: float
-    beta: float
     cross_section: CrossSection
-    u: float  # core transverse parameter a*k0*sqrt(n1^2 - n_eff^2)
     w: float  # outside decay parameter a*k0*sqrt(n_eff^2 - 1)
 
     def field_at(self, r):
@@ -520,15 +519,8 @@ def solve_mode(cross_section: CrossSection, omega: float) -> ModeSolution:
     if not (omega > 0.0 and np.isfinite(omega)):
         raise ValueError(f"omega must be positive and finite, got {omega}")
     n_eff = float(_solve_many(cross_section, np.array([omega]))[0])
-    u, w = (float(x) for x in _transverse_params(cross_section, omega, n_eff))
-    return ModeSolution(
-        omega=float(omega),
-        n_eff=n_eff,
-        beta=float(omega) * n_eff / C_VAC,
-        cross_section=cross_section,
-        u=u,
-        w=w,
-    )
+    w = float(_transverse_params(cross_section, omega, n_eff)[1])
+    return ModeSolution(omega=float(omega), n_eff=n_eff, cross_section=cross_section, w=w)
 
 
 # --------------------------------------------------------------------------
@@ -618,14 +610,14 @@ def _pchip_end_slope(h0, h1, m0, m1):
 class NeffTable:
     """Monotone-cubic-interpolated HE11 ``n_eff(omega)`` for one cross-section.
 
-    Call the table with angular frequencies inside ``[omega[0], omega[-1]]``;
-    queries outside raise ExtrapolationError.  ``k(omega)`` returns the
-    propagation constant ``omega * n_eff / c``.
+    ``omega`` is the table's grid.  Call the table with angular frequencies
+    inside ``[omega[0], omega[-1]]``; queries outside raise
+    ExtrapolationError.  ``k(omega)`` returns the propagation constant
+    ``omega * n_eff / c``.
     """
 
     cross_section: CrossSection
     omega: np.ndarray
-    n_eff: np.ndarray
     _interp: _Pchip
 
     def __call__(self, omega):
@@ -683,7 +675,7 @@ def neff_table(cross_section: CrossSection, omega_grid: Sequence[float]) -> Neff
             f"neff_table failed its held-out midpoint check for HE11 "
             f"even at refine={2 * _TABLE_REFINE}"
         )
-    return NeffTable(cross_section, omega_grid.copy(), interp(omega_grid), interp)
+    return NeffTable(cross_section, omega_grid.copy(), interp)
 
 
 def _refined_grid(grid: np.ndarray, factor: int) -> np.ndarray:

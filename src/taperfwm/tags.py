@@ -18,8 +18,9 @@ import json
 import math
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -83,15 +84,15 @@ class TagStream:
     """Immutable, time-ordered click record.
 
     ``channels`` and ``timestamps`` are parallel arrays sorted by
-    (timestamp, channel); ties are broken by channel id.  ``metadata`` may
-    carry ``rep_period_ticks``, ``duration_ticks`` and generator echo; the
-    acquisition duration falls back to the observed span when absent.
+    (timestamp, channel); ties are broken by channel id.  ``duration_ticks``
+    is the length of the acquisition; left as None it becomes the observed
+    span, last minus first timestamp plus one tick (0 for no records).
     """
 
     channels: np.ndarray
     timestamps: np.ndarray
     tick_duration: float = TICK_SECONDS
-    metadata: dict = field(default_factory=dict)
+    duration_ticks: Optional[int] = None
 
     def __post_init__(self):
         ch = np.asarray(self.channels)
@@ -114,17 +115,12 @@ class TagStream:
                 raise ValueError("timestamps must be non-decreasing")
             if np.any((dt == 0) & (np.diff(ch) < 0)):
                 raise ValueError("equal timestamps must be ordered by channel")
+        if self.duration_ticks is None:
+            # in Python ints: in int64 the span can wrap
+            span = int(ts[-1]) - int(ts[0]) + 1 if ts.size else 0
+            object.__setattr__(self, "duration_ticks", span)
         object.__setattr__(self, "channels", ch.astype(np.uint8))
         object.__setattr__(self, "timestamps", ts)
-
-    @classmethod
-    def from_records(cls, records, tick_duration: float = TICK_SECONDS,
-                     metadata=None) -> "TagStream":
-        """Build a stream from (channel, timestamp) pairs, sorting as needed."""
-        pairs = np.array([(c, t) for c, t in records], dtype=np.int64).reshape(-1, 2)
-        ch, ts = pairs[:, 0], pairs[:, 1]
-        order = np.lexsort((ch, ts))
-        return cls(ch[order], ts[order], tick_duration, dict(metadata or {}))
 
     def __len__(self) -> int:
         return int(self.timestamps.size)
@@ -132,19 +128,6 @@ class TagStream:
     def channel_timestamps(self, channel: int) -> np.ndarray:
         """Sorted tick timestamps of one channel."""
         return self.timestamps[self.channels == channel]
-
-    def counts_by_channel(self) -> dict:
-        return {int(c): int(n) for c, n in
-                zip(*np.unique(self.channels, return_counts=True))}
-
-    @property
-    def duration_ticks(self) -> int:
-        meta = self.metadata.get("duration_ticks")
-        if meta is not None:
-            return int(meta)
-        if self.timestamps.size == 0:
-            return 0
-        return int(self.timestamps[-1]) - int(self.timestamps[0]) + 1  # in int64 it can wrap
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +139,9 @@ def parse_tags(source) -> TagStream:
     Binary payloads are recognized by the ``TTAG1`` magic; everything else is
     treated as UTF-8 text with lines ``channel<TAB>ticks``, ``#`` comments and
     an optional ``#tick_ps <int>`` header; a comment whose first word is
-    ``tick_ps`` must be that header.  Out-of-order records are sorted
-    and counted in ``metadata["out_of_order_records"]`` with a
-    :class:`TagOrderWarning`.
+    ``tick_ps`` must be that header.  Out-of-order records are sorted, and
+    a :class:`TagOrderWarning` gives their count.  The stream's
+    ``duration_ticks`` is the observed span.
     """
     if isinstance(source, (str, Path)):
         data = Path(source).read_bytes()
@@ -176,7 +159,7 @@ def parse_tags(source) -> TagStream:
         warnings.warn(f"{out_of_order} out-of-order records sorted", TagOrderWarning)
         order = np.lexsort((ch, ts))
         ch, ts = ch[order], ts[order]
-    return TagStream(ch, ts, tick, {"out_of_order_records": out_of_order})
+    return TagStream(ch, ts, tick)
 
 
 def _parse_plain(data: bytes):
@@ -817,14 +800,7 @@ def simulate_tags(config: SimulationConfig) -> TagStream:
     ts = np.concatenate(all_ts)
     order = np.lexsort((ch, ts))
     ch, ts = ch[order], ts[order]
-
-    metadata = {
-        "rep_period_ticks": config.rep_period / tick,
-        "duration_ticks": int(math.ceil(config.duration / tick)) if config.duration > 0 else 0,
-        "n_pulses": n_pulses,
-        "seed": config.seed,
-    }
-    return TagStream(ch, ts, tick, metadata)
+    return TagStream(ch, ts, tick, math.ceil(config.duration / tick))
 
 
 # ---------------------------------------------------------------------------

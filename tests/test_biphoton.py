@@ -43,6 +43,12 @@ def omega(lam):
     return 2.0 * np.pi * C_VAC / lam
 
 
+def window_grid(n_signal, n_idler):
+    """The uniform-in-omega grid over both windows, with its own count per axis."""
+    return SpectralGrid(np.linspace(omega(SIGNAL_WINDOW[1]), omega(SIGNAL_WINDOW[0]), n_signal),
+                        np.linspace(omega(IDLER_WINDOW[1]), omega(IDLER_WINDOW[0]), n_idler))
+
+
 def count_neff_tables(monkeypatch) -> list:
     """Record the cross-section of every ``neff_table`` call that biphoton makes."""
     calls = []
@@ -121,7 +127,7 @@ class TestSpectralGrid:
         with pytest.raises(ValueError, match="window"):
             SpectralGrid.from_wavelength_windows((950e-9, 850e-9), IDLER_WINDOW)
         with pytest.raises(ValueError, match="two samples"):
-            SpectralGrid.from_wavelength_windows(SIGNAL_WINDOW, IDLER_WINDOW, n_signal=1)
+            SpectralGrid.from_wavelength_windows(SIGNAL_WINDOW, IDLER_WINDOW, n_points=1)
 
     def test_axes_validation(self):
         with pytest.raises(ValueError, match="increasing"):
@@ -136,7 +142,7 @@ class TestSpectralGrid:
     )
     @settings(max_examples=30, deadline=None)
     def test_axes_always_increasing_inside_window(self, lo, width, n):
-        g = SpectralGrid.from_wavelength_windows((lo, lo + width), (1.2e-6, 1.5e-6), n_signal=n)
+        g = SpectralGrid.from_wavelength_windows((lo, lo + width), (1.2e-6, 1.5e-6), n_points=n)
         assert np.all(np.diff(g.signal_omega) > 0)
         assert g.signal_omega[0] >= omega(lo + width) * (1 - 1e-12)
         assert g.signal_omega[-1] <= omega(lo) * (1 + 1e-12)
@@ -289,7 +295,7 @@ class TestDeltaK:
         ws = omega(np.array([950e-9, 900e-9, 880e-9, 850e-9]))
         wi = omega(np.array([1450e-9, 1310e-9, 1250e-9]))
         got = delta_k(cs, w0, ws[:, None], wi[None, :])
-        beta = lambda w: solve_mode(cs, w).beta  # noqa: E731
+        beta = lambda w: float(w) * solve_mode(cs, w).n_eff / C_VAC  # noqa: E731
         want = np.array([[beta(w0) + beta(s + i - w0) - beta(s) - beta(i) for i in wi] for s in ws])
         assert got.shape == want.shape
         assert np.array_equal(got, want)
@@ -440,7 +446,7 @@ class TestSegmentSumBands:
     @pytest.mark.parametrize("n_signal, n_idler", [(37, 53), (37, 3)])
     def test_band_sizes(self, pump, monkeypatch, block, n_signal, n_idler):
         # On 37 x 3, blocks 7 and 64 give bands of 2 and 21 rows: the last band is short.
-        grid = SpectralGrid.from_wavelength_windows(SIGNAL_WINDOW, IDLER_WINDOW, n_signal, n_idler)
+        grid = window_grid(n_signal, n_idler)
         seg = stepped_taper()
         expected, _ = oracles.segment_sum_loop(seg, grid, pump.omega0, "per_point")
         if block is not None:
@@ -450,7 +456,7 @@ class TestSegmentSumBands:
         assert np.array_equal(total, expected)
 
     def test_center_mode_and_bound(self, pump, monkeypatch):
-        grid = SpectralGrid.from_wavelength_windows(SIGNAL_WINDOW, IDLER_WINDOW, 37, 53)
+        grid = window_grid(37, 53)
         seg = stepped_taper()
         expected, expected_bound = oracles.segment_sum_loop(seg, grid, pump.omega0, "center")
         monkeypatch.setattr(biphoton, "_SUM_BLOCK", 7)

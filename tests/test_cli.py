@@ -7,12 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from streams import counts_by_channel, from_records
 from taperfwm import cli
 from taperfwm.biphoton import PumpSpec, SpectralGrid, phase_matching, pump_function
 from taperfwm.cli import EXIT_CONFIG, EXIT_DOMAIN, EXIT_IO, EXIT_OK, build_parser, main
 from taperfwm.dispersion import FUSED_SILICA, CrossSection, solve_mode
 from taperfwm.profile import parse_profile, segment
-from taperfwm.tags import TagStream, parse_tags, write_tags_text
+from taperfwm.tags import parse_tags, write_tags_text
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURE_PROFILE = ROOT / "data" / "uniform_waist_900.txt"
@@ -354,7 +355,7 @@ class TestJsi:
         segmented = segment(profile, 3)
         pump = PumpSpec.from_spectral_fwhm(1062.0 * 1e-9, 2.0 * 1e-9)
         grid = SpectralGrid.from_wavelength_windows(
-            (850.0 * 1e-9, 950.0 * 1e-9), (1250.0 * 1e-9, 1450.0 * 1e-9), n_signal=24
+            (850.0 * 1e-9, 950.0 * 1e-9), (1250.0 * 1e-9, 1450.0 * 1e-9), n_points=24
         )
         want = np.abs(pump_function(pump, grid) * phase_matching(
             segmented, grid, pump.omega0)) ** 2
@@ -457,9 +458,13 @@ class TestJsi:
     ])
     def test_absurd_pump_is_domain_error_writing_nothing(self, tmp_path, capsys, flag, value):
         out = tmp_path / "out"
-        assert run("jsi", "--diameter_nm", 900, "--length_mm", 14, "--n_segments", 2,
-                   "--grid_points", 8, flag, value, "--out_dir", out) == EXIT_DOMAIN
-        assert capsys.readouterr().err.startswith("domain error: ")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning on the way
+            code = run("jsi", "--diameter_nm", 900, "--length_mm", 14, "--n_segments", 2,
+                       "--grid_points", 8, flag, value, "--out_dir", out)
+        assert code == EXIT_DOMAIN
+        message = "pump FWHM" if flag == "--pump_fwhm_nm" else "pump wavelength"
+        assert capsys.readouterr().err.startswith(f"domain error: {message} ")
         assert not out.exists()
 
     def test_widest_pump_below_the_bound_runs(self, tmp_path):
@@ -554,7 +559,7 @@ class TestTagsSimulate:
         assert run("tags", "simulate", "--duration_s", 0.003, "--mean_pairs_per_pulse", 0.5,
                    "--signal_transmittance", 1, "--splitter_ratio", 1, "--dead_time_us", 0,
                    "--tags_out", path) == EXIT_OK
-        counts = parse_tags(path).counts_by_channel()
+        counts = counts_by_channel(parse_tags(path))
         assert counts.get(3, 0) == 0 and counts[1] > 0 and counts[2] > 0
 
     def test_pulses_shorter_than_a_tick_exit_before_simulating(self, tmp_path, monkeypatch, capsys):
@@ -661,7 +666,7 @@ class TestTagsCoincidences:
     def test_int64_overflowing_delay_range_is_domain_error(self, tmp_path, capsys):
         top = 2**63 - 1
         tags = tmp_path / "top.txt"
-        write_tags_text(TagStream.from_records([(1, top - 9), (2, top - 5)]), tags)
+        write_tags_text(from_records([(1, top - 9), (2, top - 5)]), tags)
         assert run(
             "tags", "coincidences", "--tags_in", tags, "--delay_range_ticks", top,
             "--bin_width_ticks", top, "--out_dir", tmp_path / "out",
@@ -688,7 +693,7 @@ class TestTagsG2h:
         times = np.repeat(ticks, 2)
         channels[0::2] = 2
         channels[1::2] = np.where(np.arange(n) % 2 == 0, 1, 3)
-        stream = TagStream.from_records(list(zip(channels.tolist(), times.tolist())))
+        stream = from_records(list(zip(channels.tolist(), times.tolist())))
         tags = tmp_path / "perfect.txt"
         write_tags_text(stream, tags)
 
@@ -753,7 +758,7 @@ class TestTagsG2h:
 
     def test_window_beyond_int64_is_domain_error(self, tmp_path, capsys):
         tags = tmp_path / "three.txt"
-        write_tags_text(TagStream.from_records([(1, 0), (2, 1), (3, 2)]), tags)
+        write_tags_text(from_records([(1, 0), (2, 1), (3, 2)]), tags)
         assert run("tags", "g2h", "--tags_in", tags, "--window_ticks", 2**63,
                    "--out_dir", tmp_path / "out") == EXIT_DOMAIN
         err = capsys.readouterr().err
@@ -761,7 +766,7 @@ class TestTagsG2h:
 
     def test_undeclared_herald_channel_is_domain_error(self, tmp_path, capsys):
         tags = tmp_path / "three.txt"
-        write_tags_text(TagStream.from_records([(1, 0), (2, 1), (3, 2)]), tags)
+        write_tags_text(from_records([(1, 0), (2, 1), (3, 2)]), tags)
         assert run("tags", "g2h", "--tags_in", tags, "--herald_ch", 7,
                    "--out_dir", tmp_path / "out") == EXIT_DOMAIN
         err = capsys.readouterr().err
@@ -773,14 +778,14 @@ class TestTagsG2h:
     ])
     def test_bad_window_or_m_max_is_domain_error(self, tmp_path, capsys, flag, value, message):
         tags = tmp_path / "three.txt"
-        write_tags_text(TagStream.from_records([(1, 0), (2, 1), (3, 2)]), tags)
+        write_tags_text(from_records([(1, 0), (2, 1), (3, 2)]), tags)
         assert run("tags", "g2h", "--tags_in", tags, flag, value,
                    "--out_dir", tmp_path / "out") == EXIT_DOMAIN
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_no_heralds_is_domain_error(self, tmp_path, capsys):
-        stream = TagStream.from_records([(1, 0), (1, 100), (3, 200)])
+        stream = from_records([(1, 0), (1, 100), (3, 200)])
         tags = tmp_path / "noherald.txt"
         write_tags_text(stream, tags)
         assert run("tags", "g2h", "--tags_in", tags) == EXIT_DOMAIN

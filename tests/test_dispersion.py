@@ -130,9 +130,10 @@ class TestSolveMode:
         sol = solve_mode(WAIST, OM_PUMP)
         assert 1.0 < sol.n_eff < WAIST.core.index(1062e-9)
 
-    def test_beta_consistency_exact(self):
+    def test_decay_parameter_consistency_exact(self):
+        # w = a k0 sqrt(n_eff^2 - 1), the outside decay that overlap_integral reads
         sol = solve_mode(WAIST, OM_PUMP)
-        assert sol.beta == sol.omega * sol.n_eff / C_VAC
+        assert sol.w == WAIST.diameter / 2.0 * sol.omega / C_VAC * np.sqrt(sol.n_eff**2 - 1.0)
 
     def test_he11_frozen_regression(self):
         # anchored against an independent high-precision boundary-condition solve
@@ -373,7 +374,7 @@ class TestPchip:
         table = neff_table(cs, grid)
         monkeypatch.setattr(dispersion, "_Pchip", pchip)
         reference = neff_table(cs, grid)
-        assert np.array_equal(table.n_eff, reference.n_eff)
+        assert np.array_equal(table(grid), reference(grid))
         assert np.array_equal(table(queries), reference(queries))
 
 
@@ -389,9 +390,11 @@ class TestNeffTable:
             assert abs(table(om) - solve_mode(WAIST, om).n_eff) <= 1e-8
 
     def test_values_stored_at_grid(self):
+        # the grid's frequencies are knots of the interpolant: it passes through their solves
         grid = np.linspace(omega_of(1200e-9), omega_of(900e-9), 8)
         table = neff_table(WAIST, grid)
-        np.testing.assert_allclose(table(grid), table.n_eff, rtol=0, atol=1e-14)
+        direct = [solve_mode(WAIST, om).n_eff for om in grid]
+        np.testing.assert_allclose(table(grid), direct, rtol=0, atol=1e-14)
 
     def test_k_is_omega_neff_over_c(self):
         grid = np.linspace(omega_of(1200e-9), omega_of(900e-9), 8)
@@ -440,7 +443,7 @@ class TestNeffTable:
         joint = solve_many(WAIST, solved[0])
         assert np.array_equal(joint[:dense.size], solve_many(WAIST, dense))
         assert np.array_equal(joint[dense.size:], solve_many(WAIST, checks))
-        assert np.array_equal(table.n_eff, dispersion._Pchip(dense, solve_many(WAIST, dense))(grid))
+        assert np.array_equal(table(grid), dispersion._Pchip(dense, solve_many(WAIST, dense))(grid))
 
     def test_non_increasing_grid_rejected(self):
         om = omega_of(1062e-9)

@@ -6,6 +6,8 @@ each edge value is pinned with an ``@example``.
 
 import contextlib
 import io
+import json
+import math
 import tempfile
 import warnings
 
@@ -145,4 +147,94 @@ def test_tags_simulate_exits_with_a_documented_code(key, value):
     with tempfile.TemporaryDirectory() as out:
         code = exit_code(["tags", "simulate", "--duration_s=0.0005", f"--{key}={value!r}",
                           f"--tags_out={out}/tags.txt"])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DOMAIN, EXIT_IO)
+
+
+# --- the CLI: config documents and several flags at once ----------------------
+
+# Integers stay in a set whose every valid (bin_width, delay_range) pair asks for
+# at most about 10**6 histogram bins: a larger count that numpy can allocate
+# would exhaust memory rather than fail, which is out of this fuzz's scope.
+INTEGERS = st.sampled_from([-1, 0, 1, 2, 3, 10, 2670, 5 * 10**5, 2**62, 2**63 - 1, 2**63, 2**64]) \
+    | st.integers(-5, 5000)
+FLOATS = st.sampled_from([0.0, -0.0, -1.0, 5e-324, 1e-300, 54.0, 1e300, 1e308,
+                          math.nan, math.inf, -math.inf]) | NUMBERS
+SCALARS = st.none() | st.booleans() | INTEGERS | FLOATS | st.sampled_from(
+    ["", "none", "poisson", "thermal", "center", "x", "1", "NaN"])
+JSON_VALUES = SCALARS | st.lists(SCALARS, max_size=4) | st.dictionaries(st.just("k"), SCALARS,
+                                                                       max_size=1)
+CHANNELS = st.integers(1, 3) | INTEGERS
+TYPED = {  # the key's own type, drawn mostly from accepted values
+    "window_ticks": INTEGERS, "ch_a": CHANNELS, "ch_b": CHANNELS, "herald_ch": CHANNELS,
+    "bin_width_ticks": INTEGERS, "delay_range_ticks": INTEGERS, "m_max": INTEGERS,
+    "rep_period_ns": FLOATS, "weighting": st.sampled_from(["none", "poisson", "x", ""]),
+    "seed": INTEGERS, "duration_s": FLOATS, "grid_points": INTEGERS,
+}
+# Well-typed documents of several keys; one in four gets one more key of any
+# JSON type (a key outside the schema among them).
+TYPED_DOCUMENTS = st.fixed_dictionaries({}, optional=TYPED)
+KEYS = st.sampled_from([*TYPED, "bogus", "n_idler"])
+DOCUMENTS = st.tuples(TYPED_DOCUMENTS, st.sampled_from([False, False, False, True]), KEYS,
+                      JSON_VALUES).map(lambda t: {**t[0], t[2]: t[3]} if t[1] else t[0])
+TAG_COMMANDS = [["tags", "coincidences"], ["tags", "g2h"], ["tags", "fit-power"]]
+
+
+@pytest.fixture(scope="module")
+def analysis_inputs(tmp_path_factory):
+    """A tiny tag file (two heralded pairs and stray clicks) and a tiny power scan."""
+    root = tmp_path_factory.mktemp("inputs")
+    (root / "tags.txt").write_text("#tick_ps 81\n1\t0\n2\t1\n3\t2\n2\t667\n1\t1333\n2\t1334\n"
+                                   "3\t1335\n3\t2001\n")
+    (root / "scan.csv").write_text("power_mW,rate_Hz\n20,1700\n40,3400\n60,5600\n80,8200\n"
+                                   "100,11000\n")
+    return ["--tags_in", str(root / "tags.txt"), "--power_scan", str(root / "scan.csv")]
+
+
+def command_exit_code(argv) -> int:
+    """``exit_code``, counting argparse's usage exit as the code it exits with."""
+    try:
+        return exit_code(argv)
+    except SystemExit as stop:
+        return stop.code
+
+
+@pytest.mark.parametrize("command", TAG_COMMANDS, ids=lambda c: c[1])
+@FUZZ
+@given(document=DOCUMENTS)
+@example(document=None)
+@example(document=[1, 2])
+@example(document={})
+@example(document={"bin_width_ticks": 1, "delay_range_ticks": 5 * 10**5})
+@example(document={"bin_width_ticks": 1, "delay_range_ticks": 2**62})
+@example(document={"window_ticks": 2**63, "rep_period_ns": 1e300})
+@example(document={"rep_period_ns": math.nan, "ch_a": 2**64})
+@example(document={"herald_ch": 1, "ch_a": 1, "ch_b": 1, "m_max": 2**63})
+@example(document={"weighting": "poisson", "bogus": None})
+def test_tag_commands_exit_on_any_config_document(analysis_inputs, command, document):
+    with tempfile.TemporaryDirectory() as out:
+        config = f"{out}/run.json"
+        with open(config, "w") as f:
+            json.dump(document, f)
+        code = command_exit_code([*command, "-c", config, *analysis_inputs, f"--out_dir={out}/r"])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DOMAIN, EXIT_IO)
+
+
+# Flag values are JSON texts of the documents' values, or text that is not JSON.
+FLAGS = DOCUMENTS.map(lambda d: {key: json.dumps(value) for key, value in d.items()}) | \
+    st.dictionaries(KEYS, st.sampled_from(["abc", "1e", "[", "-", "0x10", "1_0"]), max_size=3)
+
+
+@pytest.mark.parametrize("command", TAG_COMMANDS, ids=lambda c: c[1])
+@FUZZ
+@given(flags=FLAGS)
+@example(flags={"bin_width_ticks": "3", "delay_range_ticks": "500000"})
+@example(flags={"delay_range_ticks": "9223372036854775807", "bin_width_ticks": "1"})
+@example(flags={"window_ticks": "9223372036854775808", "m_max": "-1"})
+@example(flags={"rep_period_ns": "1e308", "window_ticks": "2670"})
+@example(flags={"rep_period_ns": "NaN"})
+@example(flags={"weighting": "[1, 2]", "bogus": "1"})
+def test_tag_commands_exit_on_any_flags(analysis_inputs, command, flags):
+    with tempfile.TemporaryDirectory() as out:
+        argv = [*command, *analysis_inputs, f"--out_dir={out}/r"]
+        code = command_exit_code(argv + [f"--{key}={text}" for key, text in flags.items()])
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DOMAIN, EXIT_IO)

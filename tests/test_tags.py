@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from streams import counts_by_channel, from_records
 from taperfwm import tags
 from taperfwm.tags import (
     TICK_SECONDS,
@@ -54,7 +55,7 @@ def sim(n_pulses, **overrides):
 
 def random_stream(seed, n=1500, span=20_000):
     rng = np.random.default_rng(seed)
-    return TagStream.from_records(
+    return from_records(
         list(zip(rng.integers(1, 4, n), rng.integers(0, span, n)))
     )
 
@@ -62,7 +63,7 @@ def random_stream(seed, n=1500, span=20_000):
 class TestTagRecordAndStream:
     def test_negative_timestamp_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
-            TagStream.from_records([(1, -1)])
+            from_records([(1, -1)])
 
     def test_sorted_stream_accepted(self):
         s = TagStream(np.array([2, 1, 3]), np.array([0, 5, 5]))
@@ -92,23 +93,38 @@ class TestTagRecordAndStream:
             TagStream(np.array([1]), np.array([0]), tick_duration=0.0)
 
     def test_from_records_sorts_with_channel_tiebreak(self):
-        s = TagStream.from_records([(3, 7), (1, 7), (2, 2)])
+        s = from_records([(3, 7), (1, 7), (2, 2)])
         assert s.timestamps.tolist() == [2, 7, 7]
         assert s.channels.tolist() == [2, 1, 3]
 
     def test_channel_selection_and_counts(self):
-        s = TagStream.from_records([(1, 0), (2, 3), (1, 9), (3, 9)])
+        s = from_records([(1, 0), (2, 3), (1, 9), (3, 9)])
         assert s.channel_timestamps(1).tolist() == [0, 9]
-        assert s.counts_by_channel() == {1: 2, 2: 1, 3: 1}
+        assert counts_by_channel(s) == {1: 2, 2: 1, 3: 1}
 
-    def test_duration_from_span_and_metadata(self):
-        s = TagStream.from_records([(1, 10), (1, 109)])
-        assert s.duration_ticks == 100
-        s2 = TagStream.from_records([(1, 10)], metadata={"duration_ticks": 500})
-        assert s2.duration_ticks == 500
+    def test_duration_from_span_or_given(self, tmp_path):
+        assert from_records([(1, 10), (1, 109)]).duration_ticks == 100
+        assert from_records([(1, 10)], duration_ticks=500).duration_ticks == 500
+        # a simulated stream is as long as its acquisition, ceil(duration / tick)
+        stream = sim(5000, seed=2)
+        assert stream.duration_ticks == math.ceil(5000 * REP / TICK_SECONDS)
+        # written and parsed back, the same records get their observed span
+        write_tags_binary(stream, tmp_path / "tags.bin")
+        parsed = parse_tags(tmp_path / "tags.bin")
+        assert np.array_equal(parsed.timestamps, stream.timestamps)
+        span = int(stream.timestamps[-1]) - int(stream.timestamps[0]) + 1
+        assert parsed.duration_ticks == span < stream.duration_ticks
+        # the histogram carries the stream's length, and rates divide by it
+        for s in (stream, parsed):
+            hist = coincidence_histogram(s, 1, 2, bin_width=10, delay_range=2670)
+            assert hist.duration_ticks == s.duration_ticks
+            peak = int(hist.counts[np.abs(hist.delay_centers) <= 5].sum())
+            assert peak > 0
+            rates = peak_and_accidentals(hist, REP_TICKS, 10)
+            assert rates["peak_rate"] == peak / (s.duration_ticks * TICK_SECONDS)
 
     def test_duration_of_the_whole_tick_range(self):
-        assert TagStream.from_records([(1, 0), (2, TOP)]).duration_ticks == 2**63
+        assert from_records([(1, 0), (2, TOP)]).duration_ticks == 2**63
 
     def test_empty_stream_valid(self):
         s = TagStream(np.array([], dtype=int), np.array([], dtype=int))
@@ -179,10 +195,9 @@ class TestParseTags:
         assert len(s) == 2
 
     def test_out_of_order_sorted_with_warning(self):
-        with pytest.warns(TagOrderWarning):
+        with pytest.warns(TagOrderWarning, match="^1 out-of-order records sorted$"):
             s = parse_tags(b"1\t100\n2\t50\n2\t75\n")
         assert s.timestamps.tolist() == [50, 75, 100]
-        assert s.metadata["out_of_order_records"] == 1
 
     def test_equal_timestamps_reordered_by_channel(self):
         with pytest.warns(TagOrderWarning):
@@ -195,7 +210,7 @@ class TestParseTags:
         with _w.catch_warnings():
             _w.simplefilter("error")
             s = parse_tags(b"1\t1\n2\t1\n1\t8\n")
-        assert s.metadata["out_of_order_records"] == 0
+        assert s.timestamps.tolist() == [1, 1, 8]
 
     def test_text_roundtrip(self, tmp_path):
         stream = sim(2000, jitter_std=120e-12, seed=5)
@@ -292,7 +307,7 @@ class TestTextFastPath:
             assert np.array_equal(other.channels, streams[0].channels)
             assert np.array_equal(other.timestamps, streams[0].timestamps)
             assert other.tick_duration == streams[0].tick_duration
-            assert other.metadata == streams[0].metadata
+            assert other.duration_ticks == streams[0].duration_ticks
 
     @pytest.mark.parametrize("body, plain, message", [
         (b"1\t5\n2\n", False, "line 3: expected 'channel<TAB>ticks'"),
@@ -401,12 +416,12 @@ class TestCoincidenceHistogram:
         assert peak < budget
 
     def test_single_event_self_pair_excluded(self):
-        stream = TagStream.from_records([(1, 100)])
+        stream = from_records([(1, 100)])
         hist = coincidence_histogram(stream, 1, 1, bin_width=5, delay_range=50)
         assert hist.counts.sum() == 0
 
     def test_no_pairs_in_range(self):
-        stream = TagStream.from_records([(1, 0), (2, 10_000)])
+        stream = from_records([(1, 0), (2, 10_000)])
         hist = coincidence_histogram(stream, 1, 2, bin_width=10, delay_range=100)
         assert hist.counts.sum() == 0
 
@@ -463,7 +478,7 @@ class TestCoincidenceHistogram:
 
     def test_pair_at_top_of_tick_range(self):
         # tb + delay_range passes 2**63 - 1 there; the search bound must not wrap
-        stream = TagStream.from_records([(1, TOP - 9), (2, TOP - 5)])
+        stream = from_records([(1, TOP - 9), (2, TOP - 5)])
         hist = coincidence_histogram(stream, 1, 2, bin_width=2, delay_range=10)
         assert hist.counts.tolist() == [0] * 7 + [1] + [0] * 3
 
@@ -471,7 +486,7 @@ class TestCoincidenceHistogram:
            bin_width=st.integers(1, 9), half=st.integers(0, 40))
     @settings(max_examples=60, deadline=None)
     def test_top_of_tick_range_matches_brute_force(self, records, bin_width, half):
-        stream = TagStream.from_records([(c, TOP - back) for c, back in records])
+        stream = from_records([(c, TOP - back) for c, back in records])
         hist = coincidence_histogram(stream, 1, 2, bin_width=bin_width,
                                      delay_range=half * bin_width)
         _, expected = oracles.brute_force_coincidences(stream, 1, 2, bin_width, half * bin_width)
@@ -480,15 +495,15 @@ class TestCoincidenceHistogram:
     def test_widest_accepted_ranges_bin_exactly(self):
         # 2 * delay_range + bin_width = 3 * bin_width, at most 2**63 - 1
         width = TOP // 3
-        stream = TagStream.from_records([(1, 0), (2, width), (2, TOP)])
+        stream = from_records([(1, 0), (2, width), (2, TOP)])
         hist = coincidence_histogram(stream, 1, 2, bin_width=width, delay_range=width)
         assert hist.counts.tolist() == [0, 0, 1]
-        equal = TagStream.from_records([(1, 5), (2, 5)])
+        equal = from_records([(1, 5), (2, 5)])
         assert coincidence_histogram(equal, 1, 2, bin_width=TOP, delay_range=0).counts.tolist() == [1]
 
     @pytest.mark.parametrize("bin_width,delay_range", [(TOP, TOP), (1, 2**62), (2**63, 0)])
     def test_int64_overflowing_range_rejected(self, bin_width, delay_range):
-        stream = TagStream.from_records([(1, TOP - 9), (2, TOP - 5)])
+        stream = from_records([(1, TOP - 9), (2, TOP - 5)])
         with pytest.raises(ValueError, match=r"2 \* delay_range \+ bin_width must be at most"):
             coincidence_histogram(stream, 1, 2, bin_width=bin_width, delay_range=delay_range)
 
@@ -526,7 +541,7 @@ class TestPeakAndAccidentals:
     def test_zero_accidentals_reports_infinite_car(self):
         # perfectly correlated clicks, pairs much farther apart than the comb windows
         records = [(ch, 10_000_000 * k) for k in range(1, 11) for ch in (1, 2)]
-        stream = TagStream.from_records(records)
+        stream = from_records(records)
         hist = coincidence_histogram(stream, 1, 2, bin_width=10, delay_range=2000)
         result = peak_and_accidentals(hist, rep_period=REP_TICKS, window=10)
         assert result["CAR"] == math.inf
@@ -576,7 +591,7 @@ class TestHeraldedG2:
         for k in range(1, 400):
             records.append((2, 1000 * k))
             records.append((1 if k % 2 else 3, 1000 * k))
-        hist = heralded_g2(TagStream.from_records(records), window=10, m_max=4)
+        hist = heralded_g2(from_records(records), window=10, m_max=4)
         assert hist.zero_separation == 0.0
         assert hist.g2[1] > 0  # adjacent heralds do see both arms
 
@@ -626,18 +641,18 @@ class TestHeraldedG2:
             heralded_g2(stream, **{arg: channel})
 
     def test_zero_heralds_rejected(self):
-        stream = TagStream.from_records([(1, 0), (3, 5)])
+        stream = from_records([(1, 0), (3, 5)])
         with pytest.raises(ValueError, match="herald"):
             heralded_g2(stream)
 
     def test_zero_singles_rejected(self):
-        stream = TagStream.from_records([(2, 1000), (2, 2000), (1, 1001)])
+        stream = from_records([(2, 1000), (2, 2000), (1, 1001)])
         with pytest.raises(ValueError, match="singles"):
             heralded_g2(stream, window=10)
 
     def test_window_at_top_of_tick_range(self):
         # the window of the herald at 2**63 - 5 ends past 2**63 - 1
-        stream = TagStream.from_records([(1, TOP - 5), (2, TOP - 4), (3, TOP - 3)])
+        stream = from_records([(1, TOP - 5), (2, TOP - 4), (3, TOP - 3)])
         assert heralded_g2(stream, window=10).triples.tolist() == [1]
         assert heralded_g2(stream, window=TOP).triples.tolist() == [1]
 
@@ -645,20 +660,20 @@ class TestHeraldedG2:
            window=st.integers(1, 60))
     @settings(max_examples=60, deadline=None)
     def test_top_of_tick_range_matches_brute_force(self, records, window):
-        stream = TagStream.from_records([(2, TOP), (1, TOP), (3, TOP)]
+        stream = from_records([(2, TOP), (1, TOP), (3, TOP)]
                                         + [(c, TOP - back) for c, back in records])
         hist = heralded_g2(stream, window=window, m_max=3)
         expected = oracles.brute_force_g2(stream, 2, 1, 3, window, 3)
         assert hist.triples.tolist() == [t for _, t, _ in expected]
 
     def test_window_beyond_int64_rejected(self):
-        stream = TagStream.from_records([(1, 0), (2, 1), (3, 2)])
+        stream = from_records([(1, 0), (2, 1), (3, 2)])
         with pytest.raises(ValueError, match=r"at most 2\*\*63 - 1"):
             heralded_g2(stream, window=2**63)
 
     def test_m_max_clamped_to_herald_count(self):
         records = [(2, 1000 * k) for k in (1, 2, 3)] + [(1, 1000), (3, 2000), (1, 3000), (3, 3000)]
-        hist = heralded_g2(TagStream.from_records(records), window=4, m_max=10)
+        hist = heralded_g2(from_records(records), window=4, m_max=10)
         assert hist.separations.tolist() == [0, 1, 2]
 
     def test_normalization_reconstructable_from_raw_counts(self):
@@ -840,7 +855,7 @@ class TestSimulateTags:
         stream = sim(n_pulses, mean_pairs_per_pulse=mu, herald_transmittance=q,
                      signal_transmittance=eta_s, splitter_ratio=rho, seed=11)
         probs = oracles.pulse_click_probabilities(mu, q, eta_s * rho, eta_s * (1 - rho))
-        counts = stream.counts_by_channel()
+        counts = counts_by_channel(stream)
         for channel, key in ((1, "A"), (2, "H"), (3, "B")):
             expected = n_pulses * probs[key]
             sigma = math.sqrt(n_pulses * probs[key] * (1.0 - probs[key]))
@@ -851,7 +866,7 @@ class TestSimulateTags:
                       signal_transmittance=0.8, dark_rates=(500.0, 500.0, 500.0), seed=9)
         previous = None
         for dead in (0.0, 1e-6, 15e-6, 50e-6):
-            counts = sim(200_000, dead_time=dead, **kwargs).counts_by_channel()
+            counts = counts_by_channel(sim(200_000, dead_time=dead, **kwargs))
             if previous is not None:
                 for channel in (1, 2, 3):
                     assert counts.get(channel, 0) <= previous.get(channel, 0)
@@ -863,7 +878,7 @@ class TestSimulateTags:
         stream = simulate_tags(SimulationConfig(
             duration=duration, mean_pairs_per_pulse=0.0,
             dark_rates=(rate, 0.0, 0.0), dead_time=0.0, seed=7))
-        n = stream.counts_by_channel().get(1, 0)
+        n = counts_by_channel(stream).get(1, 0)
         assert abs(n - rate * duration) <= 3.0 * math.sqrt(rate * duration)
         # uniform arrival: mean timestamp near mid-acquisition
         mean_t = stream.timestamps.mean() * TICK_SECONDS
@@ -888,7 +903,7 @@ class TestSimulateTags:
             signal_transmittance=0.5, dark_rates=(2e6, 5e6, 2e6), jitter_std=20e-9,
             dead_time=50e-9, tick_duration=10e-9, seed=3))
         digest = hashlib.sha256(stream.channels.tobytes() + stream.timestamps.tobytes())
-        assert stream.counts_by_channel() == {1: 2754, 2: 5107, 3: 2812}
+        assert counts_by_channel(stream) == {1: 2754, 2: 5107, 3: 2812}
         assert digest.hexdigest() == (
             "944d0bcd19581e57b3ababfd268d109818681179a69b4f74208e31b5f46e43a3")
 
@@ -907,7 +922,7 @@ class TestSimulateTags:
         # pinned to the bytes of one rng.poisson variate per pulse
         stream = simulate_tags(SimulationConfig(seed=12, **overrides))
         digest = hashlib.sha256(stream.channels.tobytes() + stream.timestamps.tobytes())
-        assert stream.counts_by_channel() == counts
+        assert counts_by_channel(stream) == counts
         assert digest.hexdigest() == expected
 
     def test_thermal_statistics_differ_from_poisson(self):
@@ -959,24 +974,19 @@ class TestSimulateTags:
 
     def test_jittered_clicks_outside_the_acquisition(self):
         # a click jittered before the start is clamped to tick 0; one jittered
-        # past the end keeps its tick (docs/formats.md, jitter_ps)
+        # past the end keeps its tick (docs/formats.md, jitter_ps), and the
+        # stream keeps the acquisition's length
         stream = sim(10_000, jitter_std=10.0)
         assert stream.timestamps.min() == 0
-        assert stream.timestamps.max() > stream.metadata["duration_ticks"]
+        assert stream.duration_ticks == math.ceil(10_000 * REP / TICK_SECONDS)
+        assert stream.timestamps.max() > stream.duration_ticks
 
     @pytest.mark.parametrize("statistics", ["poisson", "thermal"])
     def test_largest_mean_pairs_per_pulse_accepted(self, statistics):
         stream = sim(100, mean_pairs_per_pulse=1e15, pair_statistics=statistics)
-        assert stream.counts_by_channel() == {1: 100, 2: 100, 3: 100}
+        assert counts_by_channel(stream) == {1: 100, 2: 100, 3: 100}
         with pytest.raises(ValueError, match=r"mean_pairs_per_pulse must be at most 1e\+15, got 1e\+30"):
             SimulationConfig(duration=100 * REP, mean_pairs_per_pulse=1e30)
-
-    def test_metadata_echo(self):
-        stream = sim(5000, seed=2)
-        assert stream.metadata["n_pulses"] == 5000
-        assert stream.metadata["seed"] == 2
-        assert stream.metadata["rep_period_ticks"] == pytest.approx(REP_TICKS)
-        assert stream.metadata["duration_ticks"] >= 5000 * REP_TICKS - 1
 
 
 def histogram(bin_width, counts):
@@ -1003,7 +1013,7 @@ class TestTextWriters:
     @example(records=[])
     def test_tags_text_equals_per_record_writer(self, tmp_path_factory, records):
         self.assert_same_bytes(write_tags_text, oracles.write_tags_text_records,
-                               TagStream.from_records(records),
+                               from_records(records),
                                tmp_path_factory.mktemp("tags"))
 
     @pytest.mark.parametrize("block", [1, 7])
