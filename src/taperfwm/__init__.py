@@ -13,8 +13,8 @@ and :mod:`~taperfwm.tags`.
 __version__ = "0.1.0"
 
 # The submodule that defines each public name.  ``__getattr__`` imports it on
-# first access (PEP 562), so ``import taperfwm`` and ``import taperfwm.tags``
-# load no scipy.
+# first access (PEP 562), so ``import taperfwm`` loads no submodule and
+# ``import taperfwm.tags`` loads no mode solver.
 _EXPORTS = {
     "biphoton": (
         "JsaGrid", "ModeBank", "PumpSpec", "SpectralGrid", "jsa", "marginals",

@@ -87,6 +87,8 @@ class PumpSpec:
         for name in ("wavelength", "sigma"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        if not 4.0 * self.sigma**2 > 0:  # pump_function divides by it
+            raise ValueError(f"sigma={self.sigma!r} rad/s is too narrow: 4 sigma^2 underflows to 0")
         if not self.sigma < self.omega0:
             raise ValueError("sigma must be below omega0, or the spectrum reaches zero frequency")
 
@@ -109,8 +111,13 @@ class PumpSpec:
                 f"pump FWHM fwhm_wavelength={fwhm_wavelength!r} m must be below 2 sqrt(ln 2) "
                 f"times the pump wavelength ({bound:.6g} m), or the spectrum reaches zero frequency"
             )
-        sigma = np.pi * C_VAC * fwhm_wavelength / (wavelength**2 * np.sqrt(_LN2))
-        return cls(wavelength, float(sigma))
+        sigma = float(np.pi * C_VAC * fwhm_wavelength / (wavelength**2 * np.sqrt(_LN2)))
+        if not 4.0 * sigma**2 > 0:
+            raise ValueError(
+                f"pump FWHM fwhm_wavelength={fwhm_wavelength!r} m is too narrow: its amplitude "
+                f"width sigma={sigma!r} rad/s squares to 0 in double precision"
+            )
+        return cls(wavelength, sigma)
 
     @property
     def omega0(self) -> float:
@@ -364,7 +371,21 @@ def _segment_terms(table: NeffTable, omega_p: float, ws, wi, length: float, eta_
         half = 0.5 * dk * length
     if not np.all(np.isfinite(half)):
         raise ValueError(f"segment length {length!r} m is out of range: the phase dk l / 2 overflows")
-    return length * np.sinc(half / np.pi) * np.exp(1j * half) * eta, np.exp(2j * half), bound
+    return (*_phase_terms(half, length, eta), bound)
+
+
+def _phase_terms(half, length: float, eta):
+    """``(l sinc(half) exp(i half) eta, exp(2 i half))`` from one sin/cos pair.
+
+    With c = cos(half) and s = sin(half), exp(2 i half) = (c - s)(c + s) + 2i c s;
+    sinc is exactly 1 where half = 0.
+    """
+    c, s = np.cos(half), np.sin(half)
+    scale = length * np.divide(s, half, out=np.ones_like(half), where=half != 0) * eta
+    base, step = np.empty(half.shape, dtype=complex), np.empty(half.shape, dtype=complex)
+    base.real, base.imag = scale * c, scale * s
+    step.real, step.imag = (c - s) * (c + s), 2.0 * c * s
+    return base, step
 
 
 # Grid values summed per band of signal rows.  The band's running sum, suffix

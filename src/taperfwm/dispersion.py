@@ -17,10 +17,13 @@ relative precision in w even where n_eff - 1 is 1e-9.  From 600 nm to 20 um
 waists that takes 8 to 13 evaluations of the characteristic function per
 frequency, the bracket ends included, where bisection in log w took 63.
 
-Bessel values come from ``j0``/``j1``, with J'_1 = J_0 - J_1/u (Abramowitz &
-Stegun 9.1.27), and the exponentially scaled K_n e^w from ``k0e`` and ``k1e``
-with the upward recurrence K_{n+1} = K_{n-1} + (2n/w) K_n (A&S 9.6.26), which
-is stable for K.
+Bessel values come from the module's own numpy kernels, short polynomials
+with literal coefficients that ``scripts/bessel_kernels.py`` generates with
+mpmath: J_0 and J_1 on HE11's core range (``_bessel_j``), with
+J'_1 = J_0 - J_1/u (Abramowitz & Stegun 9.1.27), and the exponentially
+scaled K_0 e^x and K_1 e^x for every x > 0 (``_bessel_k``), with the upward
+recurrence K_{n+1} = K_{n-1} + (2n/x) K_n (A&S 9.6.26), which is stable for
+K.  They stay within 8 ulps of mpmath, and keep scipy out of the package.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from pathlib import Path
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy.special import j0, j1, k0e, k1e
 
 __all__ = [
     "C_VAC",
@@ -228,6 +230,167 @@ class CrossSection:
 
 
 # --------------------------------------------------------------------------
+# Bessel kernels
+# --------------------------------------------------------------------------
+
+# generated by scripts/bessel_kernels.py: begin
+_J01_HI, _J01_LO = 2.404825557695773, -1.176691651530894e-16  # j_{0,1} as the sum of two doubles
+# J_0(x) / (j01^2 - x^2) and J_1(x) / x in z = x^2 on [0, 2.5^2], highest degree first
+_J0_POLY = (
+    -6.707811189303656e-20, 2.8496167734465165e-17, -9.22039569086449e-15,
+    2.3494798792581987e-12, -4.5736278434551553e-10, 6.517182620425628e-08,
+    -6.404783237234546e-06, 0.0003969877252644332, -0.013329146159788531,
+    0.17291506903064494,
+)
+_J1_POLY = (
+    -1.3490046040203854e-18, 5.201366797651186e-16, -1.50165922668235e-13,
+    3.3639263400074783e-11, -5.6514032404139825e-09, 6.781684025837328e-07,
+    -5.425347222203581e-05, 0.002604166666666576, -0.062499999999999986,
+    0.5,
+)
+# R_0, I_0, R_1 and I_1(x) / x in y = x^2 - 2 on [-2, 2], highest degree first
+_K0_SMALL_R = (
+    1.7854414371292447e-19, 6.872327179299991e-17, 2.129729527251828e-14,
+    5.174229119370675e-12, 9.520878022134378e-10, 1.267033318734341e-07,
+    1.1425347392438285e-05, 0.0006316740803995115, 0.01794425258560128,
+    0.1702486605066903, -0.30362077291575545,
+)
+_K0_SMALL_I = (
+    7.578695914107722e-20, 3.045258252989652e-17, 9.920645243811398e-15,
+    2.5572248777628708e-12, 5.056605264613777e-10, 7.367434337168192e-08,
+    7.488792863517717e-06, 0.0004910706382046011, 0.01839746709026334,
+    0.3179308640780343, 1.5660829297563506,
+)
+_K1_SMALL_R = (
+    -3.511915570519414e-18, -1.2137249252330266e-15, -3.333099655542612e-13,
+    -7.056349610734929e-11, -1.1064271515912994e-08, -1.2162090826161354e-06,
+    -8.644805291345667e-05, -0.00348177940247148, -0.06095963221693591,
+    -0.16612047762015655, 0.8850882877295894,
+)
+_K1_SMALL_I = (
+    3.431882993186482e-21, 1.5157510610324881e-18, 5.481155986087218e-16,
+    1.5873032380595671e-13, 3.580114838477279e-11, 6.0679263175367805e-09,
+    7.367434337166991e-07, 5.9910342908141736e-05, 0.0029464238292276064,
+    0.07358986836105336, 0.6358617281560686,
+)
+# P_n and Q_n of K_n(x) e^x sqrt(x) = P_n / Q_n in t = 2/x on [0, 1], highest degree first
+_K0_NUM = (
+    0.002543255454829432, 0.21661746442584934, 2.900833167186666,
+    13.039068544153139, 24.97780421669272, 22.1136410064924,
+    8.796969544532905, 1.2533141373155003,
+)
+_K0_DEN = (
+    0.005260808118073647, 0.25198326821208217, 2.785073977047092,
+    11.452835669204735, 20.94340236377405, 18.069146253558014,
+    7.081466181435813, 1.0,
+)
+_K1_NUM = (
+    0.011191411204503685, 0.39028787266969966, 3.6683130179220322,
+    14.030266801816387, 25.103185598398262, 21.759985838339578,
+    8.67720961820218, 1.2533141373155003,
+)
+_K1_DEN = (
+    0.001060029266993292, 0.11360828542023159, 1.7070714310306816,
+    8.366607144388466, 17.189917331072774, 16.128270196471274,
+    6.735911585213655, 1.0,
+)
+# generated by scripts/bessel_kernels.py: end
+
+# The J fit's interval.  HE11 has u < j_{0,1}; the room above it takes u
+# rounded a few ulps past j_{0,1} at the bottom of the w bracket, and the u of
+# table-interpolated n_eff on millimetre waists, which was 4.4e-4 past it on
+# a 3 mm waist.
+_J_MAX = 2.5
+
+# Kernel arguments evaluated per step, for the reason given at _PCHIP_BLOCK.
+_KERNEL_BLOCK = 8192
+
+
+def _poly(coefficients, z):
+    """Horner's rule: the polynomial with ``coefficients``, highest degree first, at ``z``."""
+    p = coefficients[0] * z
+    for c in coefficients[1:-1]:
+        p += c
+        p *= z
+    p += coefficients[-1]
+    return p
+
+
+def _blocked(kernel, x, rows: int) -> tuple:
+    """``kernel`` over the flattened ``x`` in blocks: ``rows`` arrays of x's shape."""
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    if flat.size <= _KERNEL_BLOCK:
+        return tuple(row.reshape(x.shape) for row in kernel(flat))
+    out = np.empty((rows, flat.size))
+    for start in range(0, flat.size, _KERNEL_BLOCK):
+        block = slice(start, start + _KERNEL_BLOCK)
+        for row, values in zip(out, kernel(flat[block])):
+            row[block] = values
+    return tuple(row.reshape(x.shape) for row in out)
+
+
+def _bessel_j(x, orders: int = 2) -> tuple:
+    """J_0(x) and, for ``orders=2``, J_1(x), for |x| <= _J_MAX.
+
+    J_0 = (j01 - x)(j01 + x) P(x^2) with j01 as two doubles keeps full
+    relative precision at the zero; J_1 = x Q(x^2).  Beyond _J_MAX, where
+    the fit does not hold, both are NaN, which the solver's finiteness
+    checks reject: the top end of an empty w bracket reaches there.
+    """
+    def kernel(b):
+        z = b * b
+        j0 = _poly(_J0_POLY, z)
+        j0 *= ((_J01_HI - b) + _J01_LO) * (_J01_HI + b)
+        return (j0,) if orders == 1 else (j0, b * _poly(_J1_POLY, z))
+
+    x = np.asarray(x, dtype=float)
+    values = _blocked(kernel, x, orders)
+    beyond = np.abs(x) > _J_MAX
+    if beyond.any():
+        for v in values:
+            v[beyond] = np.nan
+    return values
+
+
+def _bessel_k(x, orders: int = 2) -> tuple:
+    """K_0(x) e^x and, for ``orders=2``, K_1(x) e^x, for x > 0.
+
+    Below x = 2 from the power series K_0 = R_0 - log(x/2) I_0 and
+    K_1 = log(x/2) I_1 + R_1 / x in x^2 - 2, from x = 2 up from the ratio
+    K_n(x) e^x sqrt(x) = P_n(2/x) / Q_n(2/x).
+    """
+    def kernel(b):
+        out = [np.empty_like(b) for _ in range(orders)]
+        small = b < 2.0
+        if small.any():
+            xs = b[small]
+            y, log, scale = xs * xs - 2.0, np.log(0.5 * xs), np.exp(xs)
+            out[0][small] = (_poly(_K0_SMALL_R, y) - log * _poly(_K0_SMALL_I, y)) * scale
+            if orders == 2:
+                out[1][small] = (log * xs * _poly(_K1_SMALL_I, y) + _poly(_K1_SMALL_R, y) / xs) * scale
+        large = ~small
+        xl = b[large]
+        t, root = 2.0 / xl, np.sqrt(xl)
+        out[0][large] = _poly(_K0_NUM, t) / (_poly(_K0_DEN, t) * root)
+        if orders == 2:
+            out[1][large] = _poly(_K1_NUM, t) / (_poly(_K1_DEN, t) * root)
+        return out
+
+    return _blocked(kernel, x, orders)
+
+
+def _bessel_ke(x) -> tuple:
+    """(K_0(x) e^x, K_1(x) e^x, K_2(x) e^x) from ``_bessel_k``.
+
+    K_2 = K_0 + (2/x) K_1 is the stable upward recurrence for K, and the
+    common e^x factor obeys it too.
+    """
+    k0, k1 = _bessel_k(x)
+    return k0, k1, k0 + (2.0 / x) * k1
+
+
+# --------------------------------------------------------------------------
 # characteristic equation
 # --------------------------------------------------------------------------
 
@@ -242,20 +405,7 @@ class CrossSection:
 _CLIP_TOP = 1e-8
 _CLIP_BOT = 2e-9
 
-#: First zero of J_0; HE11 is the only root of h with u below it.
-_J01 = 2.404825557695773
-
 _RESIDUAL_RTOL = 1e-8
-
-
-def _bessel_ke(x) -> tuple:
-    """(K_0(x) e^x, K_1(x) e^x, K_2(x) e^x) from ``k0e``/``k1e``.
-
-    K_2 = K_0 + (2/x) K_1 is the stable upward recurrence for K, and the
-    common e^x factor obeys it too.
-    """
-    k0, k1 = k0e(x), k1e(x)
-    return k0, k1, k0 + (2.0 / x) * k1
 
 
 def _char_fn(nu, v) -> Callable[[np.ndarray], tuple]:
@@ -278,7 +428,7 @@ def _char_fn(nu, v) -> Callable[[np.ndarray], tuple]:
     def h(w):
         w = np.asarray(w, dtype=float)
         u = np.sqrt((v - w) * (v + w))
-        ju0, ju1 = j0(u), j1(u)
+        ju0, ju1 = _bessel_j(u)
         k0, k1, k2 = _bessel_ke(w)
         kk = -(k0 + k2) / (2.0 * w * k1)  # K'_1/(w K_1)
         csq = (1.0 / u**2 + 1.0 / w**2) * (1.0 / u**2 + nu / w**2)
@@ -296,7 +446,7 @@ def _w_bracket(v):
 
     Empty (w_lo >= w_hi) where V is above the ceiling of the top clip.
     """
-    floor = np.sqrt(np.maximum((v - _J01) * (v + _J01), 0.0))
+    floor = np.sqrt(np.maximum((v - _J01_HI) * (v + _J01_HI), 0.0))
     return np.maximum(v * np.sqrt(_CLIP_BOT), floor), v * np.sqrt(1.0 - _CLIP_TOP)
 
 
@@ -480,18 +630,19 @@ def batch_field_matrix(cross_section: CrossSection, omegas, n_effs, r) -> np.nda
     r = np.asarray(r, dtype=float)
     a = cross_section.diameter / 2.0
     u, w = _transverse_params(cross_section, omegas, n_effs)
-    j0u, k0w = j0(u), k0e(w)
-    amp = _norm_amplitude(a, j0u, j1(u), k0w, k1e(w))
+    j0u, j1u = _bessel_j(u)
+    k0w, k1w = _bessel_k(w)
+    amp = _norm_amplitude(a, j0u, j1u, k0w, k1w)
 
     out = np.empty((u.size, r.size))
     inside = r <= a
-    out[:, inside] = j0(u[:, None] * r[None, inside] / a)
+    out[:, inside] = _bessel_j(u[:, None] * r[None, inside] / a, 1)[0]
     rr = r[~inside]
     # K_0(w r/a)/K_0(w) via scaled K; explicit exponent avoids underflow
     out[:, ~inside] = (
         j0u[:, None]
         / k0w[:, None]
-        * k0e(w[:, None] * rr[None, :] / a)
+        * _bessel_k(w[:, None] * rr[None, :] / a, 1)[0]
         * np.exp(-w[:, None] * (rr[None, :] / a - 1.0))
     )
     return amp[:, None] * out

@@ -148,10 +148,40 @@ def bisect_logw_he11(n1, ak0):
     return np.where(guided, np.sqrt(1.0 + (w / ak0) ** 2), np.nan)
 
 
+# --- references for the package's Bessel kernels ------------------------------
+# dispersion._bessel_j and _bessel_k evaluate J_0, J_1 on HE11's core range
+# [0, 2.5] and K_0 e^x, K_1 e^x for x > 0 from polynomials of their own.
+# scipy's cephes functions are the references, in ulps of the reference,
+# except near J_0's zero j01: cephes' j0 is accurate there in absolute terms
+# only (1.5e9 ulp off within 1e-5 of j01), so mpmath is the reference there.
+
+
+def bessel_ulps(value, reference):
+    """|value - reference| in units of the reference's last place."""
+    return np.abs(value - reference) / np.spacing(np.abs(reference))
+
+
+def bessel_j_scipy(x):
+    return j0(x), j1(x)
+
+
+def bessel_ke_scipy(x):
+    return k0e(x), k1e(x)
+
+
+def bessel_j_mpmath(x):
+    """J_0 and J_1 at each double of ``x``, from mpmath at 30 digits."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        return tuple(np.array([float(mpmath.besselj(n, mpmath.mpf(float(t)))) for t in x])
+                     for n in (0, 1))
+
+
 # --- general-order Bessel forms of the mode solver's kernels ------------------
-# The package evaluates J and K through order-specialised kernels (j0/j1,
-# k0e/k1e and recurrences).  These are the same formulas written with the
-# general-order jv/jvp/kve for every order, as the solver used them before.
+# The package evaluates J and K through order-specialised kernels (its own
+# J_0/J_1 and K_0/K_1 and recurrences).  These are the same formulas written
+# with scipy's general-order jv/jvp/kve for every order.
 
 
 def he11_char_fn_general(nu, v):
@@ -429,13 +459,18 @@ def pchip(x, y):
 # --- phase matching: the whole-grid segment sum before row bands ---------------
 
 
+def sinc_exp_terms(half, length, eta):
+    """A segment's ``(base, step)`` from numpy's sinc and complex exponential."""
+    return length * np.sinc(half / np.pi) * np.exp(1j * half) * eta, np.exp(2j * half)
+
+
 def segment_sum_loop(segmented, grid, omega_p, eta_mode):
     """Phase-matching sum and eta bound, summed over whole-grid arrays.
 
     The segment terms come from the package's own helpers; only the
     summation, one full-grid multiply-add per segment, is the reference.
     """
-    from taperfwm.biphoton import ModeBank, _eta
+    from taperfwm.biphoton import ModeBank, _eta, _phase_terms
     from taperfwm.dispersion import CrossSection, NoGuidedModeError
 
     if eta_mode not in ("per_point", "center"):
@@ -479,9 +514,7 @@ def segment_sum_loop(segmented, grid, omega_p, eta_mode):
                     f"segment {q} (diameter {cs.diameter*1e9:.1f} nm): {err}"
                 ) from err
             dk = k_p + k_r - k_s[:, None] - k_i[None, :]
-            half = 0.5 * dk * length
-            base = length * np.sinc(half / np.pi) * np.exp(1j * half) * eta
-            cache[cs] = (base, np.exp(2j * half))
+            cache[cs] = _phase_terms(0.5 * dk * length, length, eta)
         base, step = cache[cs]
         total += base * suffix
         suffix = suffix * step

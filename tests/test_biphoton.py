@@ -426,6 +426,33 @@ def stepped_taper():
     return segment(TaperProfile(z, d), 8)
 
 
+class TestPhaseTerms:
+    """One sin/cos pair gives numpy's sinc/exp segment terms to rounding.
+
+    np.sinc takes sin(pi * (half / pi)), whose relative error grows near the
+    zeros of sin, so ``base`` is bounded on the term's scale l eta: 1e-15 of
+    it, and ``step`` within 1e-15.
+    """
+
+    def test_against_sinc_and_exp(self):
+        rng = np.random.default_rng(7)
+        half = np.concatenate([
+            rng.uniform(-1e3, 1e3, 20000), rng.uniform(-1.0, 1.0, 2000),
+            np.pi * np.arange(-50, 51) + rng.uniform(-1e-9, 1e-9, 101), [0.0, -0.0, 5e-324],
+        ])
+        eta = rng.uniform(0.5, 2.0, half.size) * 1e12
+        length = 1.4e-4
+        base, step = biphoton._phase_terms(half, length, eta)
+        ref_base, ref_step = oracles.sinc_exp_terms(half, length, eta)
+        assert np.all(np.abs(base - ref_base) <= 1e-15 * length * eta)
+        assert np.all(np.abs(step - ref_step) <= 1e-15)
+
+    def test_sinc_is_one_at_zero_phase(self):
+        base, step = biphoton._phase_terms(np.zeros(3), 2e-3, np.array([1.0, 2.0, 4.0]))
+        assert np.array_equal(base, [2e-3, 4e-3, 8e-3])
+        assert np.array_equal(step, np.ones(3))
+
+
 class TestSegmentSumBands:
     """The row-banded segment sum equals the whole-grid loop bit for bit."""
 

@@ -676,6 +676,18 @@ class TestTagsCoincidences:
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "coincidences.csv").exists()
 
+    @pytest.mark.parametrize("value", [1e18, 1e308])
+    def test_int64_overflowing_rep_period_is_domain_error(self, comb_out, tmp_path, capsys,
+                                                          value):
+        # the accidental windows sit two periods out: 2 * 1e18 ns is 2.5e19 ticks of 81 ps
+        out = tmp_path / "out"
+        assert run("tags", "coincidences", "--tags_in", comb_out / "tags.bin", "--rep_period_ns",
+                   value, "--out_dir", out) == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert err.startswith(f"domain error: rep_period_ns={value!r} is ")
+        assert "two periods pass the largest 64-bit tick" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_malformed_tags_file_is_io_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("1\t2\t3\n")

@@ -25,6 +25,10 @@ from taperfwm.dispersion import (
 from taperfwm.profile import load_profile, segment
 
 from oracles import (
+    bessel_j_mpmath,
+    bessel_j_scipy,
+    bessel_ke_scipy,
+    bessel_ulps,
     bisect_logw_he11,
     dense_scan_he11,
     field_rows_general,
@@ -527,6 +531,72 @@ class TestBesselKernels:
             ref_rows = field_rows_general(a, u, w, 0, r)  # HE11 is LP01: Bessel order 0
             peak = np.max(np.abs(ref_rows), axis=1, keepdims=True)
             assert np.all(np.abs(rows - ref_rows) <= 1e-12 * peak)
+
+
+class TestBesselKernelReferences:
+    """The package's kernels against scipy (oracles.bessel_*_scipy) and mpmath.
+
+    Bounds, in ulps of the reference: K_0 e^x 20 and K_1 e^x 10 against
+    scipy for 1e-6 <= x <= 1e5 (15 and 7 seen), and 10 and 6 against mpmath
+    (8 and 5 seen, where scipy's k0e and k1e were 10 and 4 off); J_1 8
+    against scipy on (0, 2.5] (6 seen); J_0 10 against scipy up to u = 2 (7
+    seen); J_0 and J_1 4 against mpmath at j01, in the 1e-5 below it and up
+    to 2.5 (3 seen).
+    """
+
+    def test_k_against_scipy(self):
+        rng = np.random.default_rng(11)
+        x = np.concatenate([np.exp(rng.uniform(np.log(1e-6), np.log(1e5), 200_000)),
+                            2.0 + rng.uniform(-1e-3, 1e-3, 10_000), [2.0, np.nextafter(2.0, 0.0)]])
+        for mine, ref, bound in zip(dispersion._bessel_k(x), bessel_ke_scipy(x), (20, 10)):
+            assert np.max(bessel_ulps(mine, ref)) <= bound
+
+    def test_k_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        x = np.concatenate([np.geomspace(1e-6, 1e5, 301), np.linspace(1.5, 2.5, 201)])
+        with mpmath.workdps(30):
+            refs = [np.array([float(mpmath.besselk(n, t) * mpmath.exp(t)) for t in map(mpmath.mpf, x)])
+                    for n in (0, 1)]
+        for mine, ref, bound in zip(dispersion._bessel_k(x), refs, (10, 6)):
+            assert np.max(bessel_ulps(mine, ref)) <= bound
+
+    def test_k_limits(self):
+        k0, k1 = dispersion._bessel_k(np.array([np.inf, 1e300]))
+        assert np.array_equal(k0, k1) and k0[0] == 0.0
+        np.testing.assert_allclose(k0[1], np.sqrt(np.pi / 2e300), rtol=1e-15)
+
+    def test_j_against_scipy(self):
+        u = np.random.default_rng(12).uniform(0.0, 2.5, 200_000)
+        (j0u, j1u), (ref0, ref1) = dispersion._bessel_j(u), bessel_j_scipy(u)
+        assert np.max(bessel_ulps(j1u, ref1)) <= 8
+        near = u <= 2.0
+        assert np.max(bessel_ulps(j0u[near], ref0[near])) <= 10
+        assert np.max(np.abs(j0u - ref0)) <= 1e-15
+
+    def test_j_at_and_near_the_zero_against_mpmath(self):
+        # the bracket floor puts u at j01 and a few ulps above it (the t = 0
+        # points of test_char_fn_matches_general_order)
+        j01 = dispersion._J01_HI
+        u = np.concatenate([j01 + np.arange(-8, 9) * np.spacing(j01),
+                            j01 - np.geomspace(1e-15, 1e-5, 100), j01 + np.geomspace(1e-15, 1e-4, 30),
+                            np.linspace(2.0, 2.5, 31)])
+        for mine, ref in zip(dispersion._bessel_j(u), bessel_j_mpmath(u)):
+            assert np.max(bessel_ulps(mine, ref)) <= 4
+
+    def test_j_beyond_its_fit_is_nan(self):
+        j0u, j1u = dispersion._bessel_j(np.array([2.5, np.nextafter(2.5, 3.0), 4.1, np.nan]))
+        assert np.all(np.isfinite(j0u[:1])) and np.all(np.isfinite(j1u[:1]))
+        assert np.all(np.isnan(j0u[1:])) and np.all(np.isnan(j1u[1:]))
+
+    @pytest.mark.parametrize("kernel", ["_bessel_j", "_bessel_k"])
+    def test_blocks_and_shapes(self, kernel, monkeypatch):
+        x = np.random.default_rng(13).uniform(0.1, 2.4, (7, 9))
+        whole = getattr(dispersion, kernel)(x)
+        monkeypatch.setattr(dispersion, "_KERNEL_BLOCK", 5)
+        blocked = getattr(dispersion, kernel)(x)
+        assert all(a.shape == x.shape and np.array_equal(a, b) for a, b in zip(whole, blocked))
+        assert [a.shape for a in getattr(dispersion, kernel)(1.5)] == [(), ()]
+        assert np.array_equal(getattr(dispersion, kernel)(x, 1)[0], whole[0])
 
 
 # -------------------------------------------------------- property: geometry

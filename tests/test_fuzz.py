@@ -136,6 +136,19 @@ def test_jsi_exits_with_a_documented_code(key, value):
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DOMAIN, EXIT_IO)
 
 
+@pytest.mark.parametrize("fwhm_nm", [1e-300, 1e-200])
+def test_jsi_rejects_a_pump_too_narrow_to_square(fwhm_nm):
+    # sigma^2 underflows to 0: the error names the FWHM, before any warning
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([*JSI_RUN, f"--pump_fwhm_nm={fwhm_nm!r}", f"--out_dir={out}"])
+    assert code == EXIT_DOMAIN
+    assert err.getvalue().startswith(f"domain error: pump FWHM fwhm_wavelength={fwhm_nm * 1e-9!r} m")
+    assert "too narrow" in err.getvalue()
+
+
 @pytest.mark.parametrize("key", [
     "jitter_ps", "dead_time_us", "rep_period_ns", "mean_pairs_per_pulse",
     "herald_transmittance", "signal_transmittance", "splitter_ratio",
@@ -231,6 +244,7 @@ FLAGS = DOCUMENTS.map(lambda d: {key: json.dumps(value) for key, value in d.item
 @example(flags={"delay_range_ticks": "9223372036854775807", "bin_width_ticks": "1"})
 @example(flags={"window_ticks": "9223372036854775808", "m_max": "-1"})
 @example(flags={"rep_period_ns": "1e308", "window_ticks": "2670"})
+@example(flags={"rep_period_ns": "1e18"})
 @example(flags={"rep_period_ns": "NaN"})
 @example(flags={"weighting": "[1, 2]", "bogus": "1"})
 def test_tag_commands_exit_on_any_flags(analysis_inputs, command, flags):

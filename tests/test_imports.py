@@ -97,7 +97,6 @@ SCIPY_LOADED = "print(sorted({m for m in sys.modules if m.split('.')[0] == 'scip
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():
-    # scipy.special is the one scipy module the CLI needs at import
     heavy = ["scipy.integrate", "scipy.interpolate", "scipy.linalg", "scipy.optimize",
              "scipy.sparse"]
     probe = f"import sys, taperfwm.cli; print([m for m in {heavy!r} if m in sys.modules])"
@@ -118,7 +117,34 @@ def test_floattext_needs_no_scipy():
     assert fresh_interpreter(probe) == "[]"
 
 
-def test_only_module_level_scipy_import_is_special_in_dispersion():
+def test_cli_commands_load_no_scipy(tmp_path):
+    # the mode solver's Bessel kernels are the package's own, so no command needs scipy
+    tags = str(tmp_path / "tags.txt")
+    runs = [
+        ["modes", "--diameter_nm", "900", "--wavelength_points", "5",
+         "--out_dir", str(tmp_path / "modes")],
+        ["jsi", "--diameter_nm", "900", "--length_mm", "14", "--n_segments", "2",
+         "--grid_points", "8", "--out_dir", str(tmp_path / "jsi")],
+        ["tags", "simulate", "--duration_s", "0.001", "--tags_out", tags],
+        ["tags", "coincidences", "--tags_in", tags, "--out_dir", str(tmp_path / "tags")],
+        ["tags", "g2h", "--tags_in", tags, "--out_dir", str(tmp_path / "tags")],
+    ]
+    probe = (
+        "import contextlib, io, sys\n"
+        "from taperfwm.cli import main\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "seen = [scipy_modules()]\n"
+        f"for argv in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "    seen.append(scipy_modules())\n"
+        "print(seen)\n"
+    )
+    assert fresh_interpreter(probe) == repr([[]] * (len(runs) + 1))
+
+
+def test_package_imports_no_scipy():
     # every import node, so that one deferred into a function is found too
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -130,7 +156,7 @@ def test_only_module_level_scipy_import_is_special_in_dispersion():
             else:
                 continue
             found += [(path.name, n) for n in names if n.split(".")[0] == "scipy"]
-    assert found == [("dispersion.py", "scipy.special")]
+    assert found == []
 
 
 def test_phase_matched_pair_loads_no_scipy_optimize():

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -46,6 +48,14 @@ def test_rate_budget_recovers_the_scan_decomposition():
     stdout = run_script("rate_budget.py")
     assert "power-scan decomposition (true -> fitted):" in stdout
     assert "quadratic fraction" in stdout
+
+
+def test_bessel_kernels_regenerates_the_committed_literals():
+    pytest.importorskip("mpmath")
+    source = (ROOT / "src" / "taperfwm" / "dispersion.py").read_text()
+    block = re.search(r"# generated by scripts/bessel_kernels\.py: begin\n.*?"
+                      r"# generated by scripts/bessel_kernels\.py: end\n", source, re.S)
+    assert run_script("bessel_kernels.py") == block.group(0)
 
 
 def test_readme_python_quick_start_runs():
