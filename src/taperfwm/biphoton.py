@@ -350,28 +350,35 @@ def _eta(table: NeffTable, omega_p: float, ws, wi) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def _segment_terms(table: NeffTable, omega_p: float, ws, wi, length: float, eta_mode: str):
-    """One segment's phase-matching term on the (ws, wi) grid: ``(base, step, bound)``.
+def _segment_eta(table: NeffTable, omega_p: float, ws, wi, eta_mode: str):
+    """One distinct diameter's four-mode overlap on the (ws, wi) grid: ``(eta, bound)``.
 
-    ``base`` is ``l sinc(dk l / 2) exp(i dk l / 2) eta`` and ``step`` is
-    ``exp(i dk l)``, with dk from :func:`delta_k` on ``table``.  ``bound`` is
-    the corner-sampled relative error of the grid-centre eta for
-    ``eta_mode='center'``, else None.
+    For ``eta_mode='per_point'`` ``eta`` is the real grid of :func:`_eta` and
+    ``bound`` is None; for ``'center'`` ``eta`` is the grid-centre value and
+    ``bound`` the corner-sampled relative error of using it everywhere.
     """
     if eta_mode == "per_point":
-        eta, bound = _eta(table, omega_p, ws, wi), None
-    else:
-        ends_s = np.array([0.5 * (ws[0] + ws[-1]), ws[0], ws[-1]])
-        ends_i = np.array([0.5 * (wi[0] + wi[-1]), wi[0], wi[-1]])
-        probe = _eta(table, omega_p, ends_s, ends_i)
-        eta = probe[0, 0]
-        bound = float(np.max(np.abs(probe[1:, 1:] / probe[0, 0] - 1.0)))
+        return _eta(table, omega_p, ws, wi), None
+    ends_s = np.array([0.5 * (ws[0] + ws[-1]), ws[0], ws[-1]])
+    ends_i = np.array([0.5 * (wi[0] + wi[-1]), wi[0], wi[-1]])
+    probe = _eta(table, omega_p, ends_s, ends_i)
+    return probe[0, 0], float(np.max(np.abs(probe[1:, 1:] / probe[0, 0] - 1.0)))
+
+
+def _segment_terms(table: NeffTable, omega_p: float, ws, wi, length: float, eta):
+    """One segment's phase-matching term on the (ws, wi) grid: ``(base, step)``.
+
+    ``base`` is ``l sinc(dk l / 2) exp(i dk l / 2) eta`` and ``step`` is
+    ``exp(i dk l)``, with dk from :func:`delta_k` on ``table``.  Every
+    operation is elementwise, so a band of signal rows gets the same bits as
+    the same rows of a whole-grid term.
+    """
     dk = delta_k(table.cross_section, omega_p, ws[:, None], wi[None, :], table)
     with np.errstate(over="ignore"):
         half = 0.5 * dk * length
     if not np.all(np.isfinite(half)):
         raise ValueError(f"segment length {length!r} m is out of range: the phase dk l / 2 overflows")
-    return (*_phase_terms(half, length, eta), bound)
+    return _phase_terms(half, length, eta)
 
 
 def _phase_terms(half, length: float, eta):
@@ -388,15 +395,25 @@ def _phase_terms(half, length: float, eta):
     return base, step
 
 
-# Grid values summed per band of signal rows.  The band's running sum, suffix
-# phase and product temporary (256 KB each at 16 384 values) stay in cache;
-# with whole-grid arrays a 768 x 768, 100-segment sum faulted in fresh pages
-# for every temporary and took about four times as long.
+# Grid values per band of signal rows.  A band builds its segment terms and
+# sums them before the next band starts, so the arrays that scale with the
+# band are its suffix phase, the term being added, the terms of diameters the
+# walk meets again in this band and the temporaries of one term build.  At
+# 16 384 values a complex band array is 256 KB and stays in cache; with
+# whole-grid arrays a 768 x 768, 100-segment sum faulted in fresh pages for
+# every temporary and took about four times as long.
 _SUM_BLOCK = 16384
 
 
 def _phase_matching_info(segmented, grid, omega_p, eta_mode):
-    """Phase-matching sum and the corner-sampled eta bound (None unless eta_mode='center')."""
+    """Phase-matching sum and the corner-sampled eta bound (None unless eta_mode='center').
+
+    Every distinct diameter's table and eta (a real grid, 8 bytes per value,
+    or a scalar for eta_mode='center') are built before the first band and
+    held to the end, beside the complex result and the band-sized arrays of
+    ``_SUM_BLOCK``.  So a diameter below cutoff is reported before any term
+    is formed, and so before a phase dk l / 2 that overflows.
+    """
     if eta_mode not in ("per_point", "center"):
         raise ValueError(f"eta_mode must be 'per_point' or 'center', got {eta_mode!r}")
     ws, wi = grid.signal_omega, grid.idler_omega
@@ -404,27 +421,32 @@ def _phase_matching_info(segmented, grid, omega_p, eta_mode):
         raise ValueError("grid reaches non-positive returned pump frequencies")
     bank = ModeBank(ws[0], ws[-1], wi[0], wi[-1], omega_p,
                     ws[0] + wi[0] - omega_p, ws[-1] + wi[-1] - omega_p)
+    length = segmented.segment_length
 
-    cache: dict[CrossSection, tuple[np.ndarray, np.ndarray]] = {}
-    terms = []
+    # Walk the segments from the output end backwards so the running suffix
+    # phase needs one complex multiply per segment.  The walk names each
+    # segment's diameter by its index in ``overlaps``, which is cheaper to
+    # look up in every band than a CrossSection.
+    slots: dict[CrossSection, int] = {}
+    overlaps = []  # (table, eta) of each distinct diameter
+    walk = []
     eta_bound = 0.0
-
-    # Order the segment terms from the output end backwards so the running
-    # suffix phase needs one complex multiply per segment.
     for q in reversed(range(segmented.n_segments)):
         cs = segmented.segments[q]
-        if cs not in cache:
+        if cs not in slots:
             try:
-                base, step, bound = _segment_terms(bank.table(cs), omega_p, ws, wi,
-                                                   segmented.segment_length, eta_mode)
+                table = bank.table(cs)
+                eta, bound = _segment_eta(table, omega_p, ws, wi, eta_mode)
             except NoGuidedModeError as err:
                 raise NoGuidedModeError(
                     f"segment {q} (diameter {cs.diameter*1e9:.1f} nm): {err}"
                 ) from err
             if bound is not None:
                 eta_bound = max(eta_bound, bound)
-            cache[cs] = (base, step)
-        terms.append(cache[cs])
+            slots[cs] = len(overlaps)
+            overlaps.append((table, eta))
+        walk.append(slots[cs])
+    last_use = {d: t for t, d in enumerate(walk)}
 
     total = np.zeros((ws.size, wi.size), dtype=complex)
     rows = max(1, _SUM_BLOCK // wi.size)
@@ -432,9 +454,18 @@ def _phase_matching_info(segmented, grid, omega_p, eta_mode):
         band = slice(start, start + rows)
         part = total[band]
         suffix = np.ones_like(part)  # exp(i * sum of later segments' dk * l)
-        for base, step in terms:
-            part += base[band] * suffix
-            suffix *= step[band]
+        again = {}  # this band's terms of diameters the walk meets later
+        for t, d in enumerate(walk):
+            if d in again:
+                base, step = again.pop(d)
+            else:
+                table, eta = overlaps[d]
+                base, step = _segment_terms(table, omega_p, ws[band], wi, length,
+                                            eta[band] if eta_mode == "per_point" else eta)
+            if last_use[d] > t:
+                again[d] = (base, step)
+            part += base * suffix
+            suffix *= step
 
     return total, (eta_bound if eta_mode == "center" else None)
 
@@ -456,10 +487,13 @@ def phase_matching(
     value per segment (cheaper; corner-sampled error bound available through
     :func:`jsa` metadata).
 
-    The sum runs in bands of signal rows, each band walking every segment
-    before the next band starts.  Each grid value still sees the same
-    operations in the same order as a whole-grid sum, so the result does not
-    depend on the band size.
+    The sum runs in bands of signal rows, each band building its segment
+    terms and walking every segment before the next band starts.  Each grid
+    value still sees the same operations in the same order as a whole-grid
+    sum, so the result does not depend on the band size.  Memory is the
+    result, one n_eff table and one real eta grid (8 bytes per value; a
+    scalar for ``'center'``) per distinct diameter, and band-sized
+    temporaries; it does not grow with the number of segments.
 
     Raises NoGuidedModeError naming the offending segment and frequencies if
     any grid frequency is below cutoff somewhere along the taper.

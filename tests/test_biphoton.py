@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +61,31 @@ def count_neff_tables(monkeypatch) -> list:
 
     monkeypatch.setattr(biphoton, "neff_table", counted)
     return calls
+
+
+def count_term_builds(monkeypatch) -> list:
+    """Record the shape of every segment term (``_phase_terms`` call) that biphoton builds."""
+    shapes = []
+    build = biphoton._phase_terms
+
+    def counted(half, length, eta):
+        shapes.append(half.shape)
+        return build(half, length, eta)
+
+    monkeypatch.setattr(biphoton, "_phase_terms", counted)
+    return shapes
+
+
+def set_sum_block(monkeypatch, block):
+    """Set biphoton's band size in grid values; ``None`` keeps the default."""
+    if block is not None:
+        monkeypatch.setattr(biphoton, "_SUM_BLOCK", block)
+
+
+def n_bands(n_signal, n_idler):
+    """Bands of signal rows that the segment sum takes on an n_signal x n_idler grid."""
+    rows = max(1, biphoton._SUM_BLOCK // n_idler)
+    return -(-n_signal // rows)
 
 
 def uniform_profile(diameter, length=0.014):
@@ -376,7 +402,7 @@ class TestPhaseMatching:
         _, n_regions = ndlabel(power >= 0.5 * power.max(), structure=np.ones((3, 3)))
         assert n_regions == 1
 
-    def test_cutoff_error_names_segment_and_frequency(self, pump):
+    def test_cutoff_error_names_segment_and_frequency(self, pump, monkeypatch):
         # Step to a 120 nm tail: far below cutoff at every grid frequency.
         # The step sits between segment midpoints so no segment lands on the
         # weakly-guided slope in between.
@@ -385,9 +411,11 @@ class TestPhaseMatching:
             np.array([900e-9, 900e-9, 120e-9, 120e-9]),
         )
         grid = SpectralGrid.from_wavelength_windows(SIGNAL_WINDOW, IDLER_WINDOW, 8)
-        # Segments 5-8 are all at 120 nm; the walk from the output end meets 8 first.
-        with pytest.raises(NoGuidedModeError, match=r"^segment 8 \(diameter 120\.0 nm\): .*nm"):
-            phase_matching(segment(profile, 9), grid, pump.omega0)
+        for block in (None, 7):  # one band, then one-row bands
+            set_sum_block(monkeypatch, block)
+            # Segments 5-8 are all at 120 nm; the walk from the output end meets 8 first.
+            with pytest.raises(NoGuidedModeError, match=r"^segment 8 \(diameter 120\.0 nm\): .*nm"):
+                phase_matching(segment(profile, 9), grid, pump.omega0)
 
     def test_center_eta_close_to_per_point(self, pump, grid128):
         seg = segment(uniform_profile(885e-9), 2)
@@ -476,8 +504,7 @@ class TestSegmentSumBands:
         grid = window_grid(n_signal, n_idler)
         seg = stepped_taper()
         expected, _ = oracles.segment_sum_loop(seg, grid, pump.omega0, "per_point")
-        if block is not None:
-            monkeypatch.setattr(biphoton, "_SUM_BLOCK", block)
+        set_sum_block(monkeypatch, block)
         total = phase_matching(seg, grid, pump.omega0)
         assert total.shape == (n_signal, n_idler)
         assert np.array_equal(total, expected)
@@ -491,6 +518,63 @@ class TestSegmentSumBands:
         assert np.array_equal(result.amplitude, pump_function(pump, grid) * expected)
         assert result.metadata["eta_center_relative_error_bound"] == expected_bound
         assert np.array_equal(phase_matching(seg, grid, pump.omega0, eta_mode="center"), expected)
+
+    @pytest.mark.parametrize("block", [None, 7, 200])
+    def test_uniform_waist_builds_once_per_band(self, pump, monkeypatch, block):
+        # 37 x 53 takes 1, 37 and 13 bands; every segment shares one diameter.
+        set_sum_block(monkeypatch, block)
+        builds = count_term_builds(monkeypatch)
+        phase_matching(segment(uniform_profile(900e-9), 100), window_grid(37, 53), pump.omega0)
+        assert len(builds) == n_bands(37, 53)
+        assert sum(rows for rows, _ in builds) == 37
+
+    @pytest.mark.parametrize("block", [None, 7, 200])
+    def test_each_diameter_builds_once_per_band(self, pump, monkeypatch, block):
+        set_sum_block(monkeypatch, block)
+        builds = count_term_builds(monkeypatch)
+        phase_matching(stepped_taper(), window_grid(37, 53), pump.omega0)
+        assert len(builds) == 4 * n_bands(37, 53)
+        assert sum(rows for rows, _ in builds) == 4 * 37
+
+
+class TestSegmentSumMemory:
+    """The sum holds one real eta grid per distinct diameter plus band-sized arrays.
+
+    Peaks are traced with tracemalloc, which numpy reports its buffers to, on
+    a 192 x 192 grid in bands of 21 rows (4096 values).  The whole-grid
+    arrays that every call holds (the complex result, one eta grid, the
+    field matrices of ``_eta``) cancel in the differences.
+    """
+
+    N = 192
+    BLOCK = 4096
+
+    def traced_peak(self, pump, seg):
+        grid = window_grid(self.N, self.N)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            phase_matching(seg, grid, pump.omega0)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    def test_segments_of_one_diameter_add_no_grid(self, pump, monkeypatch):
+        set_sum_block(monkeypatch, self.BLOCK)
+        waist = uniform_profile(900e-9)
+        self.traced_peak(pump, segment(waist, 1))  # first-call caches
+        one, hundred = (self.traced_peak(pump, segment(waist, n)) for n in (1, 100))
+        # one band's temporaries: four complex arrays of BLOCK values
+        assert hundred - one <= 4 * 16 * self.BLOCK
+
+    def test_each_distinct_diameter_adds_one_real_grid(self, pump, monkeypatch):
+        set_sum_block(monkeypatch, self.BLOCK)
+        linear = TaperProfile(np.array([0.0, 0.014]), np.array([900e-9, 1000e-9]))
+        self.traced_peak(pump, segment(linear, 2))  # first-call caches
+        two, ten = (self.traced_peak(pump, segment(linear, n)) for n in (2, 10))
+        # 8 B per value of eta, plus 64 KB of slack for the n_eff table (30 KB at
+        # 753 nodes) and small objects; a complex (base, step) pair would be 32 B
+        assert (ten - two) / 8 <= 8 * self.N**2 + 65536
 
 
 class TestPumpFunction:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from streams import counts_by_channel, from_records
-from taperfwm import cli
+from taperfwm import biphoton, cli
 from taperfwm.biphoton import PumpSpec, SpectralGrid, phase_matching, pump_function
 from taperfwm.cli import EXIT_CONFIG, EXIT_DOMAIN, EXIT_IO, EXIT_OK, build_parser, main
 from taperfwm.dispersion import FUSED_SILICA, CrossSection, solve_mode
@@ -476,13 +476,28 @@ class TestJsi:
         ("--length_mm", "1e308", "segment length 1e+305 m"),  # once wrote nan-filled files
         ("--pump_wavelength_nm", "1e300", "pump wavelength 1.0000000000000001e+291 m"),
     ])
-    def test_overflowing_input_is_named_and_nothing_written(self, tmp_path, capsys, flag, value,
-                                                            message):
+    def test_overflowing_input_is_named_and_nothing_written(self, tmp_path, capsys, monkeypatch,
+                                                            flag, value, message):
         out = tmp_path / "out"
-        assert run("jsi", "--diameter_nm", 900, "--length_mm", 14, "--n_segments", 1,
-                   "--grid_points", 4, flag, value, "--out_dir", out) == EXIT_DOMAIN
-        assert capsys.readouterr().err.startswith(f"domain error: {message} is out of range")
-        assert not out.exists()
+        for block in (biphoton._SUM_BLOCK, 7):  # the segment sum's band size; 7 gives one-row bands
+            monkeypatch.setattr(biphoton, "_SUM_BLOCK", block)
+            assert run("jsi", "--diameter_nm", 900, "--length_mm", 14, "--n_segments", 1,
+                       "--grid_points", 4, flag, value, "--out_dir", out) == EXIT_DOMAIN
+            assert capsys.readouterr().err.startswith(f"domain error: {message} is out of range")
+            assert not out.exists()
+
+    def test_below_cutoff_segment_is_named_and_nothing_written(self, tmp_path, capsys, monkeypatch):
+        # a 120 nm tail from segment 5 on; the walk from the output end meets segment 8 first
+        profile = tmp_path / "tail.profile"
+        profile.write_text("0 900e-9\n0.0077 900e-9\n0.0078 120e-9\n0.014 120e-9\n")
+        out = tmp_path / "out"
+        for block in (biphoton._SUM_BLOCK, 7):
+            monkeypatch.setattr(biphoton, "_SUM_BLOCK", block)
+            assert run("jsi", "--profile", profile, "--n_segments", 9, "--grid_points", 8,
+                       "--out_dir", out) == EXIT_DOMAIN
+            err = capsys.readouterr().err
+            assert err.startswith("domain error: segment 8 (diameter 120.0 nm): ") and "cutoff" in err
+            assert not out.exists()
 
     @pytest.mark.parametrize("n_segments, grid_points, size", [
         (2**45, 8, "256. TiB"),  # 2**45 segment midpoints
