@@ -315,22 +315,29 @@ def cmd_jsi(config: RunConfig) -> int:
         "marginals": out / "marginals.csv",
         "schmidt": out / "schmidt.json",
     }
-    write_matrix_csv(
-        paths["phase_matching"], grid, np.abs(matched) ** 2,
-        name="phase-matching intensity |J|^2 (m^2)", comments=provenance,
-    )
-    write_matrix_csv(
-        paths["pump"], grid, np.abs(envelope) ** 2,
-        name="pump envelope intensity |I|^2", comments=provenance,
-    )
-    write_matrix_csv(
-        paths["jsi"], grid, intensity / raw_peak,
-        name="joint spectral intensity (peak-normalized)",
-        comments=provenance + [f"raw_peak_intensity {raw_peak!r}"],
-    )
-    write_marginals_csv(jsa_grid, paths["marginals"])
+    # The SVD releases the GIL, so it runs on a second core while the main
+    # thread formats the CSVs; no write touches jsa_grid.amplitude, which it
+    # reads.  Leaving the block joins the worker on every exit path.
+    from concurrent.futures import ThreadPoolExecutor  # here, not at import: ~10 ms per command
 
-    report = schmidt_analysis(jsa_grid)
+    with ThreadPoolExecutor(1) as pool:
+        schmidt = pool.submit(schmidt_analysis, jsa_grid)
+        write_matrix_csv(
+            paths["phase_matching"], grid, np.abs(matched) ** 2,
+            name="phase-matching intensity |J|^2 (m^2)", comments=provenance,
+        )
+        write_matrix_csv(
+            paths["pump"], grid, np.abs(envelope) ** 2,
+            name="pump envelope intensity |I|^2", comments=provenance,
+        )
+        write_matrix_csv(
+            paths["jsi"], grid, intensity / raw_peak,
+            name="joint spectral intensity (peak-normalized)",
+            comments=provenance + [f"raw_peak_intensity {raw_peak!r}"],
+        )
+        write_marginals_csv(jsa_grid, paths["marginals"])
+        report = schmidt.result()
+
     coefficients = report["schmidt_coefficients"]
     _write_json(
         {

@@ -1,6 +1,8 @@
 """CLI: config schema, flag overrides, exit codes, file outputs, determinism."""
 
 import json
+import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -319,6 +321,21 @@ JSI_ARGS = (
     "jsi", "--diameter_nm", 900, "--length_mm", 14, "--n_segments", 3,
     "--grid_points", 24,
 )
+JSI_CSVS = ("phase_matching.csv", "pump.csv", "jsi.csv", "marginals.csv")
+
+
+def slowed_schmidt_analysis(ran_on_worker):
+    """A ``cli.schmidt_analysis`` that sleeps 0.2 s first, so it outlasts the CSV writers.
+
+    After each call it appends to ``ran_on_worker`` whether it ran off the main thread.
+    """
+    def slowed(jsa_like):
+        time.sleep(0.2)
+        report = biphoton.schmidt_analysis(jsa_like)
+        ran_on_worker.append(threading.current_thread() is not threading.main_thread())
+        return report
+
+    return slowed
 
 
 @pytest.fixture(scope="module")
@@ -510,6 +527,45 @@ class TestJsi:
         assert code == EXIT_DOMAIN
         err = capsys.readouterr().err
         assert err.startswith(f"domain error: Unable to allocate {size}") and "Traceback" not in err
+
+    def test_failed_svd_is_domain_error_after_the_csvs(self, tmp_path, capsys, monkeypatch):
+        def no_convergence(jsa_like):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(cli, "schmidt_analysis", no_convergence)
+        out = tmp_path / "out"
+        threads = threading.active_count()
+        assert run(*JSI_ARGS, "--out_dir", out) == EXIT_DOMAIN
+        assert threading.active_count() == threads
+        assert capsys.readouterr().err.startswith("domain error: SVD did not converge")
+        assert all((out / name).is_file() for name in JSI_CSVS)
+        assert not (out / "schmidt.json").exists()
+
+    def test_unwritable_panel_is_io_error_and_joins_the_svd(self, tmp_path, capsys, monkeypatch):
+        ran_on_worker = []
+        monkeypatch.setattr(cli, "schmidt_analysis", slowed_schmidt_analysis(ran_on_worker))
+        out = tmp_path / "out"
+        (out / "jsi.csv").mkdir(parents=True)
+        threads = threading.active_count()
+        assert run(*JSI_ARGS, "--out_dir", out) == EXIT_IO
+        assert threading.active_count() == threads
+        assert ran_on_worker == [True]  # the SVD, still asleep when jsi.csv failed, was waited for
+        assert capsys.readouterr().err.startswith("i/o error: ")
+        assert not (out / "schmidt.json").exists()
+
+    def test_slow_svd_writes_the_same_bytes(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "out"
+
+        def outputs():
+            assert run(*JSI_ARGS, "--out_dir", out) == EXIT_OK
+            return capsys.readouterr().out, {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+        plain = outputs()
+        ran_on_worker = []
+        monkeypatch.setattr(cli, "schmidt_analysis", slowed_schmidt_analysis(ran_on_worker))
+        assert outputs() == plain
+        assert ran_on_worker == [True]
+        assert sorted(plain[1]) == sorted(JSI_CSVS + ("schmidt.json",))
 
 
 class TestTagsSimulate:

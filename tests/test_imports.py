@@ -103,6 +103,11 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     assert fresh_interpreter(probe) == "[]"
 
 
+def test_cli_import_leaves_concurrent_futures_unloaded():
+    # cmd_jsi imports its thread pool itself, so the other commands do not pay for it
+    assert fresh_interpreter("import sys, taperfwm.cli; print('concurrent.futures' in sys.modules)") == "False"
+
+
 @pytest.mark.parametrize("statement", ["import taperfwm", "import taperfwm.tags"])
 def test_package_and_tags_import_no_scipy(statement):
     assert fresh_interpreter(f"import sys\n{statement}\n{SCIPY_LOADED}") == "[]"
