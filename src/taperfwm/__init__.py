@@ -17,8 +17,8 @@ __version__ = "0.1.0"
 # ``import taperfwm.tags`` loads no mode solver.
 _EXPORTS = {
     "biphoton": (
-        "JsaGrid", "ModeBank", "PumpSpec", "SpectralGrid", "jsa", "marginals",
-        "phase_matched_pair", "phase_matching", "pump_function", "schmidt_analysis",
+        "JsaGrid", "PumpSpec", "SpectralGrid", "jsa", "marginals", "phase_matched_pair",
+        "phase_matching", "pump_function", "schmidt_analysis",
     ),
     "dispersion": (
         "FUSED_SILICA", "CrossSection", "DispersionError", "SellmeierGlass", "load_glass",

@@ -503,7 +503,7 @@ def phase_matching(
 
 
 def pump_function(pump: PumpSpec, grid: SpectralGrid) -> np.ndarray:
-    """Pump spectral autoconvolution on the grid (complex matrix).
+    """Pump spectral autoconvolution on the grid (real float64 matrix).
 
     For a unit-amplitude Gaussian pump spectrum the convolution
     ``int E(w) E(ws + wi - w) dw`` has the closed form
@@ -525,8 +525,7 @@ def pump_function(pump: PumpSpec, grid: SpectralGrid) -> np.ndarray:
             break
 
     total = ws[:, None] + wi[None, :]
-    vals = peak * np.exp(-((total - 2.0 * w0) ** 2) / (4.0 * sigma**2))
-    return vals.astype(complex)
+    return peak * np.exp(-((total - 2.0 * w0) ** 2) / (4.0 * sigma**2))
 
 
 def jsa(

@@ -327,7 +327,7 @@ def cmd_jsi(config: RunConfig) -> int:
             name="phase-matching intensity |J|^2 (m^2)", comments=provenance,
         )
         write_matrix_csv(
-            paths["pump"], grid, np.abs(envelope) ** 2,
+            paths["pump"], grid, envelope**2,
             name="pump envelope intensity |I|^2", comments=provenance,
         )
         write_matrix_csv(
@@ -536,17 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# glibc's malloc gives each block above its mmap threshold (128 KiB at start)
-# fresh pages, and once such a block is freed raises the threshold to its size
-# and the heap's trim threshold to twice that.  Freeing one 16 MiB block first
-# lets the commands' numpy temporaries (0.5 MB per real 256 x 256 grid, 9.4 MB
-# per complex 768 x 768 one) reuse heap pages: without it a jsi_measured run
-# took 39 000 page faults instead of 15 000 and up to a quarter longer.
-_MALLOC_PRIMER_BYTES = 16 << 20
-
-
 def main(argv=None) -> int:
-    np.empty(_MALLOC_PRIMER_BYTES, dtype=np.uint8)  # allocated and freed at once, see above
     parser = build_parser()
     args, extra = parser.parse_known_args(argv)
     if extra and extra[0].startswith("--"):  # a flag outside the schema reads as a config key

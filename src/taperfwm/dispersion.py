@@ -626,10 +626,16 @@ def batch_field_matrix(cross_section: CrossSection, omegas, n_effs, r) -> np.nda
     J_0(u) K_0(w r/a)/K_0(w) outside, of the mode with effective index
     ``n_effs[f]`` at ``omegas[f]``; ``ModeSolution.field_at`` is one such
     row.  Radii in meters.
+
+    Raises DispersionError if a core parameter u reaches j_{0,1}: an HE11
+    root stays below it, but an interpolated n_eff of a millimetre waist can pass it.
     """
     r = np.asarray(r, dtype=float)
     a = cross_section.diameter / 2.0
     u, w = _transverse_params(cross_section, omegas, n_effs)
+    if np.any(u >= _J01_HI):
+        raise DispersionError(f"core parameter u = {float(np.max(u)):.9f} reaches j01 at diameter "
+                              f"{cross_section.diameter * 1e9:.1f} nm: an n_eff is not an HE11 root")
     j0u, j1u = _bessel_j(u)
     k0w, k1w = _bessel_k(w)
     amp = _norm_amplitude(a, j0u, j1u, k0w, k1w)

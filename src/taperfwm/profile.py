@@ -57,8 +57,8 @@ def parse_profile(text: str, *, label: str = "", source: str = "<string>") -> Ta
     """Parse the two-column profile format: ``z_meters<whitespace>diameter_meters``.
 
     ``#`` starts a comment, blank lines are skipped.  Raises ValueError with
-    the line number for malformed rows, and names the first offending row for
-    non-monotone z or duplicate positions.
+    the line number for malformed or non-finite rows, and names the first
+    offending row for non-monotone z or duplicate positions.
     """
     zs: list[float] = []
     ds: list[float] = []
@@ -74,6 +74,8 @@ def parse_profile(text: str, *, label: str = "", source: str = "<string>") -> Ta
             z, d = float(tokens[0]), float(tokens[1])
         except ValueError:
             raise ValueError(f"{source}:{lineno}: malformed number in {line!r}") from None
+        if not np.isfinite([z, d]).all():
+            raise ValueError(f"{source}:{lineno}: samples must be finite, got {line!r}")
         zs.append(z)
         ds.append(d)
         linenos.append(lineno)

@@ -209,7 +209,7 @@ def _parse_lines(data: bytes):
             continue
         if line.startswith("#"):
             if line[1:].split()[:1] == ["tick_ps"]:
-                m = re.fullmatch(r"#\s*tick_ps\s+(\d+)", line)
+                m = re.fullmatch(r"#\s*tick_ps\s+([0-9]+)", line)
                 if not m:
                     raise TagParseError(
                         f"line {lineno}: tick_ps takes one bare positive integer, got {raw!r}")

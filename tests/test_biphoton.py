@@ -515,6 +515,7 @@ class TestSegmentSumBands:
         expected, expected_bound = oracles.segment_sum_loop(seg, grid, pump.omega0, "center")
         monkeypatch.setattr(biphoton, "_SUM_BLOCK", 7)
         result = jsa(seg, pump, grid, eta_mode="center")
+        assert result.amplitude.dtype == np.complex128
         assert np.array_equal(result.amplitude, pump_function(pump, grid) * expected)
         assert result.metadata["eta_center_relative_error_bound"] == expected_bound
         assert np.array_equal(phase_matching(seg, grid, pump.omega0, eta_mode="center"), expected)
@@ -592,6 +593,12 @@ class TestPumpFunction:
         grid = SpectralGrid(np.array([0.9 * w0, 1.1 * w0]), np.array([0.9 * w0, 1.1 * w0]))
         envelope = pump_function(pump, grid)
         assert envelope[0, 1].real == pytest.approx(pump.sigma * np.sqrt(np.pi), rel=1e-12)
+
+    def test_real_envelope_promotes_bit_for_bit(self, pump, grid128):
+        envelope = pump_function(pump, grid128)
+        assert envelope.dtype == np.float64
+        matched = np.exp(1j * np.linspace(0.0, 7.0, envelope.size)).reshape(envelope.shape)
+        assert np.array_equal(envelope * matched, envelope.astype(complex) * matched)
 
     def test_quadrature_route_matches_analytic(self, pump, grid128):
         analytic = np.abs(pump_function(pump, grid128))

@@ -3,6 +3,7 @@
 import json
 import threading
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -62,6 +63,17 @@ class TestVersionAndUsage:
         out = capsys.readouterr().out
         assert "taperfwm 0.1.0" in out
         assert "config schema taperfwm.run/1" in out
+
+    def test_main_allocates_nothing_before_parsing(self, capsys):
+        # numpy reports its buffers to tracemalloc; a bad flag exits in the parser
+        tracemalloc.start()
+        try:
+            with pytest.raises(SystemExit):
+                run("jsi", "--grid_pointz", 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize(
         "argv",
@@ -457,6 +469,13 @@ class TestJsi:
                    "--grid_points", 8, "--out_dir", tmp_path / "out")
         assert code == EXIT_IO
         assert "bad.txt" in capsys.readouterr().err
+
+    def test_non_finite_profile_sample_names_its_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.profile"
+        bad.write_text("0 900e-9\nnan 900e-9\n0.014 900e-9\n")
+        code = run("jsi", "--profile", bad, "--grid_points", 8, "--out_dir", tmp_path / "out")
+        assert code == EXIT_IO
+        assert f"input error: {bad}:2: samples must be finite" in capsys.readouterr().err
 
     def test_center_eta_mode_accepted(self, tmp_path):
         assert run(*JSI_ARGS, "--eta_mode", "center",

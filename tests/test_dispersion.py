@@ -13,6 +13,7 @@ from taperfwm import dispersion
 from taperfwm.dispersion import (
     FUSED_SILICA,
     CrossSection,
+    DispersionError,
     ExtrapolationError,
     NoGuidedModeError,
     SellmeierGlass,
@@ -297,6 +298,21 @@ class TestModeField:
         sol = solve_mode(WAIST, OM_PUMP)
         with pytest.raises(ValueError):
             sol.field_at(-1e-9)
+
+    @pytest.mark.parametrize("d_mm, past_j01", [(1.0, False), (3.0, True)])
+    def test_rows_past_j01_rejected(self, d_mm, past_j01):
+        # A 48-node table of a 3 mm waist interpolates n_eff low enough that
+        # u passes j_{0,1} at some queries; a 1 mm waist stays below it.
+        cs = CrossSection(diameter=d_mm * 1e-3)
+        nodes = np.linspace(omega_of(1600e-9), omega_of(800e-9), 48)
+        omegas = np.linspace(nodes[0], nodes[-1], 20001)
+        n_effs = neff_table(cs, nodes)(omegas)
+        r = np.linspace(0.0, cs.diameter, 5)
+        if past_j01:
+            with pytest.raises(DispersionError, match="diameter 3000000.0 nm"):
+                dispersion.batch_field_matrix(cs, omegas, n_effs, r)
+        else:
+            assert np.all(np.isfinite(dispersion.batch_field_matrix(cs, omegas, n_effs, r)))
 
 
 # ---------------------------------------------------------------- PCHIP

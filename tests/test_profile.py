@@ -46,6 +46,11 @@ class TestParse:
         with pytest.raises(ValueError, match=":1:"):
             parse_profile("zero 890e-9\n0.014 890e-9\n")
 
+    @pytest.mark.parametrize("row", ["nan 880e-9", "inf 880e-9", "0.010 nan", "0.010 -inf"])
+    def test_non_finite_sample_names_its_line(self, row):
+        with pytest.raises(ValueError, match=r"^scan\.txt:2: samples must be finite"):
+            parse_profile(f"0 890e-9\n{row}\n0.014 890e-9\n", source="scan.txt")
+
     def test_comments_and_blanks_skipped(self):
         profile = parse_profile("# header\n\n0 890e-9  # inline\n0.014 890e-9\n")
         assert profile.z.size == 2

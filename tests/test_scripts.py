@@ -64,3 +64,24 @@ def test_readme_python_quick_start_runs():
     lines = run_python("-c", code).splitlines()
     assert lines[0].startswith("n_eff = 1.2")
     assert len(lines) == 3
+
+
+def test_output_digest_lists_every_output_and_stdout(tmp_path):
+    jsi = ["phase_matching.csv", "pump.csv", "jsi.csv", "marginals.csv", "schmidt.json"]
+    tag_results = ["coincidences.csv", "coincidences.json", "car.json", "g2h.csv", "g2h.json"]
+    expected = set()
+    for case, prefix in (("jsi_measured", "out/"), ("jsi_uniform_hires", "out/"),
+                         ("jsi_default", ""), ("jsi_center_10", "")):
+        expected |= {f"{case}/jsi.stdout", *(f"{case}/{prefix}{name}" for name in jsi)}
+    for case, tag_file in (("tags_deadtime", "tags.bin"), ("tags_text_wide", "tags.txt")):
+        expected |= {f"{case}/{command}.stdout" for command in ("simulate", "coincidences", "g2h")}
+        expected |= {f"{case}/{tag_file}", *(f"{case}/out/{name}" for name in tag_results)}
+    for case in ("modes_builtin", "modes_file_glass"):
+        expected |= {f"{case}/modes.stdout", f"{case}/modes.csv"}
+    for case in ("fit_power_none", "fit_power_poisson"):
+        expected |= {f"{case}/fit-power.stdout", f"{case}/power_fit.json"}
+
+    lines = run_script("output_digest.py", str(tmp_path / "out")).splitlines()
+    names = [line.split("  ")[1] for line in lines]
+    assert sorted(names) == sorted(expected)
+    assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines)

@@ -172,6 +172,11 @@ class TestParseTags:
         with pytest.raises(TagParseError, match="line 2: tick_ps takes one bare positive integer"):
             parse_tags(b"1\t4\n" + header + b"\n2\t9\n")
 
+    def test_tick_header_takes_ascii_digits_only(self):
+        # str.isdigit digits such as Arabic-Indic 81 are not a tick length
+        with pytest.raises(TagParseError, match="line 1: tick_ps takes one bare positive integer"):
+            parse_tags("#tick_ps \u0668\u0661\n1\t4\n".encode())
+
     def test_other_first_words_stay_comments(self):
         s = parse_tags(b"# tick_psx 40.5\n# ticks 1e3\n1\t4\n")
         assert s.tick_duration == TICK_SECONDS
