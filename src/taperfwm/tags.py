@@ -830,19 +830,21 @@ def write_coincidence_csv(hist: CoincidenceHistogram, path) -> None:
 
 
 def write_coincidence_json(hist: CoincidenceHistogram, path) -> None:
-    _write_json({
-        "schema": "taperfwm.coincidences/1",
-        "bin_width_ticks": hist.bin_width,
-        "delay_range_ticks": hist.delay_range,
-        "tick_duration_s": hist.tick_duration,
-        "duration_ticks": hist.duration_ticks,
-        "ch_a": hist.ch_a,
-        "ch_b": hist.ch_b,
-        "n_ch_a": hist.n_ch_a,
-        "n_ch_b": hist.n_ch_b,
-        "delay_ticks": hist.delay_centers.tolist(),
-        "counts": hist.counts.tolist(),
-    }, path)
+    """``_write_json``'s bytes, the per-bin lists formatted ``_TEXT_BLOCK`` values at a time."""
+    text = json.dumps({"schema": "taperfwm.coincidences/1", "bin_width_ticks": hist.bin_width,
+                       "delay_range_ticks": hist.delay_range, "tick_duration_s": hist.tick_duration,
+                       "duration_ticks": hist.duration_ticks, "ch_a": hist.ch_a,
+                       "ch_b": hist.ch_b, "n_ch_a": hist.n_ch_a, "n_ch_b": hist.n_ch_b,
+                       "delay_ticks": [], "counts": []}, sort_keys=True, separators=(",", ":"))
+    head, middle, tail = text.split("[]")  # "counts" sorts before "delay_ticks"
+    with open(path, "wb") as f:
+        for before, values in ((head, hist.counts), (middle, hist.delay_centers)):
+            f.write(before.encode() + b"[")
+            for start in range(0, values.size, _TEXT_BLOCK):
+                block = _int_text((values[start:start + _TEXT_BLOCK],), b",")
+                f.write(block if start + _TEXT_BLOCK < values.size else block[:-1])
+            f.write(b"]")
+        f.write(tail.encode() + b"\n")
 
 
 def write_g2_csv(hist: HeraldedG2Histogram, path) -> None:

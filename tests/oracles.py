@@ -6,6 +6,7 @@ O(n^2) pair counting) rather than importing package internals, so agreement
 is meaningful.
 """
 
+import json
 import math
 from pathlib import Path
 
@@ -421,6 +422,23 @@ def write_coincidence_csv_records(hist, path):
         f.write("".join(line + "\n" for line in head))
         f.write("".join(f"{d},{c}\n" for d, c in
                         zip(hist.delay_centers.tolist(), hist.counts.tolist())))
+
+
+def write_coincidence_json_lists(hist, path):
+    """Coincidence JSON from one ``json.dumps`` with both per-bin lists as Python lists."""
+    Path(path).write_text(json.dumps({
+        "schema": "taperfwm.coincidences/1",
+        "bin_width_ticks": hist.bin_width,
+        "delay_range_ticks": hist.delay_range,
+        "tick_duration_s": hist.tick_duration,
+        "duration_ticks": hist.duration_ticks,
+        "ch_a": hist.ch_a,
+        "ch_b": hist.ch_b,
+        "n_ch_a": hist.n_ch_a,
+        "n_ch_b": hist.n_ch_b,
+        "delay_ticks": hist.delay_centers.tolist(),
+        "counts": hist.counts.tolist(),
+    }, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 # --- per-cell float text: the writers before the vectorised formatter ---------

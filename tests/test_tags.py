@@ -1061,6 +1061,35 @@ class TestTextWriters:
         self.assert_same_bytes(write_coincidence_csv, oracles.write_coincidence_csv_records,
                                hist, tmp_path)
 
+    @settings(max_examples=60, deadline=None)
+    @given(bin_width=st.integers(1, 10**6),
+           counts=st.lists(st.integers(0, 2**63 - 1) | st.just(0), max_size=40))
+    @example(bin_width=1, counts=[0])
+    @example(bin_width=2**63 - 1, counts=[2**63 - 1, 0, 1])
+    def test_coincidence_json_equals_list_writer(self, tmp_path_factory, bin_width, counts):
+        counts = counts[:(len(counts) - 1) // 2 * 2 + 1] or [0]  # an odd number of bins
+        self.assert_same_bytes(write_coincidence_json, oracles.write_coincidence_json_lists,
+                               histogram(bin_width, counts), tmp_path_factory.mktemp("json"))
+
+    @pytest.mark.parametrize("block", [1, 7, 61, 62])
+    def test_coincidence_json_across_block_edges(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(tags, "_TEXT_BLOCK", block)
+        counts = np.random.default_rng(block).integers(0, 3, 2 * 30 + 1)
+        self.assert_same_bytes(write_coincidence_json, oracles.write_coincidence_json_lists,
+                               histogram(10, counts), tmp_path)
+
+    def test_coincidence_json_memory_bounded_by_block(self, tmp_path):
+        # +-10**6 bins of 7-digit delays: 24 MB of text, 190 MB peak as Python lists
+        hist = histogram(3, np.arange(2 * 10**6 + 1) % 1000)
+        tracemalloc.start()
+        try:
+            write_coincidence_json(hist, tmp_path / "coinc.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 16 MB delays array and a few blocks of text (19.9 MB measured)
+        assert peak < 2 * 8 * hist.counts.size
+
     @settings(max_examples=100, deadline=None)
     @given(rows=st.lists(st.tuples(st.integers(-2**63, 2**63 - 1), st.integers(-9, 9)),
                          min_size=1))
