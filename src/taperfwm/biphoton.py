@@ -38,6 +38,7 @@ from .dispersion import (
     _transverse_params,
     batch_field_matrix,
     neff_table,
+    neff_tables,
 )
 from .profile import SegmentedProfile
 
@@ -211,9 +212,11 @@ class ModeBank:
 
     The interval spans every angular frequency passed in; a NaN is rejected.
     ``table(cs)`` builds a new table on every call and keeps none, so callers
-    build each cross-section's table once and hold it.  All tables of a bank
-    share the same angular-frequency span, so a bank built for a grid serves
-    every segment of a taper.
+    build each cross-section's table once and hold it; ``tables(css)``
+    builds many in one stacked solve (:func:`~taperfwm.dispersion.neff_tables`),
+    and they share one knot array.  All tables of a bank share the same
+    angular-frequency span, so a bank built for a grid serves every segment
+    of a taper.
     """
 
     def __init__(self, *omegas: float):
@@ -224,6 +227,10 @@ class ModeBank:
 
     def table(self, cross_section: CrossSection) -> NeffTable:
         return neff_table(cross_section, self._grid)
+
+    def tables(self, cross_sections) -> list:
+        """``table(cs)`` of each cross-section, or None where that raises (see ``neff_tables``)."""
+        return neff_tables(cross_sections, self._grid)
 
 
 def delta_k(
@@ -365,15 +372,18 @@ def _segment_eta(table: NeffTable, omega_p: float, ws, wi, eta_mode: str):
     return probe[0, 0], float(np.max(np.abs(probe[1:, 1:] / probe[0, 0] - 1.0)))
 
 
-def _segment_terms(table: NeffTable, omega_p: float, ws, wi, length: float, eta):
-    """One segment's phase-matching term on the (ws, wi) grid: ``(base, step)``.
+def _segment_terms(table: NeffTable, omegas, located, length: float, eta):
+    """One segment's phase-matching term on a band of the grid: ``(base, step)``.
 
     ``base`` is ``l sinc(dk l / 2) exp(i dk l / 2) eta`` and ``step`` is
-    ``exp(i dk l)``, with dk from :func:`delta_k` on ``table``.  Every
-    operation is elementwise, so a band of signal rows gets the same bits as
-    the same rows of a whole-grid term.
+    ``exp(i dk l)``.  ``omegas`` are the band's (omega_p, omega_s column,
+    omega_i row, omega_r) and ``located`` their :meth:`NeffTable.locate`
+    results, so dk = k(w_p) + k(w_r) - k(w_s) - k(w_i) has the bits of
+    :func:`delta_k` on ``table``.  Every operation is elementwise, so a band
+    of signal rows gets the same bits as the same rows of a whole-grid term.
     """
-    dk = delta_k(table.cross_section, omega_p, ws[:, None], wi[None, :], table)
+    k_p, k_s, k_i, k_r = (om * table.at(where) / C_VAC for om, where in zip(omegas, located))
+    dk = k_p + k_r - k_s - k_i
     with np.errstate(over="ignore"):
         half = 0.5 * dk * length
     if not np.all(np.isfinite(half)):
@@ -408,11 +418,15 @@ _SUM_BLOCK = 16384
 def _phase_matching_info(segmented, grid, omega_p, eta_mode):
     """Phase-matching sum and the corner-sampled eta bound (None unless eta_mode='center').
 
-    Every distinct diameter's table and eta (a real grid, 8 bytes per value,
-    or a scalar for eta_mode='center') are built before the first band and
-    held to the end, beside the complex result and the band-sized arrays of
-    ``_SUM_BLOCK``.  So a diameter below cutoff is reported before any term
-    is formed, and so before a phase dk l / 2 that overflows.
+    Every distinct diameter's table comes from one stacked solve
+    (``ModeBank.tables``); one it did not build is built alone with
+    ``ModeBank.table`` at its place in the walk, which raises there, so
+    errors keep their order.  Tables and eta (a real grid, 8 bytes per
+    value, or a scalar for eta_mode='center') are built before the first
+    band and held to the end, beside the complex result and the band-sized
+    arrays of ``_SUM_BLOCK``.  So a diameter below cutoff is reported before
+    any term is formed, and so before a phase dk l / 2 that overflows.  Each
+    band locates its frequencies among each distinct knot array once.
     """
     if eta_mode not in ("per_point", "center"):
         raise ValueError(f"eta_mode must be 'per_point' or 'center', got {eta_mode!r}")
@@ -422,6 +436,8 @@ def _phase_matching_info(segmented, grid, omega_p, eta_mode):
     bank = ModeBank(ws[0], ws[-1], wi[0], wi[-1], omega_p,
                     ws[0] + wi[0] - omega_p, ws[-1] + wi[-1] - omega_p)
     length = segmented.segment_length
+    distinct = list(dict.fromkeys(reversed(segmented.segments)))
+    stacked = dict(zip(distinct, bank.tables(distinct)))
 
     # Walk the segments from the output end backwards so the running suffix
     # phase needs one complex multiply per segment.  The walk names each
@@ -435,7 +451,7 @@ def _phase_matching_info(segmented, grid, omega_p, eta_mode):
         cs = segmented.segments[q]
         if cs not in slots:
             try:
-                table = bank.table(cs)
+                table = stacked[cs] or bank.table(cs)
                 eta, bound = _segment_eta(table, omega_p, ws, wi, eta_mode)
             except NoGuidedModeError as err:
                 raise NoGuidedModeError(
@@ -447,12 +463,15 @@ def _phase_matching_info(segmented, grid, omega_p, eta_mode):
             overlaps.append((table, eta))
         walk.append(slots[cs])
     last_use = {d: t for t, d in enumerate(walk)}
+    on_knots = {id(table.knots): table for table, _ in overlaps}  # one table per knot array
 
     total = np.zeros((ws.size, wi.size), dtype=complex)
     rows = max(1, _SUM_BLOCK // wi.size)
     for start in range(0, ws.size, rows):
         band = slice(start, start + rows)
         part = total[band]
+        omegas = (omega_p, ws[band, None], wi[None, :], ws[band, None] + wi[None, :] - omega_p)
+        located = {key: [table.locate(om) for om in omegas] for key, table in on_knots.items()}
         suffix = np.ones_like(part)  # exp(i * sum of later segments' dk * l)
         again = {}  # this band's terms of diameters the walk meets later
         for t, d in enumerate(walk):
@@ -460,7 +479,7 @@ def _phase_matching_info(segmented, grid, omega_p, eta_mode):
                 base, step = again.pop(d)
             else:
                 table, eta = overlaps[d]
-                base, step = _segment_terms(table, omega_p, ws[band], wi, length,
+                base, step = _segment_terms(table, omegas, located[id(table.knots)], length,
                                             eta[band] if eta_mode == "per_point" else eta)
             if last_use[d] > t:
                 again[d] = (base, step)

@@ -48,6 +48,7 @@ __all__ = [
     "NeffTable",
     "solve_mode",
     "neff_table",
+    "neff_tables",
     "load_glass",
     "parse_glass",
 ]
@@ -512,6 +513,50 @@ def _transverse_params(cross_section: CrossSection, omegas, n_effs):
     return ak0 * np.sqrt(n1**2 - n_effs**2), ak0 * np.sqrt(n_effs**2 - 1.0)
 
 
+def _column_params(cross_section: CrossSection, omegas: np.ndarray):
+    """a*k0, V and 1/n1^2 of one cross-section's columns, one per angular frequency.
+
+    Raises NoGuidedModeError if the core index is at or below the air index
+    and DispersionError if V^2 overflows.
+    """
+    n1, ak0 = _guide_params(cross_section, omegas)
+    if np.any(n1 <= 1.0):  # a user glass can fall below air
+        i = int(np.argmax(n1 <= 1.0))
+        raise NoGuidedModeError(
+            f"guidance condition violated: core index {n1.flat[i]:.6f} <= air index 1 "
+            f"at wavelength {2*np.pi*C_VAC/omegas.flat[i]*1e9:.1f} nm"
+        )
+    v = ak0 * np.sqrt(n1**2 - 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.all(np.isfinite(v * v)):
+            raise DispersionError(f"mode solver overflows at diameter {cross_section.diameter * 1e9:.6g} nm "
+                                  f"(V = {v.max():.6g})")
+    return ak0, v, 1.0 / n1**2
+
+
+def _solve_columns(v, nu):
+    """HE11 root w of h for every column (V, 1/n1^2) of the flat ``v`` and ``nu``.
+
+    Returns ``w``, h(w) and its term scale (NaN where no root was sought),
+    and the masks ``bracketed`` (the bracket is not empty), ``guided`` (also
+    its ends have opposite signs) and ``finite`` (h is finite at the ends and
+    at every point ``_root`` evaluated).  The root is sought where a column
+    is guided and finite at its ends.  Every step is elementwise, so a column
+    gets the same bits whichever columns it is solved beside.
+    """
+    w, resid, scale = np.full(v.size, np.nan), np.full(v.size, np.nan), np.full(v.size, np.nan)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        lo, hi = _w_bracket(v)
+        (flo, fhi), (slo, shi) = _char_fn(nu, v)(np.stack((lo, hi)))
+        bracketed = lo < hi
+        guided = bracketed & (np.signbit(flo) != np.signbit(fhi))
+        finite = np.isfinite(flo) & np.isfinite(fhi)
+        j = np.flatnonzero(guided & finite)
+        w[j], resid[j], scale[j], finite[j] = _root(lambda cols, x: _char_fn(nu[j[cols]], v[j[cols]])(x),
+                                                    (lo[j], flo[j], slo[j]), (hi[j], fhi[j], shi[j]))
+    return w, resid, scale, bracketed, guided, finite
+
+
 def _solve_many(cross_section: CrossSection, omegas: np.ndarray) -> np.ndarray:
     """HE11 effective indices at each angular frequency (vectorized).
 
@@ -524,28 +569,9 @@ def _solve_many(cross_section: CrossSection, omegas: np.ndarray) -> np.ndarray:
     the root fails its residual check.
     """
     omegas = np.asarray(omegas, dtype=float)
-    n1, ak0 = _guide_params(cross_section, omegas)
+    ak0, v, nu = _column_params(cross_section, omegas)
+    w, resid, scale, bracketed, guided, finite = _solve_columns(v, nu)
     d_nm = cross_section.diameter * 1e9
-    if np.any(n1 <= 1.0):  # a user glass can fall below air
-        i = int(np.argmax(n1 <= 1.0))
-        raise NoGuidedModeError(
-            f"guidance condition violated: core index {n1.flat[i]:.6f} <= air index 1 "
-            f"at wavelength {2*np.pi*C_VAC/omegas.flat[i]*1e9:.1f} nm"
-        )
-    v = ak0 * np.sqrt(n1**2 - 1.0)
-    nu = 1.0 / n1**2
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        if not np.all(np.isfinite(v * v)):
-            raise DispersionError(f"mode solver overflows at diameter {d_nm:.6g} nm (V = {v.max():.6g})")
-        lo, hi = _w_bracket(v)
-        (flo, fhi), (slo, shi) = _char_fn(nu, v)(np.stack((lo, hi)))
-        bracketed = lo < hi
-        guided = bracketed & (np.signbit(flo) != np.signbit(fhi))
-        finite = np.isfinite(flo) & np.isfinite(fhi)
-        j = np.flatnonzero(guided & finite)  # every column, once the two checks below pass
-        w, resid, scale, ok = _root(lambda cols, x: _char_fn(nu[j[cols]], v[j[cols]])(x),
-                                    (lo[j], flo[j], slo[j]), (hi[j], fhi[j], shi[j]))
-        finite[j] = ok
     if np.any(bracketed & ~finite):
         raise SolverConvergenceError(
             f"characteristic function not finite in the bracket for HE11 at diameter {d_nm:.1f} nm"
@@ -728,28 +754,38 @@ class _Pchip:
         t = (d[:-1] + d[1:] - 2 * m) / h
         self._coef = (t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1])
 
+    def locate(self, q):
+        """Interval index, offset from its left knot and in-range mask of each query in ``q``.
+
+        Interpolants on the same knots share one result, for :meth:`evaluate`.
+        """
+        x = self.x
+        # counting interior knots <= q gives the interval, the last one closed
+        i = np.searchsorted(x[1:-1], q, side="right")
+        return i, q - x.take(i), (q >= x[0]) & (q <= x[-1])
+
+    def evaluate(self, located):
+        """Values at the queries that :meth:`locate` placed, in the queries' shape."""
+        i, s, inside = located
+        c0, c1, c2, value = (c.take(i) for c in self._coef)
+        # c3 + c2 s + c1 s^2 + c0 s^3, summed in PPoly's order, in place
+        c2 *= s
+        value += c2
+        s2 = s * s
+        c1 *= s2
+        value += c1
+        s2 *= s
+        c0 *= s2
+        value += c0
+        return np.where(inside, value, np.nan)
+
     def __call__(self, q):
         q = np.asarray(q, dtype=float)
         flat = q.ravel()
         out = np.empty_like(flat)
-        x = self.x
         for start in range(0, flat.size, _PCHIP_BLOCK):
-            block = flat[start:start + _PCHIP_BLOCK]
-            # counting interior knots <= q gives the interval, the last one closed
-            i = np.searchsorted(x[1:-1], block, side="right")
-            c0, c1, c2, value = (c.take(i) for c in self._coef)
-            s = block - x.take(i)
-            # c3 + c2 s + c1 s^2 + c0 s^3, summed in PPoly's order, in place
-            c2 *= s
-            value += c2
-            s2 = s * s
-            c1 *= s2
-            value += c1
-            s2 *= s
-            c0 *= s2
-            value += c0
-            out[start:start + _PCHIP_BLOCK] = np.where((block >= x[0]) & (block <= x[-1]), value,
-                                                       np.nan)
+            block = slice(start, start + _PCHIP_BLOCK)
+            out[block] = self.evaluate(self.locate(flat[block]))
         return out.reshape(q.shape)
 
 
@@ -778,18 +814,35 @@ class NeffTable:
     _interp: _Pchip
 
     def __call__(self, omega):
-        omega_arr = np.asarray(omega, dtype=float)
-        lo, hi = self.omega[0], self.omega[-1]
-        if np.any(omega_arr < lo) or np.any(omega_arr > hi):
-            raise ExtrapolationError(
-                f"query outside tabulated range [{lo:.6e}, {hi:.6e}] rad/s for HE11"
-            )
+        omega_arr = self._in_range(omega)
         out = self._interp(omega_arr)
         return out.item() if np.ndim(omega) == 0 else out
 
     def k(self, omega):
         """Propagation constant omega * n_eff(omega) / c in rad/m."""
         return np.asarray(omega, dtype=float) * self(omega) / C_VAC
+
+    @property
+    def knots(self) -> np.ndarray:
+        """The interpolant's knots.  Tables from one :func:`neff_tables` pass share the array."""
+        return self._interp.x
+
+    def locate(self, omega):
+        """Where ``omega`` falls among :attr:`knots`, for :meth:`at` of every table on them."""
+        return self._interp.locate(self._in_range(omega))
+
+    def at(self, located):
+        """n_eff at the frequencies :meth:`locate` placed; the same bits as calling the table."""
+        return self._interp.evaluate(located)
+
+    def _in_range(self, omega) -> np.ndarray:
+        omega_arr = np.asarray(omega, dtype=float)
+        lo, hi = self.omega[0], self.omega[-1]
+        if np.any(omega_arr < lo) or np.any(omega_arr > hi):
+            raise ExtrapolationError(
+                f"query outside tabulated range [{lo:.6e}, {hi:.6e}] rad/s for HE11"
+            )
+        return omega_arr
 
 
 def neff_table(cross_section: CrossSection, omega_grid: Sequence[float]) -> NeffTable:
@@ -798,7 +851,8 @@ def neff_table(cross_section: CrossSection, omega_grid: Sequence[float]) -> Neff
     The solver runs on an internal grid 16 times denser than ``omega_grid``
     so that the interpolant reproduces direct solves at held-out midpoints to
     5e-9 (``_TABLE_TOL``); this is verified internally at five midpoints and
-    the refinement is doubled once if the check fails.
+    the refinement is doubled once if the check fails.  This is the
+    one-diameter case of :func:`neff_tables`, which builds the same table.
 
     Args:
         cross_section: Waveguide geometry.
@@ -809,34 +863,94 @@ def neff_table(cross_section: CrossSection, omega_grid: Sequence[float]) -> Neff
         NoGuidedModeError: Any grid point below cutoff (message lists them).
         ExtrapolationError: On later queries outside the grid range.
     """
-    omega_grid = np.asarray(omega_grid, dtype=float)
-    if omega_grid.ndim != 1 or omega_grid.size < 2:
-        raise ValueError("omega_grid must be a 1-D array with at least two points")
-    if np.any(np.diff(omega_grid) <= 0):
-        raise ValueError("omega_grid must be strictly increasing")
-
+    omega_grid = _table_grid(omega_grid)
     for factor in (_TABLE_REFINE, 2 * _TABLE_REFINE):
-        dense = _refined_grid(omega_grid, factor)
-        checks = dense[:-1] + 0.5 * np.diff(dense)
-        checks = checks[np.linspace(0, checks.size - 1, 5).astype(int)]
+        dense, checks = _table_columns(omega_grid, factor)
         try:  # one solve for both: each frequency's root is found on its own
             n_eff = _solve_many(cross_section, np.concatenate((dense, checks)))
         except NoGuidedModeError:
             _solve_many(cross_section, omega_grid)  # name the grid's own frequencies below cutoff
             raise
-        interp = _Pchip(dense, n_eff[:dense.size])
-        if np.max(np.abs(interp(checks) - n_eff[dense.size:])) <= _TABLE_TOL:
+        interp = _held_out_interp(dense, checks, n_eff)
+        if interp is not None:
+            return NeffTable(cross_section, omega_grid.copy(), interp)
+    raise SolverConvergenceError(
+        f"neff_table failed its held-out midpoint check for HE11 "
+        f"even at refine={2 * _TABLE_REFINE}"
+    )
+
+
+def neff_tables(cross_sections: Sequence[CrossSection], omega_grid: Sequence[float]) -> list:
+    """The :func:`neff_table` of every cross-section, from one stacked solve.
+
+    Every cross-section's dense-grid and held-out columns go through one
+    ``_root`` pass; ``_root`` steps each column on its own, so each root
+    keeps its bits.  Then each table runs its held-out check, and those that
+    fail it go through one more stacked pass at twice the refinement.  Each
+    table equals ``neff_table(cs, omega_grid)`` bit for bit, and all tables
+    of one pass share their :attr:`~NeffTable.knots` array.
+
+    Returns one entry per cross-section: its table, or None where
+    ``neff_table`` raises (a column unbracketed, not finite or failing its
+    residual check, V^2 overflowing, a glass out of range or the held-out
+    check failing at both refinements).  Building that cross-section alone
+    with ``neff_table`` raises its error.
+    """
+    omega_grid = _table_grid(omega_grid)
+    tables = [None] * len(cross_sections)
+    pending = list(range(len(cross_sections)))
+    for factor in (_TABLE_REFINE, 2 * _TABLE_REFINE):
+        dense, checks = _table_columns(omega_grid, factor)
+        omegas = np.concatenate((dense, checks))
+        stacked, params = [], []
+        for k in pending:
+            try:
+                params.append(_column_params(cross_sections[k], omegas))
+            except DispersionError:
+                continue
+            stacked.append(k)
+        if not stacked:
             break
-    else:
-        raise SolverConvergenceError(
-            f"neff_table failed its held-out midpoint check for HE11 "
-            f"even at refine={2 * _TABLE_REFINE}"
-        )
-    return NeffTable(cross_section, omega_grid.copy(), interp)
+        ak0, v, nu = (np.concatenate(p) for p in zip(*params))
+        w, resid, scale, bracketed, guided, finite = (
+            a.reshape(len(stacked), omegas.size) for a in _solve_columns(v, nu))
+        # the checks of _solve_many, row by row
+        solved = ~(~guided | (bracketed & ~finite) | (np.abs(resid) > _RESIDUAL_RTOL * scale)).any(axis=1)
+        n_eff = np.sqrt(1.0 + (w / ak0.reshape(w.shape)) ** 2)
+        pending = []
+        for k, row, ok in zip(stacked, n_eff, solved):
+            interp = _held_out_interp(dense, checks, row) if ok else None
+            if interp is not None:
+                tables[k] = NeffTable(cross_sections[k], omega_grid.copy(), interp)
+            elif ok:
+                pending.append(k)
+    return tables
+
+
+def _table_grid(omega_grid) -> np.ndarray:
+    omega_grid = np.asarray(omega_grid, dtype=float)
+    if omega_grid.ndim != 1 or omega_grid.size < 2:
+        raise ValueError("omega_grid must be a 1-D array with at least two points")
+    if np.any(np.diff(omega_grid) <= 0):
+        raise ValueError("omega_grid must be strictly increasing")
+    return omega_grid
+
+
+def _table_columns(omega_grid: np.ndarray, factor: int):
+    """The solver grid ``factor`` times denser than ``omega_grid`` and its five held-out midpoints."""
+    dense = _refined_grid(omega_grid, factor)
+    checks = dense[:-1] + 0.5 * np.diff(dense)
+    return dense, checks[np.linspace(0, checks.size - 1, 5).astype(int)]
+
+
+def _held_out_interp(dense, checks, n_eff):
+    """PCHIP through the ``dense`` part of ``n_eff``, or None if it misses the
+    ``checks`` part, the held-out solves, by more than _TABLE_TOL."""
+    interp = _Pchip(dense, n_eff[:dense.size])
+    return interp if np.max(np.abs(interp(checks) - n_eff[dense.size:])) <= _TABLE_TOL else None
 
 
 def _refined_grid(grid: np.ndarray, factor: int) -> np.ndarray:
     steps = np.linspace(0.0, 1.0, factor + 1)[:-1]
     dense = (grid[:-1, None] + steps[None, :] * np.diff(grid)[:, None]).ravel()
     return np.append(dense, grid[-1])
-

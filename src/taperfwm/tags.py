@@ -48,7 +48,10 @@ __all__ = [
 #: Default timing resolution of one tag tick.
 TICK_SECONDS = 81e-12
 
-DEFAULT_CHANNELS = frozenset({1, 2, 3})
+#: The channels a tag stream may hold: a contiguous range, so that one
+#: min/max test checks every record against it.
+DEFAULT_CHANNELS = frozenset(range(1, 4))
+_CHANNEL_LO, _CHANNEL_HI = min(DEFAULT_CHANNELS), max(DEFAULT_CHANNELS)
 
 _BINARY_MAGIC = b"TTAG1"
 _INT64_MAX = np.iinfo(np.int64).max
@@ -104,10 +107,10 @@ class TagStream:
         ch = ch.astype(np.int64, copy=False)
         ts = ts.astype(np.int64, copy=False)
         if ts.size:
-            unknown = ch[~np.isin(ch, list(DEFAULT_CHANNELS))]
-            if unknown.size:
+            unknown = _first_unknown_channel(ch)
+            if unknown is not None:
                 raise ValueError(
-                    f"channel {unknown[0]} not in declared set {sorted(DEFAULT_CHANNELS)}")
+                    f"channel {ch[unknown]} not in declared set {sorted(DEFAULT_CHANNELS)}")
             if ts.min() < 0:
                 raise ValueError("timestamps must be non-negative")
             dt = np.diff(ts)
@@ -128,6 +131,17 @@ class TagStream:
     def channel_timestamps(self, channel: int) -> np.ndarray:
         """Sorted tick timestamps of one channel."""
         return self.timestamps[self.channels == channel]
+
+
+def _first_unknown_channel(ch: np.ndarray) -> Optional[int]:
+    """Index of the first channel outside DEFAULT_CHANNELS, or None if all are in it.
+
+    One min/max test clears the usual stream; ``np.isin`` runs only to find
+    the first unknown channel.
+    """
+    if not ch.size or (ch.min() >= _CHANNEL_LO and ch.max() <= _CHANNEL_HI):
+        return None
+    return int(np.argmax(~np.isin(ch, list(DEFAULT_CHANNELS))))
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +198,7 @@ def _parse_plain(data: bytes):
         if any(tokens[i].lstrip(b"0") != _INT64_MAX_TEXT for i in saturated.tolist()):
             return None
     fields = values.reshape(-1, 2)
-    if not np.isin(fields[:, 0], list(DEFAULT_CHANNELS)).all():
+    if _first_unknown_channel(fields[:, 0]) is not None:
         return None
     return fields[:, 0], fields[:, 1].copy(), tick
 
@@ -256,9 +270,8 @@ def _parse_binary(data: bytes):
     rec = np.frombuffer(body, dtype=np.dtype([("channel", "u1"), ("ticks", "<u8")]))
     ch = rec["channel"].astype(np.int64)
     raw_ts = rec["ticks"]
-    bad = ~np.isin(ch, list(DEFAULT_CHANNELS))
-    if bad.any():
-        i = int(np.argmax(bad))
+    i = _first_unknown_channel(ch)
+    if i is not None:
         raise TagParseError(
             f"byte {header + 9 * i}: unknown channel {ch[i]} (declared {sorted(DEFAULT_CHANNELS)})")
     too_big = raw_ts > np.uint64(_INT64_MAX)

@@ -11,7 +11,7 @@ from scipy.integrate import quad
 from scipy.ndimage import label as ndlabel
 
 import oracles
-from taperfwm import biphoton
+from taperfwm import biphoton, dispersion
 from taperfwm.biphoton import (
     GridCoverageWarning,
     JsaGrid,
@@ -51,15 +51,25 @@ def window_grid(n_signal, n_idler):
 
 
 def count_neff_tables(monkeypatch) -> list:
-    """Record the cross-section of every ``neff_table`` call that biphoton makes."""
+    """Record the cross-section of every table that biphoton builds.
+
+    Tables come from the stacked ``neff_tables`` (each entry it builds) and
+    from ``neff_table`` (one cross-section alone).
+    """
     calls = []
-    build = biphoton.neff_table
+    build, build_many = biphoton.neff_table, biphoton.neff_tables
 
     def counted(cross_section, omega_grid):
         calls.append(cross_section)
         return build(cross_section, omega_grid)
 
+    def counted_many(cross_sections, omega_grid):
+        tables = build_many(cross_sections, omega_grid)
+        calls.extend(cs for cs, table in zip(cross_sections, tables) if table is not None)
+        return tables
+
     monkeypatch.setattr(biphoton, "neff_table", counted)
+    monkeypatch.setattr(biphoton, "neff_tables", counted_many)
     return calls
 
 
@@ -417,6 +427,37 @@ class TestPhaseMatching:
             with pytest.raises(NoGuidedModeError, match=r"^segment 8 \(diameter 120\.0 nm\): .*nm"):
                 phase_matching(segment(profile, 9), grid, pump.omega0)
 
+    def test_cutoff_reported_before_an_overflowing_phase(self, pump, monkeypatch):
+        # Below cutoff at both ends (110 nm in, 120 nm out) and a segment
+        # length of 1e305 m, whose phase dk l / 2 overflows.  The error names
+        # the below-cutoff segment nearest the output, in the text of that
+        # diameter's own table build, and no segment term is formed.
+        length = 9e305
+        z = np.array([0.0, 0.1, 0.11, 0.55, 0.56, 1.0]) * length
+        d = np.array([110e-9, 110e-9, 900e-9, 900e-9, 120e-9, 120e-9])
+        seg = segment(TaperProfile(z, d), 9)
+        assert seg.segments[0].diameter == 110e-9 and seg.segments[8].diameter == 120e-9
+        grid = SpectralGrid.from_wavelength_windows(SIGNAL_WINDOW, IDLER_WINDOW, 8)
+        bank = ModeBank(*grid.signal_omega[[0, -1]], *grid.idler_omega[[0, -1]], pump.omega0,
+                        grid.signal_omega[0] + grid.idler_omega[0] - pump.omega0,
+                        grid.signal_omega[-1] + grid.idler_omega[-1] - pump.omega0)
+        with pytest.raises(NoGuidedModeError) as alone:
+            bank.table(CrossSection(120e-9))
+        builds = count_term_builds(monkeypatch)
+        with pytest.raises(NoGuidedModeError) as err:
+            phase_matching(seg, grid, pump.omega0)
+        assert str(err.value) == f"segment 8 (diameter 120.0 nm): {alone.value}"
+        assert str(alone.value).startswith("no guided HE11 mode at diameter 120.0 nm for wavelengths: ")
+        assert builds == []
+        # without the tail the input end is the one below cutoff ...
+        seg = segment(TaperProfile(z[:4], d[:4]), 9)
+        with pytest.raises(NoGuidedModeError, match=r"^segment 1 \(diameter 110\.0 nm\)"):
+            phase_matching(seg, grid, pump.omega0)
+        # ... and a guided waist of the same segment length reaches the overflowing phase
+        seg = segment(uniform_profile(900e-9, length), 9)
+        with pytest.raises(ValueError, match="the phase dk l / 2 overflows"):
+            phase_matching(seg, grid, pump.omega0)
+
     def test_center_eta_close_to_per_point(self, pump, grid128):
         seg = segment(uniform_profile(885e-9), 2)
         per_point = phase_matching(seg, grid128, pump.omega0, eta_mode="per_point")
@@ -496,6 +537,35 @@ class TestSegmentSumBands:
         grid = SpectralGrid.from_wavelength_windows(SIGNAL_WINDOW, IDLER_WINDOW, 8)
         phase_matching(stepped_taper(), grid, pump.omega0)
         assert len(calls) == 4 and len(set(calls)) == 4
+
+    @pytest.mark.parametrize("tol, passes", [
+        (None, [16 * (47 * 16 + 1 + 5)]),
+        # 14 of the 16 diameters need the doubled refinement, and the two
+        # knot arrays each get their own lookups
+        (3e-11, [16 * (47 * 16 + 1 + 5), 14 * (47 * 32 + 1 + 5)]),
+    ], ids=["default", "refined"])
+    def test_one_root_pass_per_refinement(self, pump, monkeypatch, tol, passes):
+        seg = segment(load_profile(DATA / "measured_profile.txt"), 16)
+        assert len(set(seg.segments)) == 16
+        if tol is not None:
+            monkeypatch.setattr(dispersion, "_TABLE_TOL", tol)
+        sizes = []
+        root = dispersion._root
+
+        def counted(h, end1, end2):
+            sizes.append(end1[0].size)
+            return root(h, end1, end2)
+
+        monkeypatch.setattr(dispersion, "_root", counted)
+        calls = count_neff_tables(monkeypatch)
+        grid = SpectralGrid.from_wavelength_windows(SIGNAL_WINDOW, IDLER_WINDOW, 8)
+        total = phase_matching(seg, grid, pump.omega0)
+        # each pass holds every diameter's dense grid and five held-out midpoints
+        assert sizes == passes
+        assert len(calls) == 16 and len(set(calls)) == 16
+        monkeypatch.setattr(dispersion, "_root", root)
+        expected, _ = oracles.segment_sum_loop(seg, grid, pump.omega0, "per_point")
+        assert np.array_equal(total, expected)
 
     @pytest.mark.parametrize("block", [None, 1, 7, 64])
     @pytest.mark.parametrize("n_signal, n_idler", [(37, 53), (37, 3)])

@@ -17,9 +17,11 @@ from taperfwm.dispersion import (
     ExtrapolationError,
     NoGuidedModeError,
     SellmeierGlass,
+    SolverConvergenceError,
     WavelengthRangeError,
     load_glass,
     neff_table,
+    neff_tables,
     parse_glass,
     solve_mode,
 )
@@ -469,6 +471,99 @@ class TestNeffTable:
         om = omega_of(1062e-9)
         with pytest.raises(ValueError):
             neff_table(WAIST, np.array([om, om]))
+
+
+# ---------------------------------------------------------------- neff_tables
+# The stacked build against the one-diameter neff_table it replaces: equal
+# bit for bit on the dense n_eff, the knots and the table values.
+
+BANK = np.linspace(omega_of(1400e-9), omega_of(850e-9), 48)
+
+
+def measured_diameters(n_segments):
+    """The distinct cross-sections of the measured taper cut into ``n_segments``."""
+    return list(dict.fromkeys(segment(load_profile(DATA / "measured_profile.txt"), n_segments).segments))
+
+
+def assert_same_tables(tables, cross_sections, grid):
+    queries = np.random.default_rng(5).uniform(grid[0], grid[-1], 500)
+    for table, cs in zip(tables, cross_sections, strict=True):
+        reference = neff_table(cs, grid)
+        assert table.cross_section == cs and np.array_equal(table.omega, reference.omega)
+        assert np.array_equal(table.knots, reference.knots)
+        assert all(np.array_equal(a, b) for a, b in zip(table._interp._coef, reference._interp._coef))
+        assert np.array_equal(table(queries), reference(queries))
+        assert np.array_equal(table.at(table.locate(queries)), reference(queries))
+
+
+class TestNeffTables:
+    @pytest.mark.parametrize("n_segments", [16, 100, 200])
+    def test_measured_profile_equals_per_diameter_tables(self, n_segments):
+        diameters = measured_diameters(n_segments)
+        tables = neff_tables(diameters, BANK)
+        assert len(tables) == len(diameters) and len({id(t.knots) for t in tables}) == 1
+        assert_same_tables(tables, diameters, BANK)
+
+    @pytest.mark.parametrize("n_segments", [16, 100, 200])
+    def test_stacked_columns_equal_per_diameter_solves(self, n_segments):
+        # the dense n_eff and held-out solves of every diameter from one column pass
+        diameters = measured_diameters(n_segments)
+        dense, checks = dispersion._table_columns(BANK, dispersion._TABLE_REFINE)
+        omegas = np.concatenate((dense, checks))
+        ak0, v, nu = (np.concatenate(p) for p in
+                      zip(*(dispersion._column_params(cs, omegas) for cs in diameters)))
+        w = dispersion._solve_columns(v, nu)[0]
+        n_eff = np.sqrt(1.0 + (w / ak0) ** 2).reshape(len(diameters), omegas.size)
+        for row, cs in zip(n_eff, diameters):
+            assert np.array_equal(row, dispersion._solve_many(cs, omegas))
+
+    @pytest.mark.parametrize("tol, refines", [(3e-11, {16, 32}), (5.9e-12, {32})])
+    def test_refine_doubling_per_diameter(self, monkeypatch, tol, refines):
+        # On this grid the held-out gaps of the 16 measured diameters are
+        # 1.2e-11 to 4.9e-11 at refine 16 and 1.6e-12 to 6.1e-12 at refine 32.
+        # At 3e-11 the two widest diameters pass at 16 and the rest at 32; at
+        # 5.9e-12 all need 32 and some fail there too, and neff_table raises for those.
+        monkeypatch.setattr(dispersion, "_TABLE_TOL", tol)
+        diameters = measured_diameters(16)
+        tables = neff_tables(diameters, BANK)
+        assert {(t.knots.size - 1) // (BANK.size - 1) for t in tables if t is not None} == refines
+        failed = [cs for cs, t in zip(diameters, tables) if t is None]
+        assert bool(failed) == (tol < 6.1e-12)
+        for cs in failed:
+            with pytest.raises(SolverConvergenceError, match="even at refine=32"):
+                neff_table(cs, BANK)
+        built = [(t, cs) for cs, t in zip(diameters, tables) if t is not None]
+        assert_same_tables(*zip(*built), BANK)
+
+    def test_below_cutoff_diameter_left_to_neff_table(self):
+        diameters = [CrossSection(900e-9), CrossSection(120e-9), CrossSection(885e-9)]
+        tables = neff_tables(diameters, BANK)
+        assert tables[1] is None
+        with pytest.raises(NoGuidedModeError, match=r"^no guided HE11 mode at diameter 120\.0 nm"):
+            neff_table(diameters[1], BANK)
+        assert_same_tables([tables[0], tables[2]], [diameters[0], diameters[2]], BANK)
+
+    def test_failing_diameters_left_to_neff_table(self):
+        # a V^2 that overflows, a glass below air and a 5 mm waist whose root
+        # fails the residual check at 859 nm: each raises alone
+        sub_unity = SellmeierGlass("sub-unity", ((0.1, 4.0),), (0.5, 1.5))
+        diameters = [CrossSection(1e160), CrossSection(900e-9, sub_unity), CrossSection(5e-3), WAIST]
+        tables = neff_tables(diameters, BANK)
+        assert tables[:3] == [None, None, None]
+        with pytest.raises(DispersionError, match="overflows"):
+            neff_table(diameters[0], BANK)
+        with pytest.raises(NoGuidedModeError, match="guidance condition violated"):
+            neff_table(diameters[1], BANK)
+        with pytest.raises(SolverConvergenceError, match="root residual"):
+            neff_table(diameters[2], BANK)
+        assert_same_tables(tables[3:], diameters[3:], BANK)
+
+    def test_grid_checked_like_neff_table(self):
+        with pytest.raises(ValueError, match="at least two points"):
+            neff_tables([WAIST], BANK[:1])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            neff_tables([WAIST], BANK[::-1])
+        assert neff_tables([], BANK) == []
 
 
 # ------------------------------------------------ order-specialised kernels

@@ -88,6 +88,23 @@ class TestTagRecordAndStream:
             with pytest.raises(ValueError, match=rf"channel {channel} not in declared set \[1, 2, 3\]"):
                 TagStream(np.array([channel]), np.array([0]))
 
+    def test_first_unknown_channel_named(self):
+        # in range at both ends, so the min/max test fails only through the middle record
+        for channel in (0, 4, 255):
+            with pytest.raises(ValueError, match=rf"^channel {channel} not in declared set \[1, 2, 3\]$"):
+                TagStream(np.array([1, channel, 9, 3]), np.arange(4))
+
+    def test_known_channels_checked_without_isin(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("np.isin called on known channels")
+
+        monkeypatch.setattr(np, "isin", refused)
+        s = TagStream(np.array([1, 2, 3, 1]), np.arange(4))
+        assert s.channels.tolist() == [1, 2, 3, 1]
+        assert len(parse_tags(b"1\t5\n3\t9\n")) == 2
+        rec = b"\x02" + (7).to_bytes(8, "little")
+        assert len(parse_tags(b"TTAG1" + (81000).to_bytes(4, "little") + rec)) == 1
+
     def test_nonpositive_tick_rejected(self):
         with pytest.raises(ValueError, match="tick_duration"):
             TagStream(np.array([1]), np.array([0]), tick_duration=0.0)
