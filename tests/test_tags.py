@@ -89,7 +89,7 @@ class TestTagRecordAndStream:
                 TagStream(np.array([channel]), np.array([0]))
 
     def test_first_unknown_channel_named(self):
-        # in range at both ends, so the min/max test fails only through the middle record
+        # both ends are known channels; the first of the two unknown ones between them is named
         for channel in (0, 4, 255):
             with pytest.raises(ValueError, match=rf"^channel {channel} not in declared set \[1, 2, 3\]$"):
                 TagStream(np.array([1, channel, 9, 3]), np.arange(4))
