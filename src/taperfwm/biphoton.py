@@ -30,6 +30,7 @@ from ._floattext import format_rows
 from .dispersion import (
     C_VAC,
     CrossSection,
+    DispersionError,
     NeffTable,
     NoGuidedModeError,
     _TABLE_TOL,
@@ -214,9 +215,9 @@ class ModeBank:
     ``table(cs)`` builds a new table on every call and keeps none, so callers
     build each cross-section's table once and hold it; ``tables(css)``
     builds many in one stacked solve (:func:`~taperfwm.dispersion.neff_tables`),
-    and they share one knot array.  All tables of a bank share the same
-    angular-frequency span, so a bank built for a grid serves every segment
-    of a taper.
+    and they share one knot array, so their lookups can be shared too.  All
+    tables of a bank share the same angular-frequency span, so a bank built
+    for a grid serves every segment of a taper.
     """
 
     def __init__(self, *omegas: float):
@@ -229,7 +230,7 @@ class ModeBank:
         return neff_table(cross_section, self._grid)
 
     def tables(self, cross_sections) -> list:
-        """``table(cs)`` of each cross-section, or None where that raises (see ``neff_tables``)."""
+        """``table(cs)`` of each cross-section, or the error that raises (see ``neff_tables``)."""
         return neff_tables(cross_sections, self._grid)
 
 
@@ -419,14 +420,14 @@ def _phase_matching_info(segmented, grid, omega_p, eta_mode):
     """Phase-matching sum and the corner-sampled eta bound (None unless eta_mode='center').
 
     Every distinct diameter's table comes from one stacked solve
-    (``ModeBank.tables``); one it did not build is built alone with
-    ``ModeBank.table`` at its place in the walk, which raises there, so
-    errors keep their order.  Tables and eta (a real grid, 8 bytes per
-    value, or a scalar for eta_mode='center') are built before the first
-    band and held to the end, beside the complex result and the band-sized
-    arrays of ``_SUM_BLOCK``.  So a diameter below cutoff is reported before
-    any term is formed, and so before a phase dk l / 2 that overflows.  Each
-    band locates its frequencies among each distinct knot array once.
+    (``ModeBank.tables``); the error of one it could not build is raised at
+    that diameter's place in the walk, so errors keep their order.  Tables
+    and eta (a real grid, 8 bytes per value, or a scalar for
+    eta_mode='center') are built before the first band and held to the end,
+    beside the complex result and the band-sized arrays of ``_SUM_BLOCK``.
+    So a diameter below cutoff is reported before any term is formed, and so
+    before a phase dk l / 2 that overflows.  Each band locates its
+    frequencies among each distinct knot array once.
     """
     if eta_mode not in ("per_point", "center"):
         raise ValueError(f"eta_mode must be 'per_point' or 'center', got {eta_mode!r}")
@@ -451,7 +452,9 @@ def _phase_matching_info(segmented, grid, omega_p, eta_mode):
         cs = segmented.segments[q]
         if cs not in slots:
             try:
-                table = stacked[cs] or bank.table(cs)
+                table = stacked[cs]
+                if isinstance(table, DispersionError):
+                    raise table
                 eta, bound = _segment_eta(table, omega_p, ws, wi, eta_mode)
             except NoGuidedModeError as err:
                 raise NoGuidedModeError(

@@ -561,16 +561,21 @@ def _solve_many(cross_section: CrossSection, omegas: np.ndarray) -> np.ndarray:
     """HE11 effective indices at each angular frequency (vectorized).
 
     Each frequency's root w of h is found by ``_root`` on ``_w_bracket``, and
-    n_eff = sqrt(1 + (w/(a k0))^2).
-
-    Raises NoGuidedModeError listing every frequency whose bracket is empty or
-    has ends of one sign, DispersionError if V^2 overflows, and
-    SolverConvergenceError if h is not finite at a point it is evaluated at or
-    the root fails its residual check.
+    n_eff = sqrt(1 + (w/(a k0))^2).  Raises as :func:`_column_params` and
+    :func:`_checked_roots` do.
     """
     omegas = np.asarray(omegas, dtype=float)
     ak0, v, nu = _column_params(cross_section, omegas)
-    w, resid, scale, bracketed, guided, finite = _solve_columns(v, nu)
+    return _checked_roots(cross_section, omegas, ak0, *_solve_columns(v, nu))
+
+
+def _checked_roots(cross_section: CrossSection, omegas, ak0, w, resid, scale, bracketed, guided, finite):
+    """n_eff of one cross-section's columns from their :func:`_solve_columns` results.
+
+    Raises NoGuidedModeError listing every frequency whose bracket is empty or
+    has ends of one sign, and SolverConvergenceError if h is not finite at a
+    point it is evaluated at or the root fails its residual check.
+    """
     d_nm = cross_section.diameter * 1e9
     if np.any(bracketed & ~finite):
         raise SolverConvergenceError(
@@ -852,7 +857,7 @@ def neff_table(cross_section: CrossSection, omega_grid: Sequence[float]) -> Neff
     so that the interpolant reproduces direct solves at held-out midpoints to
     5e-9 (``_TABLE_TOL``); this is verified internally at five midpoints and
     the refinement is doubled once if the check fails.  This is the
-    one-diameter case of :func:`neff_tables`, which builds the same table.
+    one-diameter case of :func:`neff_tables`.
 
     Args:
         cross_section: Waveguide geometry.
@@ -863,68 +868,71 @@ def neff_table(cross_section: CrossSection, omega_grid: Sequence[float]) -> Neff
         NoGuidedModeError: Any grid point below cutoff (message lists them).
         ExtrapolationError: On later queries outside the grid range.
     """
-    omega_grid = _table_grid(omega_grid)
-    for factor in (_TABLE_REFINE, 2 * _TABLE_REFINE):
-        dense, checks = _table_columns(omega_grid, factor)
-        try:  # one solve for both: each frequency's root is found on its own
-            n_eff = _solve_many(cross_section, np.concatenate((dense, checks)))
-        except NoGuidedModeError:
-            _solve_many(cross_section, omega_grid)  # name the grid's own frequencies below cutoff
-            raise
-        interp = _held_out_interp(dense, checks, n_eff)
-        if interp is not None:
-            return NeffTable(cross_section, omega_grid.copy(), interp)
-    raise SolverConvergenceError(
-        f"neff_table failed its held-out midpoint check for HE11 "
-        f"even at refine={2 * _TABLE_REFINE}"
-    )
+    (table,) = neff_tables([cross_section], omega_grid)
+    if isinstance(table, DispersionError):
+        raise table
+    return table
 
 
 def neff_tables(cross_sections: Sequence[CrossSection], omega_grid: Sequence[float]) -> list:
     """The :func:`neff_table` of every cross-section, from one stacked solve.
 
     Every cross-section's dense-grid and held-out columns go through one
-    ``_root`` pass; ``_root`` steps each column on its own, so each root
-    keeps its bits.  Then each table runs its held-out check, and those that
-    fail it go through one more stacked pass at twice the refinement.  Each
-    table equals ``neff_table(cs, omega_grid)`` bit for bit, and all tables
-    of one pass share their :attr:`~NeffTable.knots` array.
+    ``_root`` pass (one solve for both: each frequency's root is found on its
+    own, so each keeps its bits whatever it is stacked beside).  Then each
+    cross-section's columns pass the checks of :func:`_checked_roots` and its
+    table the held-out check; those that miss it go through one more stacked
+    pass at twice the refinement.  All tables of one pass share their
+    :attr:`~NeffTable.knots` array.
 
-    Returns one entry per cross-section: its table, or None where
-    ``neff_table`` raises (a column unbracketed, not finite or failing its
-    residual check, V^2 overflowing, a glass out of range or the held-out
-    check failing at both refinements).  Building that cross-section alone
-    with ``neff_table`` raises its error.
+    Returns one entry per cross-section: its table, or the DispersionError
+    that building it raises, which :func:`neff_table` raises.  A cross-section
+    below cutoff gets the error naming the grid's own frequencies below cutoff.
     """
     omega_grid = _table_grid(omega_grid)
-    tables = [None] * len(cross_sections)
+    built = [None] * len(cross_sections)
     pending = list(range(len(cross_sections)))
     for factor in (_TABLE_REFINE, 2 * _TABLE_REFINE):
         dense, checks = _table_columns(omega_grid, factor)
         omegas = np.concatenate((dense, checks))
-        stacked, params = [], []
+        params = {}
         for k in pending:
             try:
-                params.append(_column_params(cross_sections[k], omegas))
-            except DispersionError:
-                continue
-            stacked.append(k)
-        if not stacked:
-            break
-        ak0, v, nu = (np.concatenate(p) for p in zip(*params))
-        w, resid, scale, bracketed, guided, finite = (
-            a.reshape(len(stacked), omegas.size) for a in _solve_columns(v, nu))
-        # the checks of _solve_many, row by row
-        solved = ~(~guided | (bracketed & ~finite) | (np.abs(resid) > _RESIDUAL_RTOL * scale)).any(axis=1)
-        n_eff = np.sqrt(1.0 + (w / ak0.reshape(w.shape)) ** 2)
+                params[k] = _column_params(cross_sections[k], omegas)
+            except DispersionError as err:
+                built[k] = _table_error(err, cross_sections[k], omega_grid)
         pending = []
-        for k, row, ok in zip(stacked, n_eff, solved):
-            interp = _held_out_interp(dense, checks, row) if ok else None
-            if interp is not None:
-                tables[k] = NeffTable(cross_sections[k], omega_grid.copy(), interp)
-            elif ok:
+        if not params:
+            break
+        v, nu = (np.concatenate([p[i] for p in params.values()]) for i in (1, 2))
+        rows = zip(*(a.reshape(len(params), omegas.size) for a in _solve_columns(v, nu)))
+        for (k, (ak0, _, _)), columns in zip(params.items(), rows):
+            try:
+                interp = _held_out_interp(dense, checks,
+                                          _checked_roots(cross_sections[k], omegas, ak0, *columns))
+            except DispersionError as err:
+                built[k] = _table_error(err, cross_sections[k], omega_grid)
+                continue
+            if interp is None:
                 pending.append(k)
-    return tables
+            else:
+                built[k] = NeffTable(cross_sections[k], omega_grid.copy(), interp)
+    for k in pending:
+        built[k] = SolverConvergenceError(
+            f"neff_table failed its held-out midpoint check for HE11 "
+            f"even at refine={2 * _TABLE_REFINE}"
+        )
+    return built
+
+
+def _table_error(err: DispersionError, cross_section: CrossSection, omega_grid: np.ndarray):
+    """The error a table build raises for ``err``: below cutoff, the one naming the grid's own frequencies."""
+    if isinstance(err, NoGuidedModeError):
+        try:
+            _solve_many(cross_section, omega_grid)
+        except DispersionError as named:
+            return named
+    return err
 
 
 def _table_grid(omega_grid) -> np.ndarray:

@@ -30,7 +30,7 @@ from taperfwm.biphoton import (
     write_marginals_csv,
     write_matrix_csv,
 )
-from taperfwm.dispersion import CrossSection, NoGuidedModeError, solve_mode
+from taperfwm.dispersion import CrossSection, NeffTable, NoGuidedModeError, solve_mode
 from taperfwm.profile import TaperProfile, load_profile, segment
 
 DATA = Path(__file__).resolve().parents[1] / "data"
@@ -53,8 +53,8 @@ def window_grid(n_signal, n_idler):
 def count_neff_tables(monkeypatch) -> list:
     """Record the cross-section of every table that biphoton builds.
 
-    Tables come from the stacked ``neff_tables`` (each entry it builds) and
-    from ``neff_table`` (one cross-section alone).
+    Tables come from the stacked ``neff_tables`` (each table it returns, not
+    the errors) and from ``neff_table`` (one cross-section alone).
     """
     calls = []
     build, build_many = biphoton.neff_table, biphoton.neff_tables
@@ -65,7 +65,7 @@ def count_neff_tables(monkeypatch) -> list:
 
     def counted_many(cross_sections, omega_grid):
         tables = build_many(cross_sections, omega_grid)
-        calls.extend(cs for cs, table in zip(cross_sections, tables) if table is not None)
+        calls.extend(cs for cs, table in zip(cross_sections, tables) if isinstance(table, NeffTable))
         return tables
 
     monkeypatch.setattr(biphoton, "neff_table", counted)

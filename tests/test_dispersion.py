@@ -15,6 +15,7 @@ from taperfwm.dispersion import (
     CrossSection,
     DispersionError,
     ExtrapolationError,
+    NeffTable,
     NoGuidedModeError,
     SellmeierGlass,
     SolverConvergenceError,
@@ -453,14 +454,16 @@ class TestNeffTable:
         checks = dense[:-1] + 0.5 * np.diff(dense)
         checks = checks[np.linspace(0, checks.size - 1, 5).astype(int)]
         solved = []
+        column_params = dispersion._column_params
         solve_many = dispersion._solve_many
 
         def recording(cs, omegas):
             solved.append(np.array(omegas))
-            return solve_many(cs, omegas)
+            return column_params(cs, omegas)
 
-        monkeypatch.setattr(dispersion, "_solve_many", recording)
+        monkeypatch.setattr(dispersion, "_column_params", recording)
         table = neff_table(WAIST, grid)
+        monkeypatch.undo()
         assert len(solved) == 1 and np.array_equal(solved[0], np.concatenate((dense, checks)))
         joint = solve_many(WAIST, solved[0])
         assert np.array_equal(joint[:dense.size], solve_many(WAIST, dense))
@@ -526,36 +529,44 @@ class TestNeffTables:
         monkeypatch.setattr(dispersion, "_TABLE_TOL", tol)
         diameters = measured_diameters(16)
         tables = neff_tables(diameters, BANK)
-        assert {(t.knots.size - 1) // (BANK.size - 1) for t in tables if t is not None} == refines
-        failed = [cs for cs, t in zip(diameters, tables) if t is None]
+        built = [(t, cs) for cs, t in zip(diameters, tables) if isinstance(t, NeffTable)]
+        assert {(t.knots.size - 1) // (BANK.size - 1) for t, _ in built} == refines
+        failed = [(t, cs) for cs, t in zip(diameters, tables) if not isinstance(t, NeffTable)]
         assert bool(failed) == (tol < 6.1e-12)
-        for cs in failed:
+        for err, cs in failed:
+            assert type(err) is SolverConvergenceError and "even at refine=32" in str(err)
             with pytest.raises(SolverConvergenceError, match="even at refine=32"):
                 neff_table(cs, BANK)
-        built = [(t, cs) for cs, t in zip(diameters, tables) if t is not None]
         assert_same_tables(*zip(*built), BANK)
 
-    def test_below_cutoff_diameter_left_to_neff_table(self):
+    def test_below_cutoff_diameter_returns_its_error(self):
+        # the error names the grid's own frequencies below cutoff, not the dense grid's
         diameters = [CrossSection(900e-9), CrossSection(120e-9), CrossSection(885e-9)]
         tables = neff_tables(diameters, BANK)
-        assert tables[1] is None
-        with pytest.raises(NoGuidedModeError, match=r"^no guided HE11 mode at diameter 120\.0 nm"):
+        assert type(tables[1]) is NoGuidedModeError
+        with pytest.raises(NoGuidedModeError) as alone:
+            dispersion._solve_many(diameters[1], BANK)
+        assert str(tables[1]) == str(alone.value)
+        assert str(tables[1]).startswith("no guided HE11 mode at diameter 120.0 nm for wavelengths: ")
+        with pytest.raises(NoGuidedModeError) as err:
             neff_table(diameters[1], BANK)
+        assert str(err.value) == str(alone.value)
         assert_same_tables([tables[0], tables[2]], [diameters[0], diameters[2]], BANK)
 
-    def test_failing_diameters_left_to_neff_table(self):
+    def test_failing_diameters_return_their_errors(self):
         # a V^2 that overflows, a glass below air and a 5 mm waist whose root
-        # fails the residual check at 859 nm: each raises alone
+        # fails the residual check at 859 nm, each beside a table that builds
         sub_unity = SellmeierGlass("sub-unity", ((0.1, 4.0),), (0.5, 1.5))
         diameters = [CrossSection(1e160), CrossSection(900e-9, sub_unity), CrossSection(5e-3), WAIST]
         tables = neff_tables(diameters, BANK)
-        assert tables[:3] == [None, None, None]
-        with pytest.raises(DispersionError, match="overflows"):
-            neff_table(diameters[0], BANK)
-        with pytest.raises(NoGuidedModeError, match="guidance condition violated"):
-            neff_table(diameters[1], BANK)
-        with pytest.raises(SolverConvergenceError, match="root residual"):
-            neff_table(diameters[2], BANK)
+        assert [type(t) for t in tables[:3]] == [DispersionError, NoGuidedModeError, SolverConvergenceError]
+        assert "overflows" in str(tables[0])
+        assert "guidance condition violated" in str(tables[1])
+        assert "root residual" in str(tables[2]) and "859" in str(tables[2])
+        for cs, stored in zip(diameters[:3], tables):
+            with pytest.raises(DispersionError) as err:
+                neff_table(cs, BANK)
+            assert type(err.value) is type(stored) and str(err.value) == str(stored)
         assert_same_tables(tables[3:], diameters[3:], BANK)
 
     def test_grid_checked_like_neff_table(self):
