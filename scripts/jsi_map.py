@@ -27,7 +27,7 @@ from taperfwm.biphoton import (
     write_matrix_csv,
 )
 from taperfwm.dispersion import C_VAC, FUSED_SILICA, CrossSection
-from taperfwm.profile import parse_profile, segment
+from taperfwm.profile import TaperProfile, segment
 
 
 def omega(wavelength_m: float) -> float:
@@ -53,8 +53,8 @@ def scan_diameters(pump: PumpSpec, diameters_m, signal_band=(700e-9, 1000e-9)):
 
 def detail_jsa(pump: PumpSpec, diameter_m: float, length_m: float, out_dir: Path,
                n_grid: int = 256, n_segments: int = 100):
-    text = f"0 {diameter_m!r}\n{length_m!r} {diameter_m!r}"
-    profile = parse_profile(text, label=f"uniform-{diameter_m * 1e9:.0f}nm")
+    profile = TaperProfile(np.array([0.0, length_m]), np.array([diameter_m, diameter_m]),
+                           label=f"uniform-{diameter_m * 1e9:.0f}nm")
     segmented = segment(profile, n_segments)
     grid = SpectralGrid.from_wavelength_windows((850e-9, 950e-9), (1250e-9, 1450e-9),
                                                 n_points=n_grid)

@@ -4,9 +4,11 @@
 The set covers both perfbench ``jsi`` configs and both perfbench tag chains
 (seed 1), the default 100-segment ``jsi`` and a 10-segment ``eta_mode center``
 ``jsi`` on ``data/measured_profile.txt``, ``modes`` with the built-in glass
-and with ``data/silica.glass``, and ``tags fit-power`` with both weightings.
-Each command runs in a fresh interpreter with one BLAS thread.  Every line is
-``sha256  name``, with ``OUT`` standing for the output directory in stdout.
+and with ``data/silica.glass``, ``tags fit-power`` with both weightings, and
+``scripts/jsi_map.py`` over four diameters (its phase-matched pairs come from
+``delta_k`` on a table, which no CLI command reaches).  Each command runs in a
+fresh interpreter with one BLAS thread.  Every line is ``sha256  name``, with
+``OUT`` standing for the output directory in stdout.
 
 A refactor keeps every output byte-identical when the listings of the old and
 the new source tree are equal:
@@ -45,7 +47,10 @@ def power_scan(path: Path) -> None:
 
 
 def cases(out: Path):
-    """Yield (name, commands, output files) for each case, inputs written."""
+    """Yield (name, commands, output files) for each case, inputs written.
+
+    A command is the arguments of ``taperfwm``, or a script's path and its arguments.
+    """
     for workload in WORKLOADS:
         job = make_job(workload, SEED, ROOT, out / workload)
         yield workload, job["commands"], [Path(p) for p in job["outputs"]]
@@ -61,6 +66,8 @@ def cases(out: Path):
         name = f"fit_power_{weighting}"
         yield name, [["tags", "fit-power", "--power_scan", str(scan), "--weighting", weighting,
                       "--out_dir", str(out / name)]], None
+    jsi_map = ["--d-min", "860", "--d-max", "920", "--steps", "4", "--out", str(out / "jsi_map")]
+    yield "jsi_map", [[str(ROOT / "scripts" / "jsi_map.py"), *jsi_map]], None
 
 
 def digest(data: bytes) -> str:
@@ -78,13 +85,16 @@ def main() -> int:
     out.mkdir(parents=True, exist_ok=True)
     for name, commands, outputs in cases(out):
         for command in commands:
-            result = subprocess.run([sys.executable, "-m", "taperfwm", *command], env=env,
-                                    capture_output=True)
+            if command[0].endswith(".py"):
+                argv, label = command, Path(command[0]).stem
+            else:
+                argv = ["-m", "taperfwm", *command]
+                label = command[1] if command[0] == "tags" else command[0]
+            result = subprocess.run([sys.executable, *argv], env=env, capture_output=True)
             if result.returncode:
                 sys.stderr.write(result.stderr.decode(errors="replace"))
                 raise SystemExit(f"{name}: {' '.join(command)} exited {result.returncode}")
             stdout = result.stdout.replace(str(out).encode(), b"OUT")
-            label = command[1] if command[0] == "tags" else command[0]
             print(f"{digest(stdout)}  {name}/{label}.stdout")
         for path in outputs or sorted((out / name).iterdir()):
             print(f"{digest(path.read_bytes())}  {name}/{path.relative_to(out / name)}")

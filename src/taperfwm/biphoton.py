@@ -248,7 +248,7 @@ def delta_k(
     ``omega_i``; exactly zero at full degeneracy.  ``omega_s``/``omega_i``
     broadcast; without ``table`` each distinct frequency is solved directly
     (slow but exact), with ``table`` (built for ``cross_section``) its
-    interpolant ``table.k`` is used.
+    interpolant is used.
 
     Raises NoGuidedModeError if any involved frequency is below cutoff.
     """
@@ -258,17 +258,20 @@ def delta_k(
     if np.any(omega_r <= 0):
         raise ValueError("returned pump frequency omega_s + omega_i - omega_p must be positive")
 
-    if table is not None:
-        k = table.k
-    else:
-        def k(om):
-            om = np.asarray(om, dtype=float)
+    if table is None:
+        def table(om):
             nodes, inverse = np.unique(om, return_inverse=True)
-            beta = nodes * _solve_many(cross_section, nodes) / C_VAC
-            return beta[inverse].reshape(om.shape)
+            return _solve_many(cross_section, nodes)[inverse].reshape(np.shape(om))
 
-    mismatch = k(omega_p) + k(omega_r) - k(omega_s) - k(omega_i)
+    omegas = (omega_p, omega_s, omega_i, omega_r)
+    mismatch = _mismatch(omegas, [table(om) for om in omegas])
     return float(mismatch) if np.ndim(mismatch) == 0 else mismatch
+
+
+def _mismatch(omegas, n_effs):
+    """k_p + k_r - k_s - k_i, k = omega n_eff / c, of (omega_p, omega_s, omega_i, omega_r) and ``n_effs``."""
+    k_p, k_s, k_i, k_r = (om * n / C_VAC for om, n in zip(omegas, n_effs))
+    return k_p + k_r - k_s - k_i
 
 
 # --------------------------------------------------------------------------
@@ -340,7 +343,7 @@ def _eta(table: NeffTable, omega_p: float, ws, wi) -> np.ndarray:
     """
     cs = table.cross_section
     n_p = float(table(omega_p))
-    mid = 0.5 * (table.omega[0] + table.omega[-1])
+    mid = 0.5 * (table.knots[0] + table.knots[-1])
     w_p = _transverse_params(cs, omega_p, n_p)[1]
     w_mid = _transverse_params(cs, mid, table(mid))[1]
     # signal, then idler term: a + 2x would round differently from (a + x) + x
@@ -379,12 +382,11 @@ def _segment_terms(table: NeffTable, omegas, located, length: float, eta):
     ``base`` is ``l sinc(dk l / 2) exp(i dk l / 2) eta`` and ``step`` is
     ``exp(i dk l)``.  ``omegas`` are the band's (omega_p, omega_s column,
     omega_i row, omega_r) and ``located`` their :meth:`NeffTable.locate`
-    results, so dk = k(w_p) + k(w_r) - k(w_s) - k(w_i) has the bits of
-    :func:`delta_k` on ``table``.  Every operation is elementwise, so a band
-    of signal rows gets the same bits as the same rows of a whole-grid term.
+    results, so dk is :func:`delta_k` on ``table``, bit for bit.  Every
+    operation is elementwise, so a band of signal rows gets the same bits as
+    the same rows of a whole-grid term.
     """
-    k_p, k_s, k_i, k_r = (om * table.at(where) / C_VAC for om, where in zip(omegas, located))
-    dk = k_p + k_r - k_s - k_i
+    dk = _mismatch(omegas, [table.at(where) for where in located])
     with np.errstate(over="ignore"):
         half = 0.5 * dk * length
     if not np.all(np.isfinite(half)):

@@ -2,10 +2,11 @@
 
 Every command reads one flat JSON config document (``--config run.json``)
 validated against a versioned schema; any config value can be overridden by
-a flag of the same name (``--grid_points 128``).  Flag values are parsed as
-JSON where possible (``--signal_window_nm "[850, 950]"``), otherwise taken
-as strings.  Outputs are plot-ready CSV/JSON files written into ``out_dir``
-under fixed names; identical config + seed produces byte-identical files.
+a flag of the same name (``--grid_points 128``).  A flag of a string key is
+taken verbatim (``--out_dir 2024``); other flag values are parsed as JSON
+(``--signal_window_nm "[850, 950]"``).  Outputs are plot-ready CSV/JSON
+files written into ``out_dir`` under fixed names; identical config + seed
+produces byte-identical files.
 
 Exit codes: 0 success, 2 config error (schema violation, missing key, bad
 usage), 3 domain error (below-cutoff request, invalid parameter value),
@@ -31,7 +32,7 @@ from .dispersion import (
     _solve_many,
     load_glass,
 )
-from .profile import load_profile, parse_profile, segment
+from .profile import TaperProfile, load_profile, segment
 from .biphoton import (
     JsaGrid,
     PumpSpec,
@@ -227,10 +228,12 @@ def _resolve_segmented(config: RunConfig):
             raise ConfigError(
                 "set 'profile' or both 'diameter_nm' and 'length_mm' to define the taper"
             )
-        diameter = config.get("diameter_nm") * 1e-9
-        length = config.get("length_mm") * 1e-3
-        text = f"0 {diameter!r}\n{length!r} {diameter!r}"
-        profile = parse_profile(text, label=f"uniform-{config.get('diameter_nm')!r}nm")
+        diameter, length = config.get("diameter_nm") * 1e-9, config.get("length_mm") * 1e-3
+        for key, value in (("diameter_nm", diameter), ("length_mm", length)):
+            if not value > 0:
+                raise ValueError(f"{key} must be positive, got {config.get(key)!r}")
+        profile = TaperProfile(np.array([0.0, length]), np.array([diameter, diameter]),
+                               label=f"uniform-{config.get('diameter_nm')!r}nm")
     return segment(profile, n_segments, core=glass)
 
 
@@ -486,11 +489,13 @@ def cmd_tags_fit_power(config: RunConfig) -> int:
 
 
 def _coerce_flag(key: str, text: str):
-    try:
-        value = json.loads(text)
-    except json.JSONDecodeError:
-        value = text
-    return _validated(key, value)
+    """A flag's value: its text for a string key, else the JSON it holds (or its text)."""
+    if _SCHEMA[key][0] != "str":
+        try:
+            text = json.loads(text)
+        except json.JSONDecodeError:
+            pass
+    return _validated(key, text)
 
 
 def _add_common_arguments(parser: argparse.ArgumentParser) -> None:

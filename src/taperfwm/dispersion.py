@@ -303,7 +303,7 @@ _K1_DEN = (
 # a 3 mm waist.
 _J_MAX = 2.5
 
-# Kernel arguments evaluated per step, for the reason given at _PCHIP_BLOCK.
+# Kernel arguments evaluated per step: 64 KB temporaries stay in cache and below the mmap threshold.
 _KERNEL_BLOCK = 8192
 
 
@@ -722,17 +722,11 @@ _TABLE_TOL = 5e-9
 _TABLE_REFINE = 16
 
 
-# Queries evaluated per step.  Temporaries of 4096 values (32 KB) stay in cache
-# and below the allocator's mmap threshold; with whole-array temporaries a
-# 768 x 768 query faulted in fresh pages for each one and took 2-3 times as long.
-_PCHIP_BLOCK = 4096
-
-
 class _Pchip:
-    """Monotone cubic (PCHIP) interpolant of y(x); NaN outside ``[x[0], x[-1]]``.
+    """Monotone cubic (PCHIP) interpolant of y(x) for queries that the caller keeps in ``[x[0], x[-1]]``.
 
-    The same arithmetic as scipy's ``PchipInterpolator(x, y, extrapolate=False)``,
-    so the values agree bit for bit: Fritsch-Carlson slopes (weighted harmonic
+    There it does scipy's ``PchipInterpolator(x, y)`` arithmetic, so the
+    values agree bit for bit: Fritsch-Carlson slopes (weighted harmonic
     mean inside, zero at a sign change or a flat neighbour, Moler's three-point
     rule with its two clamps at each end), ``CubicHermiteSpline``'s power-basis
     coefficients and ``PPoly``'s evaluation order on the interval
@@ -760,18 +754,18 @@ class _Pchip:
         self._coef = (t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1])
 
     def locate(self, q):
-        """Interval index, offset from its left knot and in-range mask of each query in ``q``.
+        """Interval index and offset from its left knot of each query in ``q``.
 
         Interpolants on the same knots share one result, for :meth:`evaluate`.
         """
         x = self.x
         # counting interior knots <= q gives the interval, the last one closed
         i = np.searchsorted(x[1:-1], q, side="right")
-        return i, q - x.take(i), (q >= x[0]) & (q <= x[-1])
+        return i, q - x.take(i)
 
     def evaluate(self, located):
         """Values at the queries that :meth:`locate` placed, in the queries' shape."""
-        i, s, inside = located
+        i, s = located
         c0, c1, c2, value = (c.take(i) for c in self._coef)
         # c3 + c2 s + c1 s^2 + c0 s^3, summed in PPoly's order, in place
         c2 *= s
@@ -782,16 +776,7 @@ class _Pchip:
         s2 *= s
         c0 *= s2
         value += c0
-        return np.where(inside, value, np.nan)
-
-    def __call__(self, q):
-        q = np.asarray(q, dtype=float)
-        flat = q.ravel()
-        out = np.empty_like(flat)
-        for start in range(0, flat.size, _PCHIP_BLOCK):
-            block = slice(start, start + _PCHIP_BLOCK)
-            out[block] = self.evaluate(self.locate(flat[block]))
-        return out.reshape(q.shape)
+        return value
 
 
 def _pchip_end_slope(h0, h1, m0, m1):
@@ -808,24 +793,17 @@ def _pchip_end_slope(h0, h1, m0, m1):
 class NeffTable:
     """Monotone-cubic-interpolated HE11 ``n_eff(omega)`` for one cross-section.
 
-    ``omega`` is the table's grid.  Call the table with angular frequencies
-    inside ``[omega[0], omega[-1]]``; queries outside raise
-    ExtrapolationError.  ``k(omega)`` returns the propagation constant
-    ``omega * n_eff / c``.
+    Its range is that of the grid it was built on, the ends of :attr:`knots`.
+    Call the table with angular frequencies in that range; a query outside
+    it, or NaN, raises ExtrapolationError.  A call is ``at(locate(omega))``.
     """
 
     cross_section: CrossSection
-    omega: np.ndarray
     _interp: _Pchip
 
     def __call__(self, omega):
-        omega_arr = self._in_range(omega)
-        out = self._interp(omega_arr)
+        out = self.at(self.locate(omega))
         return out.item() if np.ndim(omega) == 0 else out
-
-    def k(self, omega):
-        """Propagation constant omega * n_eff(omega) / c in rad/m."""
-        return np.asarray(omega, dtype=float) * self(omega) / C_VAC
 
     @property
     def knots(self) -> np.ndarray:
@@ -834,20 +812,17 @@ class NeffTable:
 
     def locate(self, omega):
         """Where ``omega`` falls among :attr:`knots`, for :meth:`at` of every table on them."""
-        return self._interp.locate(self._in_range(omega))
-
-    def at(self, located):
-        """n_eff at the frequencies :meth:`locate` placed; the same bits as calling the table."""
-        return self._interp.evaluate(located)
-
-    def _in_range(self, omega) -> np.ndarray:
-        omega_arr = np.asarray(omega, dtype=float)
-        lo, hi = self.omega[0], self.omega[-1]
-        if np.any(omega_arr < lo) or np.any(omega_arr > hi):
+        omega = np.asarray(omega, dtype=float)
+        lo, hi = self.knots[0], self.knots[-1]
+        if not (np.all(omega >= lo) and np.all(omega <= hi)):
             raise ExtrapolationError(
                 f"query outside tabulated range [{lo:.6e}, {hi:.6e}] rad/s for HE11"
             )
-        return omega_arr
+        return self._interp.locate(omega)
+
+    def at(self, located):
+        """n_eff at the frequencies :meth:`locate` placed."""
+        return self._interp.evaluate(located)
 
 
 def neff_table(cross_section: CrossSection, omega_grid: Sequence[float]) -> NeffTable:
@@ -916,7 +891,7 @@ def neff_tables(cross_sections: Sequence[CrossSection], omega_grid: Sequence[flo
             if interp is None:
                 pending.append(k)
             else:
-                built[k] = NeffTable(cross_sections[k], omega_grid.copy(), interp)
+                built[k] = NeffTable(cross_sections[k], interp)
     for k in pending:
         built[k] = SolverConvergenceError(
             f"neff_table failed its held-out midpoint check for HE11 "
@@ -955,7 +930,8 @@ def _held_out_interp(dense, checks, n_eff):
     """PCHIP through the ``dense`` part of ``n_eff``, or None if it misses the
     ``checks`` part, the held-out solves, by more than _TABLE_TOL."""
     interp = _Pchip(dense, n_eff[:dense.size])
-    return interp if np.max(np.abs(interp(checks) - n_eff[dense.size:])) <= _TABLE_TOL else None
+    gap = np.max(np.abs(interp.evaluate(interp.locate(checks)) - n_eff[dense.size:]))
+    return interp if gap <= _TABLE_TOL else None
 
 
 def _refined_grid(grid: np.ndarray, factor: int) -> np.ndarray:

@@ -227,12 +227,6 @@ def write_fit_report_json(fit: PowerScanFit, path, powers) -> None:
         "covariance": fit.covariance.tolist(),
         "residual_norm_hz": fit.residual_norm,
         "n_points": fit.n_points,
-        "curves": {
-            "power_w": p.tolist(),
-            "dark": curves["dark"].tolist(),
-            "raman_linear": curves["raman_linear"].tolist(),
-            "sfwm_quadratic": curves["sfwm_quadratic"].tolist(),
-            "total": curves["total"].tolist(),
-        },
+        "curves": {"power_w": p.tolist(), **{name: c.tolist() for name, c in curves.items()}},
     }
     _write_json(payload, path)

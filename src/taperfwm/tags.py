@@ -98,14 +98,11 @@ class TagStream:
     duration_ticks: Optional[int] = None
 
     def __post_init__(self):
-        ch = np.asarray(self.channels)
-        ts = np.asarray(self.timestamps)
+        ch, ts = (_exact_int64(getattr(self, name), name) for name in ("channels", "timestamps"))
         if ch.shape != ts.shape or ch.ndim != 1:
             raise ValueError("channels and timestamps must be parallel 1-D arrays")
         if not self.tick_duration > 0:
             raise ValueError("tick_duration must be positive")
-        ch = ch.astype(np.int64, copy=False)
-        ts = ts.astype(np.int64, copy=False)
         if ts.size:
             unknown = _first_unknown_channel(ch)
             if unknown is not None:
@@ -131,6 +128,18 @@ class TagStream:
     def channel_timestamps(self, channel: int) -> np.ndarray:
         """Sorted tick timestamps of one channel."""
         return self.timestamps[self.channels == channel]
+
+
+def _exact_int64(values, name: str) -> np.ndarray:
+    """``values`` as an int64 array; ValueError naming the first value that the conversion changes."""
+    values = np.asarray(values)
+    with np.errstate(invalid="ignore"):  # NaN and inf convert to garbage, caught below
+        out = values.astype(np.int64, copy=False)
+    changed = (out != values) | (values.dtype == bool)
+    if changed.any():
+        raise ValueError(f"{name} must be whole numbers in the int64 range, "
+                         f"got {values.flat[np.argmax(changed)].item()!r}")
+    return out
 
 
 def _first_unknown_channel(ch: np.ndarray) -> Optional[int]:
@@ -310,19 +319,32 @@ def _int_text(columns, seps: bytes) -> bytes:
     return out.tobytes().translate(None, b"\0")
 
 
+def _whole_tick(tick: float, per_second: float, unit: str, below=math.inf) -> int:
+    """``tick`` s as the whole, positive number of ``unit`` below ``below`` that a tag
+    file stores; ValueError naming the tick if it is not one within 1e-9 relative."""
+    units = tick * per_second
+    whole = round(units) if math.isfinite(units) else 0
+    if not (0 < whole < below and abs(units - whole) <= 1e-9 * whole):
+        bound = "" if below == math.inf else f" below {below}"
+        raise ValueError(f"cannot write tick {tick!r} s: the tag file stores it as a whole, "
+                         f"positive number of {unit}{bound}")
+    return whole
+
+
 def write_tags_text(stream: TagStream, path) -> None:
+    tick_ps = _whole_tick(stream.tick_duration, 1e12, "ps")
     with open(path, "wb") as f:
-        f.write(f"#tick_ps {round(stream.tick_duration * 1e12)}\n".encode())
+        f.write(f"#tick_ps {tick_ps}\n".encode())
         for start in range(0, len(stream), _TEXT_BLOCK):
             block = slice(start, start + _TEXT_BLOCK)
             f.write(_int_text((stream.channels[block], stream.timestamps[block]), b"\t\n"))
 
 
 def write_tags_binary(stream: TagStream, path) -> None:
+    tick_fs = _whole_tick(stream.tick_duration, 1e15, "fs", 2**32)
     rec = np.empty(len(stream), dtype=np.dtype([("channel", "u1"), ("ticks", "<u8")]))
     rec["channel"] = stream.channels
     rec["ticks"] = stream.timestamps
-    tick_fs = round(stream.tick_duration * 1e15)
     Path(path).write_bytes(_BINARY_MAGIC + tick_fs.to_bytes(4, "little") + rec.tobytes())
 
 

@@ -489,7 +489,7 @@ def segment_sum_loop(segmented, grid, omega_p, eta_mode):
     summation, one full-grid multiply-add per segment, is the reference.
     """
     from taperfwm.biphoton import ModeBank, _eta, _phase_terms
-    from taperfwm.dispersion import CrossSection, NoGuidedModeError
+    from taperfwm.dispersion import C_VAC, CrossSection, NoGuidedModeError
 
     if eta_mode not in ("per_point", "center"):
         raise ValueError(f"eta_mode must be 'per_point' or 'center', got {eta_mode!r}")
@@ -513,10 +513,10 @@ def segment_sum_loop(segmented, grid, omega_p, eta_mode):
         if cs not in cache:
             try:
                 table = bank.table(cs)
-                k_p = float(table.k(omega_p))
-                k_r = table.k(omega_r)
-                k_s = table.k(ws)
-                k_i = table.k(wi)
+                k_p = float(omega_p * table(omega_p) / C_VAC)
+                k_r = omega_r * table(omega_r) / C_VAC
+                k_s = ws * table(ws) / C_VAC
+                k_i = wi * table(wi) / C_VAC
                 if eta_mode == "per_point":
                     eta = _eta(table, omega_p, ws, wi)
                 else:

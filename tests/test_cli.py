@@ -198,6 +198,17 @@ class TestConfigHandling:
         assert float(rows[0].split(",")[0]) == pytest.approx(1000.0, rel=1e-12)
         assert float(rows[-1].split(",")[0]) == pytest.approx(1100.0, rel=1e-12)
 
+    @pytest.mark.parametrize("text", ["2024", "null", "[1, 2]", '"quoted"', "true"])
+    def test_string_flags_taken_verbatim(self, tmp_path, monkeypatch, text):
+        # a JSON-looking value of a string key was decoded and then rejected
+        for key, (kind, *_) in cli._SCHEMA.items():
+            if kind == "str":
+                assert cli._coerce_flag(key, text) == text
+        monkeypatch.chdir(tmp_path)
+        assert run("modes", "--diameter_nm", 900, "--wavelength_points", 3,
+                   "--out_dir", text) == EXIT_OK
+        assert (tmp_path / text / "modes.csv").exists()
+
     def test_bad_flag_value_is_config_error(self, capsys):
         assert run("modes", "--wavelength_points", "3.5") == EXIT_CONFIG
         assert "wavelength_points" in capsys.readouterr().err
@@ -476,6 +487,29 @@ class TestJsi:
         code = run("jsi", "--profile", bad, "--grid_points", 8, "--out_dir", tmp_path / "out")
         assert code == EXIT_IO
         assert f"input error: {bad}:2: samples must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("diameter_nm, length_mm", [
+        (900.0, 14.0), (885.0, 7.3), (1e-3, 1e-6), (123.456789, 0.1 + 0.2)])
+    def test_uniform_waist_equals_the_parsed_profile(self, diameter_nm, length_mm):
+        # built directly, the taper is the one the two-line profile text gave
+        config = cli.RunConfig({"diameter_nm": diameter_nm, "length_mm": length_mm,
+                                "n_segments": 3})
+        diameter, length = diameter_nm * 1e-9, length_mm * 1e-3
+        parsed = parse_profile(f"0 {diameter!r}\n{length!r} {diameter!r}",
+                               label=f"uniform-{diameter_nm!r}nm")
+        assert cli._resolve_segmented(config) == segment(parsed, 3)
+
+    @pytest.mark.parametrize("key, value", [
+        ("length_mm", 0), ("length_mm", -14), ("diameter_nm", 0), ("diameter_nm", -900),
+        ("diameter_nm", 1e-320),  # underflows to 0 m
+    ])
+    def test_non_positive_uniform_waist_is_named(self, tmp_path, capsys, key, value):
+        # a zero length exited 3 with "<string>:2: z=0.0 duplicates the previous sample"
+        flags = {"diameter_nm": 900, "length_mm": 14, key: value}
+        argv = [item for k, v in flags.items() for item in (f"--{k}", v)]
+        assert run("jsi", *argv, "--grid_points", 8, "--out_dir", tmp_path / "out") == EXIT_DOMAIN
+        assert f"{key} must be positive, got {float(value)!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_center_eta_mode_accepted(self, tmp_path):
         assert run(*JSI_ARGS, "--eta_mode", "center",

@@ -80,6 +80,7 @@ def test_output_digest_lists_every_output_and_stdout(tmp_path):
         expected |= {f"{case}/modes.stdout", f"{case}/modes.csv"}
     for case in ("fit_power_none", "fit_power_poisson"):
         expected |= {f"{case}/fit-power.stdout", f"{case}/power_fit.json"}
+    expected |= {"jsi_map/jsi_map.stdout", "jsi_map/pairs_vs_diameter.csv", "jsi_map/jsi_detail.csv"}
 
     lines = run_script("output_digest.py", str(tmp_path / "out")).splitlines()
     names = [line.split("  ")[1] for line in lines]

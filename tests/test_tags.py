@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -108,6 +109,26 @@ class TestTagRecordAndStream:
     def test_nonpositive_tick_rejected(self):
         with pytest.raises(ValueError, match="tick_duration"):
             TagStream(np.array([1]), np.array([0]), tick_duration=0.0)
+
+    @pytest.mark.parametrize("channels, timestamps, name, value", [
+        ([1.7, 2.2], [5.9, 7.1], "channels", "1.7"),  # was silently truncated to [1 2], [5 7]
+        ([1.0, 2.0], [5.0, 7.5], "timestamps", "7.5"),
+        ([1.0, 2.0], [5.0, np.nan], "timestamps", "nan"),
+        ([1.0, 2.0], [np.inf, 7.0], "timestamps", "inf"),
+        ([1.0, 2.0], [5.0, 2.0**63], "timestamps", "9.223372036854776e+18"),
+        ([True, True], [5, 7], "channels", "True"),
+        (np.array([1, 2], dtype=np.uint64), np.array([5, 2**63], dtype=np.uint64),
+         "timestamps", "9223372036854775808"),
+    ])
+    def test_values_int64_would_change_rejected(self, channels, timestamps, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be whole numbers.*got {re.escape(value)}$"):
+            TagStream(np.array(channels), np.array(timestamps))
+
+    def test_whole_float_and_empty_arrays_accepted(self):
+        s = TagStream(np.array([1.0, 3.0]), np.array([5.0, 2.0**62]))
+        assert s.channels.tolist() == [1, 3] and s.timestamps.tolist() == [5, 2**62]
+        empty = TagStream(np.array([]), np.array([]))
+        assert len(empty) == 0 and empty.duration_ticks == 0
 
     def test_from_records_sorts_with_channel_tiebreak(self):
         s = from_records([(3, 7), (1, 7), (2, 2)])
@@ -251,6 +272,28 @@ class TestParseTags:
         assert np.array_equal(back.channels, stream.channels)
         assert np.array_equal(back.timestamps, stream.timestamps)
         assert back.tick_duration == pytest.approx(stream.tick_duration)
+
+    @pytest.mark.parametrize("tick, text_ok, binary_ok", [
+        (81.5e-12, False, True),  # was written as #tick_ps 82, read back as 8.2e-11 s
+        (0.4e-12, False, True),  # was written as #tick_ps 0, which parse_tags rejects
+        (5e-3, True, False),  # 5e12 fs: a bare OverflowError from to_bytes
+        (81e-12 * (1 + 5e-10), True, True),
+        (81e-12 * (1 + 5e-9), False, False),
+        ((2**32 - 1) * 1e-15, False, True),
+        (2**32 * 1e-15, False, False),
+    ])
+    def test_tick_the_format_cannot_store_rejected(self, tmp_path, tick, text_ok, binary_ok):
+        stream = TagStream(np.array([1, 2]), np.array([5, 7]), tick_duration=tick)
+        for writer, ok, name in ((write_tags_text, text_ok, "tags.txt"),
+                                 (write_tags_binary, binary_ok, "tags.bin")):
+            path = tmp_path / name
+            if ok:
+                writer(stream, path)
+                assert parse_tags(path).tick_duration == pytest.approx(tick, rel=1e-9)
+            else:
+                with pytest.raises(ValueError, match=f"cannot write tick {tick!r} s"):
+                    writer(stream, path)
+                assert not path.exists()
 
     def test_binary_truncated_record_offset(self):
         payload = b"TTAG1" + (81000).to_bytes(4, "little") + b"\x01" + (7).to_bytes(8, "little") + b"\x02"
