@@ -15,6 +15,13 @@ The layout follows CPython (see docs/formats.md): positional for
 1e-4 <= |x| < 1e16 with ``.0`` after integers, otherwise ``d[.ddd]e±XX``
 with at least two exponent digits; ``0.0``, ``-0.0``, ``nan``, ``inf`` and
 ``-inf`` for the special values.
+
+Grid spectra are zero over much of their area (the pump envelope underflows
+away from its band), so cells are classified first: zeros and the other
+special values are written over a template row of ``0.0`` with the value's
+sign, and only the finite nonzero values are gathered for the digit search
+and the layout.  An array with no special value skips the gather and the
+template.
 """
 
 from __future__ import annotations
@@ -30,8 +37,7 @@ _C_MIN = 1 << 52  # hidden bit of a normal significand
 _K_MIN, _K_MAX = -324, 292  # decimal exponents k that Schubfach needs
 _POW10 = np.array([10**i for i in range(20)], dtype=np.uint64)
 _EXP_MASK = np.uint64(0x7FF0_0000_0000_0000)
-_ONE_BITS = np.uint64(0x3FF0_0000_0000_0000)  # 1.0, a harmless stand-in for special values
-_NAN, _INF = np.frombuffer(b"nan", np.uint8), np.frombuffer(b"inf", np.uint8)
+_ZERO, _NAN, _INF = (np.frombuffer(text, np.uint8) for text in (b"0.0", b"nan", b"inf"))
 
 # Mantissa layout: at most 22 characters ("0.000" and 17 digits), and a value
 # in [1e-4, 1) needs up to 4 zeros ahead of its first digit.  The digit table
@@ -42,6 +48,7 @@ _COLS = np.arange(_MANT)
 _BELOW = np.where(_COLS < np.arange(_MANT + 1)[:, None], 0xFF, 0).astype(np.uint8)
 _NOT_AT = np.where(_COLS == np.arange(_MANT + 1)[:, None], 0, 0xFF).astype(np.uint8)
 _DOT_AT = np.where(_NOT_AT == 0, ord("."), 0).astype(np.uint8)
+_ROW = 1 + _MANT + 6  # bytes of one text row: sign, mantissa, "e±ddd" and separator
 
 
 def _flog10pow2(q):
@@ -139,9 +146,9 @@ def _shortest_decimal(bits):
 
 
 def _digit_table(digits):
-    """ASCII digits of each D, left-aligned in 17 places at column _FIRST with
-    '0' all around; its digit count; and its significant digit count (1 for D = 0)."""
-    n_raw = np.maximum(np.searchsorted(_POW10, digits, side="right"), 1)
+    """ASCII digits of each D > 0, left-aligned in 17 places at column _FIRST
+    with '0' all around; its digit count; and its significant digit count."""
+    n_raw = np.searchsorted(_POW10, digits, side="right")
     d17 = digits * _POW10[17 - n_raw]  # a double's shortest D has at most 17 digits
     hi = (d17 // np.uint64(10**8)).astype(np.uint32)
     lo = (d17 - hi.astype(np.uint64) * np.uint64(10**8)).astype(np.uint32)
@@ -158,20 +165,15 @@ def _digit_table(digits):
     dig += ord("0")
     table = np.full((digits.size, _FIRST + _MANT), ord("0"), dtype=np.uint8)
     table[:, _FIRST:_FIRST + 17] = dig.T
-    return table, n_raw, np.maximum(17 - trailing, 1)
+    return table, n_raw, 17 - trailing
 
 
-def _text(values: np.ndarray, sep: np.ndarray) -> bytes:
-    """repr text of each float64 in ``values``, each followed by its ``sep`` byte."""
-    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
-    neg = (bits >> np.uint64(63)).astype(bool)
-    finite = (bits & _EXP_MASK) != _EXP_MASK
-    regular = finite & ((bits << np.uint64(1)) != 0)
-
-    digits, exp10 = _shortest_decimal(np.where(regular, bits, _ONE_BITS))
-    digits[~regular] = 0
+def _regular_rows(bits: np.ndarray, sep: np.ndarray) -> np.ndarray:
+    """Text rows of finite nonzero doubles: sign, mantissa, exponent and ``sep``,
+    padded with zero bytes to _ROW columns."""
+    digits, exp10 = _shortest_decimal(bits)
     table, n_raw, n_sig = _digit_table(digits)
-    decpt = np.where(regular, exp10 + n_raw, 1)  # value = 0.d1d2... x 10^decpt
+    decpt = exp10 + n_raw  # value = 0.d1d2... x 10^decpt
     expo = (decpt <= -4) | (decpt > 16)
     # An exponent-form mantissa is laid out as the positional text of decpt 1.
     dp = np.where(expo, 1, decpt)
@@ -198,8 +200,8 @@ def _text(values: np.ndarray, sep: np.ndarray) -> bytes:
     e_abs = np.abs(e_val).astype(np.uint16)
     wide = e_abs >= 100
     zero = np.uint8(0)
-    out = np.empty((bits.size, 1 + _MANT + 6), dtype=np.uint8)
-    out[:, 0] = np.where(neg, ord("-"), zero)
+    out = np.empty((bits.size, _ROW), dtype=np.uint8)
+    out[:, 0] = np.where(bits >> np.uint64(63), ord("-"), zero)
     out[:, 1:1 + _MANT] = mantissa
     tail = out[:, 1 + _MANT:]
     hundreds, tens, units = (d + ord("0") for d in (e_abs // 100, e_abs // 10 % 10, e_abs % 10))
@@ -209,14 +211,34 @@ def _text(values: np.ndarray, sep: np.ndarray) -> bytes:
     tail[:, 3] = np.where(expo, np.where(wide, tens, units), zero)
     tail[:, 4] = np.where(expo, np.where(wide, units, sep), zero)
     tail[:, 5] = np.where(expo & wide, sep, zero)
+    return out
 
-    special = np.flatnonzero(~finite)
-    if special.size:
-        nan = bits[special] << np.uint64(1) > np.uint64(0xFFE0_0000_0000_0000)
-        out[special] = 0
-        out[special, 1:4] = np.where(nan[:, None], _NAN, _INF)
-        out[special, 0] = np.where(neg[special] & ~nan, ord("-"), zero)
-        out[special, 4] = sep[special]
+
+def _text(values: np.ndarray, sep: np.ndarray) -> bytes:
+    """repr text of each float64 in ``values``, each followed by its ``sep`` byte.
+
+    Only the finite nonzero values go through the digit search; zeros, nan
+    and inf are written over a template row.
+    """
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+    finite = (bits & _EXP_MASK) != _EXP_MASK
+    regular = finite & ((bits << np.uint64(1)) != 0)
+    if regular.all():
+        out = _regular_rows(bits, sep)
+    else:
+        # every row starts as the text of a zero with the value's sign
+        out = np.zeros((bits.size, _ROW), dtype=np.uint8)
+        out[:, 0] = np.where(bits >> np.uint64(63), ord("-"), 0)
+        out[:, 1:4] = _ZERO
+        out[:, 4] = sep
+        picked = np.flatnonzero(regular)
+        if picked.size:
+            out[picked] = _regular_rows(bits[picked], sep[picked])
+        special = np.flatnonzero(~finite)
+        if special.size:
+            nan = bits[special] << np.uint64(1) > np.uint64(0xFFE0_0000_0000_0000)
+            out[special, 1:4] = np.where(nan[:, None], _NAN, _INF)
+            out[special[nan], 0] = 0  # nan prints without a sign
     return out.tobytes().translate(None, b"\0")
 
 

@@ -914,6 +914,10 @@ def _table_grid(omega_grid) -> np.ndarray:
     omega_grid = np.asarray(omega_grid, dtype=float)
     if omega_grid.ndim != 1 or omega_grid.size < 2:
         raise ValueError("omega_grid must be a 1-D array with at least two points")
+    bad = np.flatnonzero(~np.isfinite(omega_grid))
+    if bad.size:
+        value = float(omega_grid[bad[0]])
+        raise ValueError(f"omega_grid[{bad[0]}] is {value!r}; every grid point must be finite")
     if np.any(np.diff(omega_grid) <= 0):
         raise ValueError("omega_grid must be strictly increasing")
     return omega_grid

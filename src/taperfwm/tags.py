@@ -63,8 +63,6 @@ _INTEGER = re.compile(r"-?[0-9]+")
 _PAIR_BLOCK = 1 << 16
 # Records formatted per write by the text writers; bounds their working set.
 _TEXT_BLOCK = 1 << 16
-# Dead-time jump targets read into Python per block of the walk.
-_WALK_BLOCK = 1 << 16
 # Largest mean pairs per pulse for which simulate_tags rebuilds Poisson counts
 # from uniforms (_poisson_hot); above it rng.poisson is faster.
 _REBUILD_MAX_MU = 0.3
@@ -739,30 +737,32 @@ def _dead_time_filter(ticks: np.ndarray, dead_ticks: float) -> np.ndarray:
 
     ``ticks`` are sorted, unique and non-negative.  For integer ticks
     ``t - last >= dead_ticks`` holds iff ``t - last >= ceil(dead_ticks)``, so
-    the threshold is exact in integers however large the ticks.  The click
-    kept after a kept click t is the first one at or past
-    ``t + ceil(dead_ticks)``; the walk from the first click along those jumps
-    runs once per kept click, reading the jump targets as Python ints
-    ``_WALK_BLOCK`` at a time.  Offsets from the first click are unsigned, so
-    adding the threshold cannot overflow.  Unique ticks are at least one
-    apart, so a dead time of at most one tick keeps every click.
+    the threshold is exact in integers however large the ticks.  The first
+    click is kept, and so is every click at least that far after the click
+    before it.  The click kept after a kept click t is the first one at or
+    past ``t + ceil(dead_ticks)``; the jumps from all of those sure clicks
+    advance together, and each chain of jumps ends on the next sure click or
+    past the last one.  Offsets from the first click are unsigned, so adding
+    the threshold cannot overflow.  Unique ticks are at least one apart, so a
+    dead time of at most one tick keeps every click.
     """
     if dead_ticks <= 1 or ticks.size == 0:
         return ticks
     if dead_ticks > int(ticks[-1]) - int(ticks[0]):
         return ticks[:1]
     offsets = (ticks - ticks[0]).view(np.uint64)
-    nxt = np.searchsorted(offsets, offsets + np.uint64(math.ceil(dead_ticks)), side="left")
-    kept = []
-    i = 0
-    while i < ticks.size:
-        base = i
-        block = nxt[base:base + _WALK_BLOCK].tolist()
-        stop = base + len(block)
-        while i < stop:
-            kept.append(i)
-            i = block[i - base]
-    return ticks[kept]
+    threshold = np.uint64(math.ceil(dead_ticks))
+    nxt = np.searchsorted(offsets, offsets + threshold, side="left")
+    # one entry past the end, set, so that a jump past the last click ends its chain
+    kept = np.ones(ticks.size + 1, dtype=bool)
+    np.greater_equal(np.diff(offsets), threshold, out=kept[1:-1])
+    del offsets
+    chain = np.flatnonzero(kept[:-1])
+    while chain.size:
+        chain = nxt[chain]
+        chain = chain[~kept[chain]]
+        kept[chain] = True
+    return ticks[kept[:-1]]
 
 
 def simulate_tags(config: SimulationConfig) -> TagStream:

@@ -1,4 +1,5 @@
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -566,6 +567,20 @@ class TestNeffTables:
         with pytest.raises(ValueError, match="strictly increasing"):
             neff_tables([WAIST], BANK[::-1])
         assert neff_tables([], BANK) == []
+
+    @pytest.mark.parametrize("index, value", [(-1, math.nan), (-1, math.inf), (3, math.nan)],
+                             ids=["nan_end", "inf_end", "interior_nan"])
+    @pytest.mark.parametrize("build", [neff_table, lambda cs, grid: neff_tables([cs], grid)],
+                             ids=["neff_table", "neff_tables"])
+    def test_non_finite_grid_point_named(self, build, index, value):
+        grid = BANK[:8].copy()
+        grid[index] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            named = rf"omega_grid\[{index % grid.size}\] is {value!r}"
+            with pytest.raises(ValueError, match=named) as err:
+                build(WAIST, grid)
+        assert not isinstance(err.value, DispersionError)
 
 
 # ------------------------------------------------ order-specialised kernels

@@ -127,6 +127,53 @@ MATRIX_3X5 = np.array([
 ])
 
 
+# cell values of the writer blocks drawn in TestZeroCells
+CELLS = {
+    "zeros": st.sampled_from([0.0, -0.0]),
+    "nonzero": st.floats(allow_nan=False, allow_infinity=False).filter(bool),
+    "mixed": st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]) | st.floats(),
+}
+
+
+class TestZeroCells:
+    """Zeros, nan and inf are written from a template; only the other values get the digit search."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matrix_csv_blocks_against_oracle(self, data, tmp_path_factory):
+        # three 32-row writer blocks in a drawn order: all zeros, free of
+        # zeros, and mixed with a zero at both of its ends
+        n_cols = data.draw(st.integers(2, 6))
+        n_rows = data.draw(st.integers(65, 96))
+        table = np.empty((n_rows, n_cols))
+        kinds = data.draw(st.permutations(["zeros", "nonzero", "mixed"]))
+        for start, kind in zip(range(0, n_rows, 32), kinds):
+            block = table[start:start + 32].reshape(-1)
+            block[:] = data.draw(st.lists(CELLS[kind], min_size=block.size, max_size=block.size))
+            if kind == "mixed":
+                block[0], block[-1] = data.draw(st.sampled_from([0.0, -0.0])), 0.0
+        grid = grid_like(table[:, 0], np.linspace(1e15, 2e15, n_cols - 1))
+        TestWritersAgainstOracle.assert_same(grid, table[:, 1:], tmp_path_factory.mktemp("blocks"))
+
+    @pytest.mark.parametrize("matrix, searched", [
+        (np.array([[0.0, 1.5, -0.0], [np.nan, -2e-300, np.inf], [-np.inf, 0.0, 5e-324]]),
+         [1.5, -2e-300, 5e-324]),
+        (np.array([[1.5, -2e-300], [7.0, 1e22]]), [1.5, -2e-300, 7.0, 1e22]),
+        (np.array([[0.0, -0.0], [np.nan, -np.inf]]), []),
+    ], ids=["mixed", "no_zeros", "none_regular"])
+    def test_only_finite_nonzero_values_are_searched(self, matrix, searched, monkeypatch):
+        seen, shortest_decimal = [], _floattext._shortest_decimal
+
+        def spy(bits):
+            seen.append(bits.view(np.float64).copy())
+            return shortest_decimal(bits)
+
+        monkeypatch.setattr(_floattext, "_shortest_decimal", spy)
+        text = format_rows(matrix)
+        assert text == b"".join(",".join(map(repr, row)).encode() + b"\n" for row in matrix.tolist())
+        assert [v.tolist() for v in seen] == ([searched] if searched else [])
+
+
 class TestWritersAgainstOracle:
     @pytest.mark.parametrize("matrix", [
         MATRIX_3X5,

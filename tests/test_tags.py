@@ -803,9 +803,9 @@ class TestDeadTimeFilter:
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**64 - 1), dead=st.floats(1.0, 10.0) | st.floats(1.0, 3e6))
     def test_walk_over_several_blocks_equals_loop(self, seed, dead):
-        # dense clicks with rare long gaps, over two to three walk blocks
+        # dense clicks with rare long gaps: many chains of jumps, of many lengths
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(tags._WALK_BLOCK + 1, 3 * tags._WALK_BLOCK))
+        n = int(rng.integers((1 << 16) + 1, 3 * (1 << 16)))
         gaps = np.where(rng.random(n) < 1e-3, rng.integers(1, 10**6, n), rng.integers(1, 4, n))
         ticks = np.cumsum(gaps)
         kept = tags._dead_time_filter(ticks, dead)
@@ -813,16 +813,16 @@ class TestDeadTimeFilter:
 
     @pytest.mark.parametrize("step", [2, 3, 7])
     def test_short_jumps_cross_block_boundaries(self, step):
-        # a jump of `step` entries from the end of one block lands in the next
-        ticks = np.arange(3 * tags._WALK_BLOCK + 5, dtype=np.int64)
+        # no gap reaches the dead time, so one chain of jumps runs the whole stream
+        ticks = np.arange(3 * (1 << 16) + 5, dtype=np.int64)
         kept = tags._dead_time_filter(ticks, float(step))
         assert kept.tolist() == ticks[::step].tolist()
         assert kept.tolist() == oracles.dead_time_loop(ticks, float(step)).tolist()
 
     def test_jump_skips_whole_blocks(self):
-        # a burst of more than two blocks falls inside the first click's dead time
-        burst = np.arange(1, 2 * tags._WALK_BLOCK + 100, dtype=np.int64)
-        tail = burst[-1] + 1000 + 500 * np.arange(tags._WALK_BLOCK, dtype=np.int64)
+        # a long burst falls inside the first click's dead time
+        burst = np.arange(1, 2 * (1 << 16) + 100, dtype=np.int64)
+        tail = burst[-1] + 1000 + 500 * np.arange(1 << 16, dtype=np.int64)
         ticks = np.concatenate(([0], burst, tail))
         dead = float(burst[-1] + 1000)
         kept = tags._dead_time_filter(ticks, dead)
