@@ -573,7 +573,8 @@ def jsa(
         "eta_center_relative_error_bound": eta_bound,
         "tolerances": {"neff_table_midpoint_abs": _TABLE_TOL},
     }
-    return JsaGrid(grid, envelope * matched, metadata)
+    # in place, so the product is not held beside matched; the same bits as envelope * matched
+    return JsaGrid(grid, np.multiply(envelope, matched, out=matched), metadata)
 
 
 # --------------------------------------------------------------------------
@@ -663,7 +664,7 @@ def phase_matched_pair(
 _CSV_BLOCK_ROWS = 32  # grid rows formatted per step, which bounds the writer's memory
 
 
-def write_matrix_csv(path, grid: SpectralGrid, matrix: np.ndarray, *, name: str, comments=()):
+def write_matrix_csv(path, grid: SpectralGrid, matrix, *, name: str, comments=()):
     """Write one grid-shaped matrix as CSV with axis header rows.
 
     Layout: '#' comment lines, then a header row of idler angular
@@ -671,12 +672,19 @@ def write_matrix_csv(path, grid: SpectralGrid, matrix: np.ndarray, *, name: str,
     the axis value in column 0.  Floats are written with shortest
     round-trip precision (the text of ``repr``), so outputs are byte-stable
     for identical inputs.
+
+    ``matrix`` is a real (n_signal, n_idler) array, or a function that takes
+    a slice of signal rows and returns those rows of it.  The function is
+    called once per block of ``_CSV_BLOCK_ROWS`` rows, in order, so the whole
+    matrix need never exist; each block it returns gets the array's shape and
+    real-dtype checks, and a block that fails them ends a partly written file.
     """
-    matrix = np.asarray(matrix)
-    if matrix.shape != (grid.n_signal, grid.n_idler):
-        raise ValueError("matrix shape does not match grid")
-    if np.iscomplexobj(matrix):
-        raise TypeError("write_matrix_csv needs a real matrix")
+    if callable(matrix):
+        rows_of = matrix
+    else:
+        matrix = np.asarray(matrix)
+        _check_rows(matrix, grid.n_signal, grid.n_idler)
+        rows_of = matrix.__getitem__
     head = [f"# {name}", *(f"# {c}" for c in comments),
             "# rows: signal_omega_rad_s; columns: idler_omega_rad_s", ""]
     rows = np.empty((_CSV_BLOCK_ROWS, 1 + grid.n_idler))
@@ -685,9 +693,18 @@ def write_matrix_csv(path, grid: SpectralGrid, matrix: np.ndarray, *, name: str,
         f.write(b"," + format_rows(grid.idler_omega[None, :]))
         for start in range(0, grid.n_signal, _CSV_BLOCK_ROWS):
             block = rows[:min(_CSV_BLOCK_ROWS, grid.n_signal - start)]
+            values = np.asarray(rows_of(slice(start, start + len(block))))
+            _check_rows(values, len(block), grid.n_idler)
             block[:, 0] = grid.signal_omega[start:start + len(block)]
-            block[:, 1:] = matrix[start:start + len(block)]
+            block[:, 1:] = values
             f.write(format_rows(block))
+
+
+def _check_rows(values: np.ndarray, n_rows: int, n_columns: int) -> None:
+    if values.shape != (n_rows, n_columns):
+        raise ValueError("matrix shape does not match grid")
+    if np.iscomplexobj(values):
+        raise TypeError("write_matrix_csv needs a real matrix")
 
 
 def write_marginals_csv(jsa_grid: JsaGrid, path):

@@ -34,6 +34,7 @@ from .dispersion import (
 )
 from .profile import TaperProfile, load_profile, segment
 from .biphoton import (
+    _CSV_BLOCK_ROWS,
     JsaGrid,
     PumpSpec,
     SpectralGrid,
@@ -286,6 +287,22 @@ def cmd_modes(config: RunConfig) -> int:
     return EXIT_OK
 
 
+def _intensity_peak(amplitude: np.ndarray) -> tuple[float, int]:
+    """``(intensity.max(), np.argmax(intensity))`` of intensity = |amplitude|^2, finite amplitude.
+
+    The intensity is formed ``_CSV_BLOCK_ROWS`` rows at a time.  A block
+    replaces the peak only when its maximum is larger, so a tie keeps the
+    first cell in C order, as ``np.argmax`` does.
+    """
+    peak, at = -np.inf, 0
+    for start in range(0, amplitude.shape[0], _CSV_BLOCK_ROWS):
+        block = np.abs(amplitude[start:start + _CSV_BLOCK_ROWS]) ** 2
+        i = int(np.argmax(block))
+        if block.flat[i] > peak:
+            peak, at = float(block.flat[i]), start * amplitude.shape[1] + i
+    return peak, at
+
+
 def cmd_jsi(config: RunConfig) -> int:
     """Phase-matching, pump, and JSI panels plus marginals and Schmidt report."""
     segmented = _resolve_segmented(config)
@@ -296,9 +313,18 @@ def cmd_jsi(config: RunConfig) -> int:
 
     matched = phase_matching(segmented, grid, pump.omega0, eta_mode=eta_mode)
     envelope = pump_function(pump, grid)
-    jsa_grid = JsaGrid(grid, envelope * matched)  # rejects a non-finite amplitude before any write
-    intensity = jsa_grid.intensity
-    raw_peak = float(intensity.max())
+    # Every panel is elementwise, so each is formed in blocks of rows as it
+    # is written.  Only |matched|^2 is kept whole: the amplitude takes
+    # matched's place, with the bits of envelope * matched.
+    matched_intensity = np.empty(matched.shape)
+    for start in range(0, grid.n_signal, _CSV_BLOCK_ROWS):
+        band = slice(start, start + _CSV_BLOCK_ROWS)
+        matched_intensity[band] = np.abs(matched[band]) ** 2
+    # rejects a non-finite amplitude before any write
+    jsa_grid = JsaGrid(grid, np.multiply(envelope, matched, out=matched))
+    amplitude = jsa_grid.amplitude
+    del matched
+    raw_peak, peak_at = _intensity_peak(amplitude)
     if raw_peak == 0.0:
         raise ValueError("joint spectral intensity is identically zero on this grid")
 
@@ -326,15 +352,17 @@ def cmd_jsi(config: RunConfig) -> int:
     with ThreadPoolExecutor(1) as pool:
         schmidt = pool.submit(schmidt_analysis, jsa_grid)
         write_matrix_csv(
-            paths["phase_matching"], grid, np.abs(matched) ** 2,
+            paths["phase_matching"], grid, matched_intensity,
             name="phase-matching intensity |J|^2 (m^2)", comments=provenance,
         )
+        del matched_intensity
         write_matrix_csv(
-            paths["pump"], grid, envelope**2,
+            paths["pump"], grid, lambda band: envelope[band] ** 2,
             name="pump envelope intensity |I|^2", comments=provenance,
         )
+        del envelope
         write_matrix_csv(
-            paths["jsi"], grid, intensity / raw_peak,
+            paths["jsi"], grid, lambda band: np.abs(amplitude[band]) ** 2 / raw_peak,
             name="joint spectral intensity (peak-normalized)",
             comments=provenance + [f"raw_peak_intensity {raw_peak!r}"],
         )
@@ -359,7 +387,7 @@ def cmd_jsi(config: RunConfig) -> int:
         paths["schmidt"],
     )
 
-    i_s, i_i = np.unravel_index(int(np.argmax(intensity)), intensity.shape)
+    i_s, i_i = divmod(peak_at, grid.n_idler)
     peak_s = float(2.0 * np.pi * C_VAC / grid.signal_omega[i_s] * 1e9)
     peak_i = float(2.0 * np.pi * C_VAC / grid.idler_omega[i_i] * 1e9)
     print(f"JSI peak at signal {peak_s!r} nm, idler {peak_i!r} nm")

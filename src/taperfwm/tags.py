@@ -731,6 +731,9 @@ def _grows_pulse(u: np.ndarray, high: np.ndarray, floor: float, carried: float) 
     return grows
 
 
+_SCALAR_CHAINS = 8  # dead-time chains left when the joint walk hands over to a scalar one
+
+
 def _dead_time_filter(ticks: np.ndarray, dead_ticks: float) -> np.ndarray:
     """Non-paralyzable dead time: keep a click iff it falls at least
     dead_ticks after the previously kept one.
@@ -741,7 +744,8 @@ def _dead_time_filter(ticks: np.ndarray, dead_ticks: float) -> np.ndarray:
     click is kept, and so is every click at least that far after the click
     before it.  The click kept after a kept click t is the first one at or
     past ``t + ceil(dead_ticks)``; the jumps from all of those sure clicks
-    advance together, and each chain of jumps ends on the next sure click or
+    advance together until ``_SCALAR_CHAINS`` chains are left, which are then
+    walked one by one, and each chain of jumps ends on the next sure click or
     past the last one.  Offsets from the first click are unsigned, so adding
     the threshold cannot overflow.  Unique ticks are at least one apart, so a
     dead time of at most one tick keeps every click.
@@ -758,10 +762,18 @@ def _dead_time_filter(ticks: np.ndarray, dead_ticks: float) -> np.ndarray:
     np.greater_equal(np.diff(offsets), threshold, out=kept[1:-1])
     del offsets
     chain = np.flatnonzero(kept[:-1])
-    while chain.size:
+    while chain.size > _SCALAR_CHAINS:
         chain = nxt[chain]
         chain = chain[~kept[chain]]
         kept[chain] = True
+    # A joint step costs a few numpy calls however few chains are left, and
+    # one chain can span the whole stream.
+    jumps, marks = memoryview(nxt), memoryview(kept)
+    for at in chain.tolist():
+        at = jumps[at]
+        while not marks[at]:
+            marks[at] = True
+            at = jumps[at]
     return ticks[kept[:-1]]
 
 

@@ -669,6 +669,24 @@ class TestPumpFunction:
         assert envelope.dtype == np.float64
         matched = np.exp(1j * np.linspace(0.0, 7.0, envelope.size)).reshape(envelope.shape)
         assert np.array_equal(envelope * matched, envelope.astype(complex) * matched)
+        # jsa() and cmd_jsi form the product in matched's buffer.  Where the
+        # envelope underflows to 0 the sign of each zero part comes from the
+        # signs of matched's parts, so every quadrant and signed zeros occur.
+        assert np.count_nonzero(envelope == 0.0) > envelope.size // 8
+        matched.flat[::5] = complex(-0.0, -0.0)
+        matched.flat[1::5] = -matched.flat[1::5]
+        matched.flat[2::5] = complex(0.0, -3.5)
+        assert np.any((envelope == 0.0) & (matched.real < 0) & (matched.imag < 0))
+        want = envelope * matched
+        got = np.multiply(envelope, matched, out=matched)
+        assert got is matched
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_jsa_amplitude_is_the_envelope_product(self, pump, grid128):
+        seg = segment(uniform_profile(885e-9), 3)
+        want = pump_function(pump, grid128) * phase_matching(seg, grid128, pump.omega0)
+        got = jsa(seg, pump, grid128).amplitude
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_quadrature_route_matches_analytic(self, pump, grid128):
         analytic = np.abs(pump_function(pump, grid128))
@@ -846,6 +864,47 @@ class TestExports:
     def test_csv_shape_mismatch(self, grid128, tmp_path):
         with pytest.raises(ValueError, match="shape"):
             write_matrix_csv(tmp_path / "x.csv", grid128, np.zeros((2, 2)), name="x")
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_signal=st.integers(2, 3 * biphoton._CSV_BLOCK_ROWS + 1), n_idler=st.integers(2, 9),
+           seed=st.integers(0, 2**32 - 1))
+    def test_row_function_writes_the_array_bytes(self, tmp_path_factory, n_signal, n_idler, seed):
+        # row counts on both sides of whole blocks, so the last block is often short
+        rng = np.random.default_rng(seed)
+        matrix = rng.standard_normal((n_signal, n_idler)) * 10.0 ** rng.integers(-300, 300, n_idler)
+        matrix[rng.random(matrix.shape) < 0.3] = 0.0
+        grid = window_grid(n_signal, n_idler)
+        out = tmp_path_factory.mktemp("rows")
+        slices = []
+
+        def rows_of(band):
+            slices.append((band.start, band.stop))
+            return matrix[band]
+
+        for path, source in ((out / "array.csv", matrix), (out / "rows.csv", rows_of)):
+            write_matrix_csv(path, grid, source, name="m", comments=["c"])
+        assert (out / "rows.csv").read_bytes() == (out / "array.csv").read_bytes()
+        block = biphoton._CSV_BLOCK_ROWS
+        assert slices == [(s, min(s + block, n_signal)) for s in range(0, n_signal, block)]
+
+    @pytest.mark.parametrize("rows_of, array", [
+        (lambda band: np.zeros((band.stop - band.start, 5), dtype=complex),
+         np.zeros((40, 5), dtype=complex)),
+        (lambda band: np.zeros((band.stop - band.start, 4)), np.zeros((40, 4))),
+        (lambda band: np.zeros(5), np.zeros(5)),
+        # the second block of 40 rows has 8 rows, not 32
+        (lambda band: np.zeros((biphoton._CSV_BLOCK_ROWS, 5)), np.zeros((64, 5))),
+    ], ids=["complex", "columns", "one_dimensional", "short_block_too_long"])
+    def test_row_function_gets_the_array_checks(self, tmp_path, rows_of, array):
+        grid = window_grid(40, 5)
+        with pytest.raises((TypeError, ValueError)) as from_array:
+            write_matrix_csv(tmp_path / "array.csv", grid, array, name="x")
+        with pytest.raises(from_array.type) as from_rows:
+            write_matrix_csv(tmp_path / "rows.csv", grid, rows_of, name="x")
+        assert str(from_rows.value) == str(from_array.value)
+        assert str(from_array.value) in ("matrix shape does not match grid",
+                                         "write_matrix_csv needs a real matrix")
+        assert (from_array.type is TypeError) == np.iscomplexobj(array)
 
     def test_marginals_csv(self, jsa_885, tmp_path):
         path = tmp_path / "marginals.csv"

@@ -621,6 +621,61 @@ class TestJsi:
         assert sorted(plain[1]) == sorted(JSI_CSVS + ("schmidt.json",))
 
 
+class TestJsiMemory:
+    """cmd_jsi forms its panels in row blocks, so it holds few whole-grid arrays.
+
+    Traced with tracemalloc, which numpy reports its buffers to, in units of
+    one real grid (8 B per cell) on a 384 x 384 uniform waist.  The writer
+    phase holds the amplitude (2 units), |matched|^2 until its panel is
+    written (1) and the envelope until its panel is written (1), beside one
+    32-row block's formatting temporaries (about 2.8 units at this width).
+    The segment sum and the pump envelope peak near 5.5.  Forming each panel
+    whole would hold matched beside the amplitude, the intensity and the
+    panel's own grid: about 10 units.
+    """
+
+    N = 384
+
+    def test_traced_peak_is_bounded_in_grids(self, tmp_path, capsys):
+        def jsi(n):
+            return run("jsi", "--diameter_nm", 900, "--length_mm", 14, "--n_segments", 1,
+                       "--grid_points", n, "--out_dir", tmp_path)
+
+        assert jsi(8) == EXIT_OK  # first-call caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert jsi(self.N) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak / (8 * self.N**2) <= 8.0, peak
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 3), (31, 4), (32, 5), (33, 2), (70, 3)])
+@pytest.mark.parametrize("seed", range(6))
+def test_intensity_peak_is_max_and_first_argmax(shape, seed):
+    # few distinct magnitudes, so ties are common, in cells of several blocks
+    rng = np.random.default_rng(seed)
+    amplitude = (rng.integers(-2, 3, shape) + 1j * rng.integers(-2, 3, shape)).astype(complex)
+    intensity = np.abs(amplitude) ** 2
+    assert cli._intensity_peak(amplitude) == (intensity.max(), np.argmax(intensity))
+
+
+@pytest.mark.parametrize("cells", [[(31, 1), (32, 0)], [(32, 0), (31, 1)], [(63, 2), (64, 0), (0, 2)],
+                                   [(5, 1)], [(69, 2), (40, 0)]])
+def test_intensity_peak_ties_across_block_edges(cells):
+    # equal peaks in several blocks: the first in C order wins, as np.argmax's does
+    assert cli._CSV_BLOCK_ROWS == 32  # rows 31/32 and 63/64 lie in different blocks
+    amplitude = np.full((70, 3), 0.5 + 0.5j)
+    for at in cells:
+        amplitude[at] = 3.0 - 4.0j if sum(at) % 2 else -4.0 + 3.0j  # |a|^2 = 25 either way
+    intensity = np.abs(amplitude) ** 2
+    peak, at = cli._intensity_peak(amplitude)
+    assert (peak, at) == (intensity.max(), np.argmax(intensity)) == (25.0, 3 * min(cells)[0] + min(cells)[1])
+
+
 class TestTagsSimulate:
     def test_text_and_binary_agree(self, tmp_path):
         txt = tmp_path / "tags.txt"

@@ -819,6 +819,25 @@ class TestDeadTimeFilter:
         assert kept.tolist() == ticks[::step].tolist()
         assert kept.tolist() == oracles.dead_time_loop(ticks, float(step)).tolist()
 
+    def test_one_chain_through_a_million_clicks(self):
+        # every gap is below the dead time: one chain takes every other click
+        ticks = np.arange(10**6, dtype=np.int64)
+        kept = tags._dead_time_filter(ticks, 2.0)
+        assert kept.tolist() == oracles.dead_time_loop(ticks, 2.0).tolist() == ticks[::2].tolist()
+
+    @pytest.mark.parametrize("chains", [1, 2, tags._SCALAR_CHAINS, tags._SCALAR_CHAINS + 1,
+                                        3 * tags._SCALAR_CHAINS])
+    @pytest.mark.parametrize("dead", [3.0, 4.5])
+    def test_long_chains_around_the_scalar_handover(self, chains, dead):
+        # runs of close clicks split by gaps past the dead time: one chain per
+        # run, of many lengths, so the walk goes scalar part of the way through
+        rng = np.random.default_rng(chains)
+        gaps = rng.integers(1, 3, 40_000)
+        gaps[rng.choice(gaps.size, chains - 1, replace=False)] = 10
+        ticks = np.cumsum(gaps)
+        kept = tags._dead_time_filter(ticks, dead)
+        assert kept.tolist() == oracles.dead_time_loop(ticks, dead).tolist()
+
     def test_jump_skips_whole_blocks(self):
         # a long burst falls inside the first click's dead time
         burst = np.arange(1, 2 * (1 << 16) + 100, dtype=np.int64)
