@@ -429,7 +429,7 @@ def _phase_matching_info(segmented, grid, omega_p, eta_mode):
     beside the complex result and the band-sized arrays of ``_SUM_BLOCK``.
     So a diameter below cutoff is reported before any term is formed, and so
     before a phase dk l / 2 that overflows.  Each band locates its
-    frequencies among each distinct knot array once.
+    frequencies once, among the knots that every table shares.
     """
     if eta_mode not in ("per_point", "center"):
         raise ValueError(f"eta_mode must be 'per_point' or 'center', got {eta_mode!r}")
@@ -468,7 +468,7 @@ def _phase_matching_info(segmented, grid, omega_p, eta_mode):
             overlaps.append((table, eta))
         walk.append(slots[cs])
     last_use = {d: t for t, d in enumerate(walk)}
-    on_knots = {id(table.knots): table for table, _ in overlaps}  # one table per knot array
+    locate = overlaps[0][0].locate  # the tables of one neff_tables call share their knots
 
     total = np.zeros((ws.size, wi.size), dtype=complex)
     rows = max(1, _SUM_BLOCK // wi.size)
@@ -476,7 +476,7 @@ def _phase_matching_info(segmented, grid, omega_p, eta_mode):
         band = slice(start, start + rows)
         part = total[band]
         omegas = (omega_p, ws[band, None], wi[None, :], ws[band, None] + wi[None, :] - omega_p)
-        located = {key: [table.locate(om) for om in omegas] for key, table in on_knots.items()}
+        located = [locate(om) for om in omegas]
         suffix = np.ones_like(part)  # exp(i * sum of later segments' dk * l)
         again = {}  # this band's terms of diameters the walk meets later
         for t, d in enumerate(walk):
@@ -484,7 +484,7 @@ def _phase_matching_info(segmented, grid, omega_p, eta_mode):
                 base, step = again.pop(d)
             else:
                 table, eta = overlaps[d]
-                base, step = _segment_terms(table, omegas, located[id(table.knots)], length,
+                base, step = _segment_terms(table, omegas, located, length,
                                             eta[band] if eta_mode == "per_point" else eta)
             if last_use[d] > t:
                 again[d] = (base, step)

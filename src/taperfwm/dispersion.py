@@ -4,8 +4,8 @@ The waist of a tapered fiber is modelled as a silica cylinder surrounded by
 air (index 1).  This module provides the Sellmeier material model, a
 full-vector solver for the fundamental HE11 mode (Bessel J in the core,
 modified Bessel K in the air), its normalized transverse (LP01) field
-profile, and tabulated ``n_eff(omega)`` with monotone cubic interpolation
-for fast downstream evaluation.
+profile, and tabulated ``n_eff(omega)`` for fast downstream evaluation: a
+Chebyshev series through direct solves, cubic Hermite on fixed knots.
 
 The solver works in the decay w outside the core, with core parameter
 u = sqrt((V - w)(V + w)) and n_eff^2 = 1 + (w / a k0)^2.  HE11 is the only
@@ -33,6 +33,7 @@ from pathlib import Path
 from typing import Callable, Sequence, Union
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebder, chebvander
 
 __all__ = [
     "C_VAC",
@@ -298,9 +299,9 @@ _K1_DEN = (
 # generated by scripts/bessel_kernels.py: end
 
 # The J fit's interval.  HE11 has u < j_{0,1}; the room above it takes u
-# rounded a few ulps past j_{0,1} at the bottom of the w bracket, and the u of
-# table-interpolated n_eff on millimetre waists, which was 4.4e-4 past it on
-# a 3 mm waist.
+# rounded a few ulps past j_{0,1} at the bottom of the w bracket.  (Table
+# n_eff keeps a 3 mm waist's u 1.4e-4 below j_{0,1} over 800-1600 nm; the
+# PCHIP tables before them put it 4.4e-4 past.)
 _J_MAX = 2.5
 
 # Kernel arguments evaluated per step: 64 KB temporaries stay in cache and below the mmap threshold.
@@ -659,7 +660,7 @@ def batch_field_matrix(cross_section: CrossSection, omegas, n_effs, r) -> np.nda
     row.  Radii in meters.
 
     Raises DispersionError if a core parameter u reaches j_{0,1}: an HE11
-    root stays below it, but an interpolated n_eff of a millimetre waist can pass it.
+    root stays below it, but an n_eff that is not a root can pass it.
     """
     r = np.asarray(r, dtype=float)
     a = cross_section.diameter / 2.0
@@ -716,58 +717,52 @@ def solve_mode(cross_section: CrossSection, omega: float) -> ModeSolution:
 # --------------------------------------------------------------------------
 
 # Largest |n_eff| gap allowed between a table and direct solves at held-out
-# midpoints, and the solver-grid density relative to the table grid (doubled
-# once if the gap check fails).
-_TABLE_TOL = 5e-9
+# midpoints; the Chebyshev nodes a table's series is first taken from
+# (doubled once for a table that misses the gap); the table's knots per
+# interval of its grid.
+_TABLE_TOL = 1e-10
+_TABLE_NODES = 32
 _TABLE_REFINE = 16
 
 
-class _Pchip:
-    """Monotone cubic (PCHIP) interpolant of y(x) for queries that the caller keeps in ``[x[0], x[-1]]``.
+@dataclass(frozen=True, eq=False)
+class NeffTable:
+    """HE11 ``n_eff(omega)`` of one cross-section: Chebyshev series, cubic Hermite on fixed knots.
 
-    There it does scipy's ``PchipInterpolator(x, y)`` arithmetic, so the
-    values agree bit for bit: Fritsch-Carlson slopes (weighted harmonic
-    mean inside, zero at a sign change or a flat neighbour, Moler's three-point
-    rule with its two clamps at each end), ``CubicHermiteSpline``'s power-basis
-    coefficients and ``PPoly``'s evaluation order on the interval
-    ``x[i] <= q < x[i+1]`` (the last interval is closed).
+    A Chebyshev series through direct solves at first-kind nodes gives the
+    values and slopes at :attr:`knots`, and the table is the cubic Hermite
+    interpolant through them, kept as power-basis coefficients of each
+    interval ``knots[i] <= q < knots[i+1]`` (the last one closed).  Its range
+    is that of the grid it was built on, the ends of :attr:`knots`.  Call the
+    table with angular frequencies in that range; a query outside it, or NaN,
+    raises ExtrapolationError.  A call is ``at(locate(omega))``.
     """
 
-    def __init__(self, x, y):
-        self.x = x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        h = np.diff(x)
-        m = np.diff(y) / h
-        if x.size == 2:
-            d = np.array([m[0], m[0]])
-        else:
-            flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
-            w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                inner = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
-            d = np.concatenate((
-                [_pchip_end_slope(h[0], h[1], m[0], m[1])],
-                np.where(flat, 0.0, inner),
-                [_pchip_end_slope(h[-1], h[-2], m[-1], m[-2])],
-            ))
-        t = (d[:-1] + d[1:] - 2 * m) / h
-        self._coef = (t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1])
+    cross_section: CrossSection
+    knots: np.ndarray  # one array for every table of a neff_tables call
+    _coef: tuple  # (c0, c1, c2, c3) of each interval: c3 + c2 s + c1 s^2 + c0 s^3
 
-    def locate(self, q):
-        """Interval index and offset from its left knot of each query in ``q``.
+    def __call__(self, omega):
+        out = self.at(self.locate(omega))
+        return out.item() if np.ndim(omega) == 0 else out
 
-        Interpolants on the same knots share one result, for :meth:`evaluate`.
-        """
-        x = self.x
-        # counting interior knots <= q gives the interval, the last one closed
-        i = np.searchsorted(x[1:-1], q, side="right")
-        return i, q - x.take(i)
+    def locate(self, omega):
+        """Each ``omega``'s interval and offset from its left knot, for :meth:`at` of any table on these knots."""
+        omega = np.asarray(omega, dtype=float)
+        x = self.knots
+        if not (np.all(omega >= x[0]) and np.all(omega <= x[-1])):
+            raise ExtrapolationError(
+                f"query outside tabulated range [{x[0]:.6e}, {x[-1]:.6e}] rad/s for HE11"
+            )
+        # counting interior knots <= omega gives the interval, the last one closed
+        i = np.searchsorted(x[1:-1], omega, side="right")
+        return i, omega - x.take(i)
 
-    def evaluate(self, located):
-        """Values at the queries that :meth:`locate` placed, in the queries' shape."""
+    def at(self, located):
+        """n_eff at the frequencies :meth:`locate` placed, in their shape."""
         i, s = located
         c0, c1, c2, value = (c.take(i) for c in self._coef)
-        # c3 + c2 s + c1 s^2 + c0 s^3, summed in PPoly's order, in place
+        # c3 + c2 s + c1 s^2 + c0 s^3, summed in this order, in place
         c2 *= s
         value += c2
         s2 = s * s
@@ -779,59 +774,36 @@ class _Pchip:
         return value
 
 
-def _pchip_end_slope(h0, h1, m0, m1):
-    """One-sided three-point slope at an end knot, clamped to keep the shape."""
-    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3 * abs(m0):
-        return 3 * m0
-    return d
+def _hermite(x, y, d):
+    """Power-basis coefficients of the cubic through values ``y`` and slopes ``d`` at knots ``x``."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    return t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]
 
 
-@dataclass(frozen=True)
-class NeffTable:
-    """Monotone-cubic-interpolated HE11 ``n_eff(omega)`` for one cross-section.
-
-    Its range is that of the grid it was built on, the ends of :attr:`knots`.
-    Call the table with angular frequencies in that range; a query outside
-    it, or NaN, raises ExtrapolationError.  A call is ``at(locate(omega))``.
-    """
-
-    cross_section: CrossSection
-    _interp: _Pchip
-
-    def __call__(self, omega):
-        out = self.at(self.locate(omega))
-        return out.item() if np.ndim(omega) == 0 else out
-
-    @property
-    def knots(self) -> np.ndarray:
-        """The interpolant's knots.  Tables from one :func:`neff_tables` pass share the array."""
-        return self._interp.x
-
-    def locate(self, omega):
-        """Where ``omega`` falls among :attr:`knots`, for :meth:`at` of every table on them."""
-        omega = np.asarray(omega, dtype=float)
-        lo, hi = self.knots[0], self.knots[-1]
-        if not (np.all(omega >= lo) and np.all(omega <= hi)):
-            raise ExtrapolationError(
-                f"query outside tabulated range [{lo:.6e}, {hi:.6e}] rad/s for HE11"
-            )
-        return self._interp.locate(omega)
-
-    def at(self, located):
-        """n_eff at the frequencies :meth:`locate` placed."""
-        return self._interp.evaluate(located)
+def _chebyshev_maps(lo: float, hi: float, nodes: int, knots: np.ndarray):
+    """First-kind Chebyshev nodes on [lo, hi], and the matrices that take values
+    there to the interpolating series' values and slopes at ``knots``."""
+    x = -np.cos(np.pi * (np.arange(nodes) + 0.5) / nodes)
+    # series coefficients c_k = (2/m) sum_j T_k(x_j) y_j, c_0 halved (discrete orthogonality)
+    to_series = (2.0 / nodes) * chebvander(x, nodes - 1).T
+    to_series[0] *= 0.5
+    at_knots = (2.0 * knots - (lo + hi)) / (hi - lo)
+    values = chebvander(at_knots, nodes - 1) @ to_series
+    slopes = chebvander(at_knots, nodes - 2) @ chebder(to_series, scl=2.0 / (hi - lo))
+    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * x, values, slopes
 
 
 def neff_table(cross_section: CrossSection, omega_grid: Sequence[float]) -> NeffTable:
-    """Tabulate HE11 ``n_eff(omega)`` on ``omega_grid`` with PCHIP interpolation.
+    """Tabulate HE11 ``n_eff(omega)`` over ``omega_grid``: Chebyshev series, cubic Hermite on fixed knots.
 
-    The solver runs on an internal grid 16 times denser than ``omega_grid``
-    so that the interpolant reproduces direct solves at held-out midpoints to
-    5e-9 (``_TABLE_TOL``); this is verified internally at five midpoints and
-    the refinement is doubled once if the check fails.  This is the
+    The series interpolates direct solves at 32 first-kind Chebyshev nodes
+    over the grid's range; the table is the cubic Hermite interpolant through
+    its values and slopes at knots 16 times denser than ``omega_grid``.  It
+    must reproduce direct solves at five held-out midpoints to 1e-10
+    (``_TABLE_TOL``), from 64 nodes if not from 32.  The grid's own points are
+    solved too, so that a point below cutoff is named.  This is the
     one-diameter case of :func:`neff_tables`.
 
     Args:
@@ -841,6 +813,8 @@ def neff_table(cross_section: CrossSection, omega_grid: Sequence[float]) -> Neff
 
     Raises:
         NoGuidedModeError: Any grid point below cutoff (message lists them).
+        SolverConvergenceError: The held-out check fails even from 64 nodes
+            (message names the diameter).
         ExtrapolationError: On later queries outside the grid range.
     """
     (table,) = neff_tables([cross_section], omega_grid)
@@ -852,52 +826,74 @@ def neff_table(cross_section: CrossSection, omega_grid: Sequence[float]) -> Neff
 def neff_tables(cross_sections: Sequence[CrossSection], omega_grid: Sequence[float]) -> list:
     """The :func:`neff_table` of every cross-section, from one stacked solve.
 
-    Every cross-section's dense-grid and held-out columns go through one
-    ``_root`` pass (one solve for both: each frequency's root is found on its
-    own, so each keeps its bits whatever it is stacked beside).  Then each
-    cross-section's columns pass the checks of :func:`_checked_roots` and its
-    table the held-out check; those that miss it go through one more stacked
-    pass at twice the refinement.  All tables of one pass share their
-    :attr:`~NeffTable.knots` array.
+    Every cross-section's Chebyshev-node, grid and held-out columns go
+    through one ``_root`` pass (each frequency's root is found on its own, so
+    each keeps its bits whatever it is stacked beside).  Then each
+    cross-section's columns pass the checks of :func:`_checked_roots`, and
+    its table, a Chebyshev series and cubic Hermite on fixed knots, the
+    held-out check; those that miss it go through one more stacked pass at
+    twice the nodes.  All tables of one call share one :attr:`~NeffTable.knots`
+    array.
 
     Returns one entry per cross-section: its table, or the DispersionError
     that building it raises, which :func:`neff_table` raises.  A cross-section
     below cutoff gets the error naming the grid's own frequencies below cutoff.
     """
     omega_grid = _table_grid(omega_grid)
+    knots = _refined_grid(omega_grid, _TABLE_REFINE)
+    mids = knots[:-1] + 0.5 * np.diff(knots)
+    checks = mids[np.linspace(0, mids.size - 1, 5).astype(int)]
     built = [None] * len(cross_sections)
+    held_out, gaps = {}, {}
     pending = list(range(len(cross_sections)))
-    for factor in (_TABLE_REFINE, 2 * _TABLE_REFINE):
-        dense, checks = _table_columns(omega_grid, factor)
-        omegas = np.concatenate((dense, checks))
-        params = {}
-        for k in pending:
-            try:
-                params[k] = _column_params(cross_sections[k], omegas)
-            except DispersionError as err:
-                built[k] = _table_error(err, cross_sections[k], omega_grid)
-        pending = []
-        if not params:
+    for nodes in (_TABLE_NODES, 2 * _TABLE_NODES):
+        if not pending:
             break
+        at_nodes, values, slopes = _chebyshev_maps(omega_grid[0], omega_grid[-1], nodes, knots)
+        # the first pass also solves the grid, to name its points below cutoff, and the checks
+        omegas = np.concatenate((at_nodes, omega_grid, checks)) if nodes == _TABLE_NODES else at_nodes
+        retry = []
+        for k, n_eff in zip(pending, _solve_stacked([cross_sections[k] for k in pending], omegas)):
+            if isinstance(n_eff, DispersionError):
+                built[k] = _table_error(n_eff, cross_sections[k], omega_grid)
+                continue
+            held_out.setdefault(k, n_eff[-checks.size:])
+            mean = n_eff[:nodes].mean()  # the series of the rest rounds to about a tenth of the error
+            y = n_eff[:nodes] - mean
+            table = NeffTable(cross_sections[k], knots, _hermite(knots, values @ y + mean, slopes @ y))
+            gaps[k] = np.max(np.abs(table.at(table.locate(checks)) - held_out[k]))
+            if gaps[k] <= _TABLE_TOL:
+                built[k] = table
+            else:
+                retry.append(k)
+        pending = retry
+    for k in pending:
+        built[k] = SolverConvergenceError(
+            f"neff_table missed its held-out check for HE11 at diameter "
+            f"{cross_sections[k].diameter * 1e9:.1f} nm by {gaps[k]:.3e} (> {_TABLE_TOL:g}) "
+            f"even at degree {2 * _TABLE_NODES - 1} ({2 * _TABLE_NODES} Chebyshev nodes)"
+        )
+    return built
+
+
+def _solve_stacked(cross_sections: Sequence[CrossSection], omegas: np.ndarray) -> list:
+    """Each cross-section's n_eff at ``omegas`` from one ``_root`` pass, or the DispersionError it raises."""
+    out = [None] * len(cross_sections)
+    params = {}
+    for k, cs in enumerate(cross_sections):
+        try:
+            params[k] = _column_params(cs, omegas)
+        except DispersionError as err:
+            out[k] = err
+    if params:
         v, nu = (np.concatenate([p[i] for p in params.values()]) for i in (1, 2))
         rows = zip(*(a.reshape(len(params), omegas.size) for a in _solve_columns(v, nu)))
         for (k, (ak0, _, _)), columns in zip(params.items(), rows):
             try:
-                interp = _held_out_interp(dense, checks,
-                                          _checked_roots(cross_sections[k], omegas, ak0, *columns))
+                out[k] = _checked_roots(cross_sections[k], omegas, ak0, *columns)
             except DispersionError as err:
-                built[k] = _table_error(err, cross_sections[k], omega_grid)
-                continue
-            if interp is None:
-                pending.append(k)
-            else:
-                built[k] = NeffTable(cross_sections[k], interp)
-    for k in pending:
-        built[k] = SolverConvergenceError(
-            f"neff_table failed its held-out midpoint check for HE11 "
-            f"even at refine={2 * _TABLE_REFINE}"
-        )
-    return built
+                out[k] = err
+    return out
 
 
 def _table_error(err: DispersionError, cross_section: CrossSection, omega_grid: np.ndarray):
@@ -921,21 +917,6 @@ def _table_grid(omega_grid) -> np.ndarray:
     if np.any(np.diff(omega_grid) <= 0):
         raise ValueError("omega_grid must be strictly increasing")
     return omega_grid
-
-
-def _table_columns(omega_grid: np.ndarray, factor: int):
-    """The solver grid ``factor`` times denser than ``omega_grid`` and its five held-out midpoints."""
-    dense = _refined_grid(omega_grid, factor)
-    checks = dense[:-1] + 0.5 * np.diff(dense)
-    return dense, checks[np.linspace(0, checks.size - 1, 5).astype(int)]
-
-
-def _held_out_interp(dense, checks, n_eff):
-    """PCHIP through the ``dense`` part of ``n_eff``, or None if it misses the
-    ``checks`` part, the held-out solves, by more than _TABLE_TOL."""
-    interp = _Pchip(dense, n_eff[:dense.size])
-    gap = np.max(np.abs(interp.evaluate(interp.locate(checks)) - n_eff[dense.size:]))
-    return interp if gap <= _TABLE_TOL else None
 
 
 def _refined_grid(grid: np.ndarray, factor: int) -> np.ndarray:

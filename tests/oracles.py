@@ -11,7 +11,6 @@ import math
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.special import j0, j1, jv, jvp, k0e, k1e, kv, kve, kvp
 
 # --- material: Malitson fused-silica Sellmeier, restated locally -----------
@@ -464,14 +463,6 @@ def write_marginals_csv_repr(path, signal_omega, signal_weight, idler_omega, idl
     for om, v in zip(idler_omega, idler_weight):
         lines.append(f"idler,{float(om)!r},{float(v)!r}")
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-# --- monotone cubic interpolation: scipy's PCHIP -------------------------------
-
-
-def pchip(x, y):
-    """scipy's PCHIP interpolant of y(x), NaN outside ``[x[0], x[-1]]``."""
-    return PchipInterpolator(x, y, extrapolate=False)
 
 
 # --- phase matching: the whole-grid segment sum before row bands ---------------

@@ -538,15 +538,15 @@ class TestSegmentSumBands:
         phase_matching(stepped_taper(), grid, pump.omega0)
         assert len(calls) == 4 and len(set(calls)) == 4
 
-    @pytest.mark.parametrize("tol, passes", [
-        (None, [16 * (47 * 16 + 1 + 5)]),
-        # 14 of the 16 diameters need the doubled refinement, and the two
-        # knot arrays each get their own lookups
-        (3e-11, [16 * (47 * 16 + 1 + 5), 14 * (47 * 32 + 1 + 5)]),
+    @pytest.mark.parametrize("nodes, tol, passes", [
+        (32, None, [16 * (32 + 48 + 5)]),
+        # from 11 nodes, 14 of the 16 diameters miss 4e-10 and are solved again at 22
+        (11, 4e-10, [16 * (11 + 48 + 5), 14 * 22]),
     ], ids=["default", "refined"])
-    def test_one_root_pass_per_refinement(self, pump, monkeypatch, tol, passes):
+    def test_one_root_pass_per_refinement(self, pump, monkeypatch, nodes, tol, passes):
         seg = segment(load_profile(DATA / "measured_profile.txt"), 16)
         assert len(set(seg.segments)) == 16
+        monkeypatch.setattr(dispersion, "_TABLE_NODES", nodes)
         if tol is not None:
             monkeypatch.setattr(dispersion, "_TABLE_TOL", tol)
         sizes = []
@@ -560,7 +560,8 @@ class TestSegmentSumBands:
         calls = count_neff_tables(monkeypatch)
         grid = SpectralGrid.from_wavelength_windows(SIGNAL_WINDOW, IDLER_WINDOW, 8)
         total = phase_matching(seg, grid, pump.omega0)
-        # each pass holds every diameter's dense grid and five held-out midpoints
+        # the first pass holds every diameter's nodes, grid and five held-out
+        # midpoints, the second the doubled nodes of those that missed the check
         assert sizes == passes
         assert len(calls) == 16 and len(set(calls)) == 16
         monkeypatch.setattr(dispersion, "_root", root)

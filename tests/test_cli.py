@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from streams import counts_by_channel, from_records
-from taperfwm import biphoton, cli
+from taperfwm import biphoton, cli, dispersion
 from taperfwm.biphoton import PumpSpec, SpectralGrid, phase_matching, pump_function
 from taperfwm.cli import EXIT_CONFIG, EXIT_DOMAIN, EXIT_IO, EXIT_OK, build_parser, main
 from taperfwm.dispersion import FUSED_SILICA, CrossSection, solve_mode
@@ -568,6 +568,21 @@ class TestJsi:
             err = capsys.readouterr().err
             assert err.startswith("domain error: segment 8 (diameter 120.0 nm): ") and "cutoff" in err
             assert not out.exists()
+
+    def test_held_out_miss_names_the_diameter(self, tmp_path, capsys, monkeypatch):
+        # no table meets a 1e-16 held-out check, even from 64 Chebyshev nodes
+        monkeypatch.setattr(dispersion, "_TABLE_TOL", 1e-16)
+        profile = tmp_path / "two.profile"
+        profile.write_text("0 900e-9\n0.007 900e-9\n0.0071 885e-9\n0.014 885e-9\n")
+        out = tmp_path / "out"
+        assert run("jsi", "--profile", profile, "--n_segments", 2, "--grid_points", 8,
+                   "--out_dir", out) == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        # the walk from the output end meets the 885 nm segment first
+        assert err.startswith("domain error: neff_table missed its held-out check for HE11 "
+                              "at diameter 885.0 nm by ")
+        assert err.rstrip().endswith("(> 1e-16) even at degree 63 (64 Chebyshev nodes)")
+        assert not out.exists()
 
     @pytest.mark.parametrize("n_segments, grid_points, size", [
         (2**45, 8, "256. TiB"),  # 2**45 segment midpoints

@@ -38,7 +38,6 @@ from oracles import (
     dense_scan_he11,
     field_rows_general,
     he11_char_fn_general,
-    pchip,
     scan_bisect_he11,
 )
 
@@ -205,7 +204,7 @@ class TestSolveMode:
 
     @pytest.mark.parametrize("d", [700e-9, 900e-9, 3e-6])
     def test_char_fn_evaluations_per_frequency(self, d, monkeypatch):
-        # a 753-point solve (a 48-node table grid refined 16 times) evaluates
+        # a 753-point solve (the knots of a 48-node table grid) evaluates
         # h at most 16 times per frequency, the bracket ends included
         evaluated = []
         char_fn = dispersion._char_fn
@@ -305,97 +304,21 @@ class TestModeField:
 
     @pytest.mark.parametrize("d_mm, past_j01", [(1.0, False), (3.0, True)])
     def test_rows_past_j01_rejected(self, d_mm, past_j01):
-        # A 48-node table of a 3 mm waist interpolates n_eff low enough that
-        # u passes j_{0,1} at some queries; a 1 mm waist stays below it.
+        # A 48-node table keeps u below j_{0,1} at 20001 queries on both waists
+        # (a PCHIP table of the 3 mm waist put u 4.4e-4 past it).  On the 3 mm
+        # waist, n_eff lowered until u is 4.4e-4 past j_{0,1} at one query is
+        # rejected with the diameter named.
         cs = CrossSection(diameter=d_mm * 1e-3)
         nodes = np.linspace(omega_of(1600e-9), omega_of(800e-9), 48)
         omegas = np.linspace(nodes[0], nodes[-1], 20001)
         n_effs = neff_table(cs, nodes)(omegas)
         r = np.linspace(0.0, cs.diameter, 5)
+        assert np.all(np.isfinite(dispersion.batch_field_matrix(cs, omegas, n_effs, r)))
         if past_j01:
+            n1, ak0 = dispersion._guide_params(cs, omegas[-1])
+            n_effs[-1] = np.sqrt(n1**2 - ((dispersion._J01_HI + 4.4e-4) / ak0) ** 2)
             with pytest.raises(DispersionError, match="diameter 3000000.0 nm"):
                 dispersion.batch_field_matrix(cs, omegas, n_effs, r)
-        else:
-            assert np.all(np.isfinite(dispersion.batch_field_matrix(cs, omegas, n_effs, r)))
-
-
-# ---------------------------------------------------------------- PCHIP
-# dispersion._Pchip against scipy's PchipInterpolator (oracles.pchip): equal
-# bit for bit inside the knots, the range NeffTable.locate lets through, with
-# no tolerance.
-
-PCHIP_DATA = ("random_walk", "smooth", "flat", "sign_changing")
-
-
-def pchip_knots(rng, n, kind):
-    x = np.cumsum(rng.uniform(0.05, 2.0, n)) + rng.normal(0.0, 10.0)
-    if kind == "random_walk":
-        y = np.cumsum(rng.normal(size=n))
-    elif kind == "smooth":
-        y = np.sin(np.linspace(0.0, rng.uniform(1.0, 12.0), n)) * rng.uniform(0.1, 10.0)
-    elif kind == "flat":  # plateaus: zero slopes on either side of a knot
-        y = np.round(np.cumsum(rng.normal(size=n)) / 3.0)
-    else:  # the slope changes sign at every knot
-        y = (-1.0) ** np.arange(n) * rng.uniform(0.5, 1.5, n)
-    return x, y
-
-
-def pchip_queries(rng, x):
-    mids = x[:-1] + 0.5 * np.diff(x)
-    edges = [np.nextafter(x[0], np.inf), np.nextafter(x[-1], -np.inf)]
-    spread = rng.uniform(x[0], x[-1], 1000)
-    return np.concatenate([x, mids, edges, spread])
-
-
-def assert_pchip_matches_scipy(x, y, q):
-    q = q[(q >= x[0]) & (q <= x[-1])]
-    interp = dispersion._Pchip(x, y)
-    assert np.array_equal(interp.evaluate(interp.locate(q)), pchip(x, y)(q))
-
-
-class TestPchip:
-    @pytest.mark.parametrize("kind", PCHIP_DATA)
-    def test_bit_identical_to_scipy(self, kind):
-        rng = np.random.default_rng(PCHIP_DATA.index(kind))
-        for n in [2, 3, 4, 5, 800, *rng.integers(2, 801, 30)]:
-            x, y = pchip_knots(rng, int(n), kind)
-            assert_pchip_matches_scipy(x, y, pchip_queries(rng, x))
-
-    def test_scalar_query_gives_zero_dim(self):
-        x, y = np.array([0.0, 1.0, 3.0]), np.array([1.0, 2.0, 0.5])
-        interp = dispersion._Pchip(x, y)
-        out = interp.evaluate(interp.locate(np.float64(2.0)))
-        assert np.ndim(out) == 0
-        assert out == pchip(x, y)(2.0)
-
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # scipy's slopes
-    @settings(max_examples=200, deadline=None)
-    @given(
-        knots=st.lists(
-            st.tuples(st.floats(1e-3, 1e3), st.floats(-1e6, 1e6)), min_size=2, max_size=60
-        ),
-        fractions=st.lists(st.floats(-0.1, 1.1), min_size=1, max_size=30),
-    )
-    def test_bit_identical_to_scipy_property(self, knots, fractions):
-        steps, y = map(np.array, zip(*knots))
-        x = np.cumsum(steps)
-        q = np.concatenate([x, x[0] + np.array(fractions) * (x[-1] - x[0])])
-        assert_pchip_matches_scipy(x, y, q)
-
-    @pytest.mark.parametrize("diameter", [
-        900e-9,
-        segment(load_profile(DATA / "measured_profile.txt"), 16).segments[0].diameter,
-    ], ids=["uniform_900nm", "measured_segment_0"])
-    def test_neff_table_same_as_with_scipy_pchip(self, diameter):
-        # scipy's interpolant through the table's knots and their direct solves
-        cs = CrossSection(diameter=diameter)
-        grid = np.linspace(omega_of(1500e-9), omega_of(800e-9), 48)
-        queries = np.random.default_rng(7).uniform(grid[0], grid[-1], 1000)
-        table = neff_table(cs, grid)
-        assert np.array_equal(table.knots, dispersion._refined_grid(grid, dispersion._TABLE_REFINE))
-        reference = pchip(table.knots, dispersion._solve_many(cs, table.knots))
-        assert np.array_equal(table(grid), reference(grid))
-        assert np.array_equal(table(queries), reference(queries))
 
 
 # ---------------------------------------------------------------- neff_table
@@ -440,12 +363,14 @@ class TestNeffTable:
             assert f"{lam:.2f} nm" in str(err.value)
 
     def test_one_solve_for_grid_and_checks(self, monkeypatch):
-        # the dense grid and the five held-out midpoints share one solve, and
-        # give the same table and check values as two separate solves would
+        # the 32 Chebyshev nodes, the grid and the five held-out knot midpoints
+        # share one solve, and each part gets the bits of its own solve; the
+        # table is within 1e-14 of the grid's solves and _TABLE_TOL of the checks'
         grid = np.linspace(omega_of(1600e-9), omega_of(800e-9), 48)
-        dense = dispersion._refined_grid(grid, dispersion._TABLE_REFINE)
-        checks = dense[:-1] + 0.5 * np.diff(dense)
+        knots = dispersion._refined_grid(grid, dispersion._TABLE_REFINE)
+        checks = knots[:-1] + 0.5 * np.diff(knots)
         checks = checks[np.linspace(0, checks.size - 1, 5).astype(int)]
+        nodes = dispersion._chebyshev_maps(grid[0], grid[-1], 32, knots)[0]
         solved = []
         column_params = dispersion._column_params
         solve_many = dispersion._solve_many
@@ -457,11 +382,49 @@ class TestNeffTable:
         monkeypatch.setattr(dispersion, "_column_params", recording)
         table = neff_table(WAIST, grid)
         monkeypatch.undo()
-        assert len(solved) == 1 and np.array_equal(solved[0], np.concatenate((dense, checks)))
+        assert len(solved) == 1 and np.array_equal(solved[0], np.concatenate((nodes, grid, checks)))
         joint = solve_many(WAIST, solved[0])
-        assert np.array_equal(joint[:dense.size], solve_many(WAIST, dense))
-        assert np.array_equal(joint[dense.size:], solve_many(WAIST, checks))
-        assert np.array_equal(table(grid), pchip(dense, solve_many(WAIST, dense))(grid))
+        for part in (nodes, grid, checks):
+            assert np.array_equal(joint[np.isin(solved[0], part)], solve_many(WAIST, part))
+        assert np.max(np.abs(table(grid) - solve_many(WAIST, grid))) <= 1e-14
+        assert np.max(np.abs(table(checks) - solve_many(WAIST, checks))) <= dispersion._TABLE_TOL
+
+    @pytest.mark.parametrize("d", [300e-9, 600e-9, 900e-9, 2e-6, 20e-6])
+    def test_error_against_direct_solves(self, d):
+        # over the default bank's 850-1450 nm the error is 3e-15 to 3.2e-14
+        cs = CrossSection(diameter=d)
+        grid = np.linspace(omega_of(1450e-9), omega_of(850e-9), 48)
+        queries = np.random.default_rng(31).uniform(grid[0], grid[-1], 1000)
+        error = np.max(np.abs(neff_table(cs, grid)(queries) - dispersion._solve_many(cs, queries)))
+        assert error <= dispersion._TABLE_TOL
+
+    def test_cutoff_between_grid_end_and_nearest_node(self):
+        # bisect the diameter whose HE11 is below cutoff only at the grid's
+        # 1450 nm end: the nearest Chebyshev node (1449.38 nm) is guided, and
+        # the error names that end as a solve of the grid alone does
+        grid = np.linspace(omega_of(1450e-9), omega_of(850e-9), 48)
+        lo, hi = 100e-9, 400e-9  # below cutoff at 1450 nm, guided there
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            try:
+                dispersion._solve_many(CrossSection(mid), grid[:1])
+                hi = mid
+            except NoGuidedModeError:
+                lo = mid
+        cs = CrossSection(lo)
+        nodes = dispersion._chebyshev_maps(grid[0], grid[-1], 32, grid)[0]
+        assert np.all(np.isfinite(dispersion._solve_many(cs, np.concatenate((nodes, grid[1:])))))
+        with pytest.raises(NoGuidedModeError) as alone:
+            dispersion._solve_many(cs, grid)
+        assert str(alone.value).endswith("for wavelengths: 1450.00 nm (mode below cutoff)")
+        with pytest.raises(NoGuidedModeError) as err:
+            neff_table(cs, grid)
+        assert str(err.value) == str(alone.value)
+        stored = neff_tables([WAIST, cs, CrossSection(120e-9)], grid)
+        assert isinstance(stored[0], NeffTable) and str(stored[1]) == str(alone.value)
+        with pytest.raises(NoGuidedModeError) as all_below:
+            dispersion._solve_many(CrossSection(120e-9), grid)
+        assert str(stored[2]) == str(all_below.value) and "(+40 more)" in str(stored[2])
 
     def test_non_increasing_grid_rejected(self):
         om = omega_of(1062e-9)
@@ -486,7 +449,7 @@ def assert_same_tables(tables, cross_sections, grid):
     for table, cs in zip(tables, cross_sections, strict=True):
         reference = neff_table(cs, grid)
         assert table.cross_section == cs and np.array_equal(table.knots, reference.knots)
-        assert all(np.array_equal(a, b) for a, b in zip(table._interp._coef, reference._interp._coef))
+        assert all(np.array_equal(a, b) for a, b in zip(table._coef, reference._coef))
         assert np.array_equal(table(queries), reference(queries))
         assert np.array_equal(table.at(table.locate(queries)), reference(queries))
 
@@ -501,10 +464,12 @@ class TestNeffTables:
 
     @pytest.mark.parametrize("n_segments", [16, 100, 200])
     def test_stacked_columns_equal_per_diameter_solves(self, n_segments):
-        # the dense n_eff and held-out solves of every diameter from one column pass
+        # the Chebyshev-node, grid and held-out solves of every diameter from one column pass
         diameters = measured_diameters(n_segments)
-        dense, checks = dispersion._table_columns(BANK, dispersion._TABLE_REFINE)
-        omegas = np.concatenate((dense, checks))
+        knots = dispersion._refined_grid(BANK, dispersion._TABLE_REFINE)
+        checks = knots[:-1] + 0.5 * np.diff(knots)
+        nodes = dispersion._chebyshev_maps(BANK[0], BANK[-1], dispersion._TABLE_NODES, knots)[0]
+        omegas = np.concatenate((nodes, BANK, checks[np.linspace(0, checks.size - 1, 5).astype(int)]))
         ak0, v, nu = (np.concatenate(p) for p in
                       zip(*(dispersion._column_params(cs, omegas) for cs in diameters)))
         w = dispersion._solve_columns(v, nu)[0]
@@ -512,24 +477,36 @@ class TestNeffTables:
         for row, cs in zip(n_eff, diameters):
             assert np.array_equal(row, dispersion._solve_many(cs, omegas))
 
-    @pytest.mark.parametrize("tol, refines", [(3e-11, {16, 32}), (5.9e-12, {32})])
+    @pytest.mark.parametrize("tol, refines", [(3e-11, {11, 22}), (5.9e-12, {22})])
     def test_refine_doubling_per_diameter(self, monkeypatch, tol, refines):
-        # On this grid the held-out gaps of the 16 measured diameters are
-        # 1.2e-11 to 4.9e-11 at refine 16 and 1.6e-12 to 6.1e-12 at refine 32.
-        # At 3e-11 the two widest diameters pass at 16 and the rest at 32; at
-        # 5.9e-12 all need 32 and some fail there too, and neff_table raises for those.
+        # Node doubling, here from 11 Chebyshev nodes to 22.  On BANK the
+        # held-out gaps at 11 nodes are 2.3e-10 to 1.1e-9 for the 16 measured
+        # diameters and 1.8e-11 for a 20 um waist, and below 1e-13 for all at
+        # 22.  So at 3e-11 the 20 um table is built from 11 nodes and the rest
+        # from 22 (``refines``, the node counts the tables were built from), and
+        # at 5.9e-12 all from 22.  Each equals the table built from its node
+        # count alone.  At 1e-16 every table misses, and each error names its diameter.
+        diameters = [*measured_diameters(16), CrossSection(20e-6)]
+        monkeypatch.setattr(dispersion, "_TABLE_NODES", 11)
         monkeypatch.setattr(dispersion, "_TABLE_TOL", tol)
-        diameters = measured_diameters(16)
         tables = neff_tables(diameters, BANK)
-        built = [(t, cs) for cs, t in zip(diameters, tables) if isinstance(t, NeffTable)]
-        assert {(t.knots.size - 1) // (BANK.size - 1) for t, _ in built} == refines
-        failed = [(t, cs) for cs, t in zip(diameters, tables) if not isinstance(t, NeffTable)]
-        assert bool(failed) == (tol < 6.1e-12)
-        for err, cs in failed:
-            assert type(err) is SolverConvergenceError and "even at refine=32" in str(err)
-            with pytest.raises(SolverConvergenceError, match="even at refine=32"):
-                neff_table(cs, BANK)
-        assert_same_tables(*zip(*built), BANK)
+        assert all(isinstance(t, NeffTable) for t in tables)
+        monkeypatch.setattr(dispersion, "_TABLE_TOL", np.inf)
+        alone = {}
+        for nodes in (11, 22):
+            monkeypatch.setattr(dispersion, "_TABLE_NODES", nodes)
+            alone[nodes] = neff_tables(diameters, BANK)
+        used = [[n for n, built in alone.items()
+                 if all(np.array_equal(a, b) for a, b in zip(t._coef, built[k]._coef))]
+                for k, t in enumerate(tables)]
+        assert used[-1] == [min(refines)] and all(u == [22] for u in used[:-1])
+        assert {n for u in used for n in u} == refines
+        monkeypatch.setattr(dispersion, "_TABLE_NODES", 11)
+        monkeypatch.setattr(dispersion, "_TABLE_TOL", 1e-16)
+        for cs, err in zip(diameters, neff_tables(diameters, BANK)):
+            assert type(err) is SolverConvergenceError
+            assert f"at diameter {cs.diameter * 1e9:.1f} nm by " in str(err)
+            assert str(err).endswith("even at degree 21 (22 Chebyshev nodes)")
 
     def test_below_cutoff_diameter_returns_its_error(self):
         # the error names the grid's own frequencies below cutoff, not the dense grid's
@@ -547,14 +524,15 @@ class TestNeffTables:
 
     def test_failing_diameters_return_their_errors(self):
         # a V^2 that overflows, a glass below air and a 5 mm waist whose root
-        # fails the residual check at 859 nm, each beside a table that builds
+        # fails the residual check at 927.53 nm (the worst of its node, grid and
+        # held-out columns), each beside a table that builds
         sub_unity = SellmeierGlass("sub-unity", ((0.1, 4.0),), (0.5, 1.5))
         diameters = [CrossSection(1e160), CrossSection(900e-9, sub_unity), CrossSection(5e-3), WAIST]
         tables = neff_tables(diameters, BANK)
         assert [type(t) for t in tables[:3]] == [DispersionError, NoGuidedModeError, SolverConvergenceError]
         assert "overflows" in str(tables[0])
         assert "guidance condition violated" in str(tables[1])
-        assert "root residual" in str(tables[2]) and "859" in str(tables[2])
+        assert "root residual" in str(tables[2]) and "927.53 nm" in str(tables[2])
         for cs, stored in zip(diameters[:3], tables):
             with pytest.raises(DispersionError) as err:
                 neff_table(cs, BANK)
