@@ -858,7 +858,7 @@ def neff_tables(cross_sections: Sequence[CrossSection], omega_grid: Sequence[flo
                 built[k] = _table_error(n_eff, cross_sections[k], omega_grid)
                 continue
             held_out.setdefault(k, n_eff[-checks.size:])
-            mean = n_eff[:nodes].mean()  # the series of the rest rounds to about a tenth of the error
+            mean = n_eff[:nodes].mean()  # offsets from it round less: 2e-15, not 1.2e-14, at 20 um
             y = n_eff[:nodes] - mean
             table = NeffTable(cross_sections[k], knots, _hermite(knots, values @ y + mean, slopes @ y))
             gaps[k] = np.max(np.abs(table.at(table.locate(checks)) - held_out[k]))

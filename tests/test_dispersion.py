@@ -391,7 +391,7 @@ class TestNeffTable:
 
     @pytest.mark.parametrize("d", [300e-9, 600e-9, 900e-9, 2e-6, 20e-6])
     def test_error_against_direct_solves(self, d):
-        # over the default bank's 850-1450 nm the error is 3e-15 to 3.2e-14
+        # over the default bank's 850-1450 nm the error is 2e-15 to 4e-14
         cs = CrossSection(diameter=d)
         grid = np.linspace(omega_of(1450e-9), omega_of(850e-9), 48)
         queries = np.random.default_rng(31).uniform(grid[0], grid[-1], 1000)
