@@ -96,30 +96,29 @@ class Mismatch(Exception):
     """Two outputs differ in more than their numbers."""
 
 
-def _json_leaves(value, field, leaves):
-    """Append ``(field, leaf)`` for every key set, list length and leaf of a parsed JSON value."""
+def _json_numbers(value, field, text, fields, values):
+    """Append a parsed JSON value's numbers to ``fields`` and ``values``, and the rest to ``text``."""
     if isinstance(value, dict):
-        leaves.append((field, ("keys", sorted(value))))
+        text.append((field, sorted(value)))
         for key in sorted(value):
-            _json_leaves(value[key], f"{field}.{key}", leaves)
+            _json_numbers(value[key], f"{field}.{key}", text, fields, values)
     elif isinstance(value, list):
-        leaves.append((field, ("length", len(value))))
+        text.append((field, len(value)))
         for item in value:
-            _json_leaves(item, f"{field}[]", leaves)
+            _json_numbers(item, f"{field}[]", text, fields, values)
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        fields.append(field)
+        values.append(float(value))
     else:
-        leaves.append((field, value))
+        text.append((field, value))
 
 
 def numbers(path: Path) -> tuple:
     """``(text, fields, values)``: what of ``path`` is not a number, and each number with its field."""
-    if path.suffix == ".json":
-        leaves = []
-        _json_leaves(json.loads(path.read_text()), "", leaves)
-        number = [isinstance(v, (int, float)) and not isinstance(v, bool) for _, v in leaves]
-        return ([leaf for leaf, n in zip(leaves, number) if not n],
-                [f for (f, _), n in zip(leaves, number) if n],
-                [float(v) for (_, v), n in zip(leaves, number) if n])
     text, fields, values = [], [], []
+    if path.suffix == ".json":
+        _json_numbers(json.loads(path.read_text()), "", text, fields, values)
+        return text, fields, values
     header = None
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         if path.suffix == ".csv" and not line.startswith("#"):

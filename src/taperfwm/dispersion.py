@@ -301,7 +301,7 @@ _K1_DEN = (
 # The J fit's interval.  HE11 has u < j_{0,1}; the room above it takes u
 # rounded a few ulps past j_{0,1} at the bottom of the w bracket.  (Table
 # n_eff keeps a 3 mm waist's u 1.4e-4 below j_{0,1} over 800-1600 nm; the
-# PCHIP tables before them put it 4.4e-4 past.)
+# PCHIP tables before them put it up to 4.4e-4 past.)
 _J_MAX = 2.5
 
 # Kernel arguments evaluated per step: 64 KB temporaries stay in cache and below the mmap threshold.
@@ -747,7 +747,10 @@ class NeffTable:
         return out.item() if np.ndim(omega) == 0 else out
 
     def locate(self, omega):
-        """Each ``omega``'s interval and offset from its left knot, for :meth:`at` of any table on these knots."""
+        """Each ``omega``'s interval and offset from its left knot, for :meth:`at`.
+
+        Every table on the same :attr:`knots` array can use the result.
+        """
         omega = np.asarray(omega, dtype=float)
         x = self.knots
         if not (np.all(omega >= x[0]) and np.all(omega <= x[-1])):

@@ -305,7 +305,7 @@ class TestModeField:
     @pytest.mark.parametrize("d_mm, past_j01", [(1.0, False), (3.0, True)])
     def test_rows_past_j01_rejected(self, d_mm, past_j01):
         # A 48-node table keeps u below j_{0,1} at 20001 queries on both waists
-        # (a PCHIP table of the 3 mm waist put u 4.4e-4 past it).  On the 3 mm
+        # (a PCHIP table of the 3 mm waist put u 2.7e-4 past it).  On the 3 mm
         # waist, n_eff lowered until u is 4.4e-4 past j_{0,1} at one query is
         # rejected with the diameter named.
         cs = CrossSection(diameter=d_mm * 1e-3)
