@@ -33,9 +33,12 @@ from .dispersion import (
     DispersionError,
     NeffTable,
     NoGuidedModeError,
+    SolverConvergenceError,
     _TABLE_TOL,
+    _chebyshev_maps,
     _root,
     _solve_many,
+    _solve_stacked,
     _transverse_params,
     batch_field_matrix,
     neff_table,
@@ -333,27 +336,122 @@ def overlap_integral(mode_p, mode_p2, mode_s, mode_i) -> float:
     return float(np.sum(weights * prod))
 
 
-def _eta(table: NeffTable, omega_p: float, ws, wi) -> np.ndarray:
-    """Four-mode overlap matrix eta[signal, idler] on the cross-section of an HE11 table.
+def _overlap(cross_section: CrossSection, omegas, n_effs) -> np.ndarray:
+    """Four-mode overlap matrix eta[signal, idler] of one cross-section.
 
-    Both pump factors are evaluated at the central pump frequency; the
+    ``omegas`` are (omega_p, mid, ws, wi) and ``n_effs`` the HE11 n_eff at
+    each.  Both pump factors are evaluated at the central pump frequency; the
     returned-frequency detuning stays within the pump bandwidth wherever the
     pair amplitude is non-negligible, so its effect on the overlap is far
-    below the quadrature tolerance.
+    below the quadrature tolerance.  The outer quadrature panel's decay scale
+    takes the pump's w twice and the w at ``mid`` for signal and idler.
     """
-    cs = table.cross_section
-    n_p = float(table(omega_p))
-    mid = 0.5 * (table.knots[0] + table.knots[-1])
+    cs = cross_section
+    (omega_p, mid, ws, wi), (n_p, n_mid, n_s, n_i) = omegas, n_effs
     w_p = _transverse_params(cs, omega_p, n_p)[1]
-    w_mid = _transverse_params(cs, mid, table(mid))[1]
+    w_mid = _transverse_params(cs, mid, n_mid)[1]
     # signal, then idler term: a + 2x would round differently from (a + x) + x
     w_total = float(2.0 * w_p + w_mid + w_mid)
     r, weights = _quad_nodes(cs.diameter / 2.0, w_total)
     u_p = batch_field_matrix(cs, np.array([omega_p]), np.array([n_p]), r)[0]
     pump_weight = weights * u_p**2
-    u_s = batch_field_matrix(cs, ws, table(ws), r)
-    u_i = batch_field_matrix(cs, wi, table(wi), r)
+    u_s = batch_field_matrix(cs, ws, n_s, r)
+    u_i = batch_field_matrix(cs, wi, n_i, r)
     return u_s @ (pump_weight[None, :] * u_i).T
+
+
+def _eta(table: NeffTable, omega_p: float, ws, wi) -> np.ndarray:
+    """:func:`_overlap` on the n_eff of an HE11 table, with ``mid`` the centre of its range."""
+    omegas = (omega_p, 0.5 * (table.knots[0] + table.knots[-1]), ws, wi)
+    return _overlap(table.cross_section, omegas, [table(om) for om in omegas])
+
+
+# Chebyshev nodes per axis (doubled once for a diameter that misses the
+# check); held-out grid points per axis, the ends included; the largest gap
+# between the node interpolant and direct overlaps there, relative to their
+# peak, unless _ETA_ULPS times the change that one ulp of n_eff makes in eta
+# is larger.  That change passes 1e-9 only at the ends of the guided range
+# (3e-9 for a 2 mm waist, 3e-8 for 220 nm at 1339 nm), where no evaluation of
+# eta from double n_eff, per point or not, is closer.
+_ETA_NODES = 16
+_ETA_CHECKS = 5
+_ETA_TOL = 1e-9
+_ETA_ULPS = 16
+
+
+def _eta_factors(cross_sections, omega_p: float, mid: float, ws, wi) -> list:
+    """Each cross-section's per-point eta on the (ws, wi) grid as a node factor.
+
+    eta is the polynomial interpolant of :func:`_overlap` through m
+    first-kind Chebyshev nodes per axis, with n_eff from direct solves: the
+    interpolant of the barycentric formula (Berrut & Trefethen, SIAM Review
+    46, 2004), taken through its Chebyshev series as the n_eff tables take
+    theirs.  ``b_s`` (n_s x m, shared by every factor of one m) takes node
+    values to the signal axis and ``c = eta_nodes b_i^T`` (m x n_i) holds the
+    idler axis, so :func:`_eta_rows` forms any rows of eta.  One ``_root``
+    pass solves every cross-section's nodes, held-out points, pump and
+    ``mid``; the held-out points join each axis's field matrix twice, as
+    solved and with n_eff one ulp up.  A cross-section that misses the check
+    is taken again from twice the nodes, in one more pass.
+
+    Returns one entry per cross-section: ``(b_s, c)``, or the DispersionError
+    that computing it raises.
+    """
+    h = _ETA_CHECKS
+    checks = [np.linspace(0, axis.size - 1, h).astype(int) for axis in (ws, wi)]
+    out = [None] * len(cross_sections)
+    misses = {}
+    pending = list(range(len(cross_sections)))
+    for nodes in (_ETA_NODES, 2 * _ETA_NODES):
+        if not pending:
+            break
+        (at_s, b_s, _), (at_i, b_i, _) = (_chebyshev_maps(axis[0], axis[-1], nodes, axis)
+                                          for axis in (ws, wi))
+        cols = [np.concatenate((at, axis[held])) for at, axis, held in zip((at_s, at_i), (ws, wi), checks)]
+        omegas = np.concatenate(([omega_p, mid], *cols))
+        # each axis's fields: nodes, held-out points, held-out points at n_eff one ulp up
+        fields = [np.concatenate((c, c[-h:])) for c in cols]
+        retry = []
+        for k, n_eff in zip(pending, _solve_stacked([cross_sections[k] for k in pending], omegas)):
+            try:
+                if isinstance(n_eff, DispersionError):
+                    raise n_eff
+                n_s, n_i = (np.concatenate((n, np.nextafter(n[-h:], np.inf)))
+                            for n in np.split(n_eff[2:], [cols[0].size]))
+                eta = _overlap(cross_sections[k], (omega_p, mid, *fields), (n_eff[0], n_eff[1], n_s, n_i))
+            except DispersionError as err:
+                out[k] = err
+                continue
+            c = eta[:nodes, :nodes] @ b_i.T
+            held, moved = eta[nodes:-h, nodes:-h], eta[-h:, -h:]
+            peak = np.max(np.abs(held))
+            gap = np.max(np.abs(_eta_rows((b_s, c), checks[0])[:, checks[1]] - held)) / peak
+            tol = max(_ETA_TOL, _ETA_ULPS * np.max(np.abs(moved - held)) / peak)
+            if gap <= tol:
+                out[k] = (b_s, c)
+            else:
+                misses[k] = (gap, tol)
+                retry.append(k)
+        pending = retry
+    for k in pending:
+        gap, tol = misses[k]
+        out[k] = SolverConvergenceError(
+            f"four-mode overlap missed its held-out check at diameter "
+            f"{cross_sections[k].diameter * 1e9:.1f} nm by {gap:.3e} of its peak "
+            f"(> {tol:.3g}) even at {2 * _ETA_NODES} Chebyshev nodes per axis"
+        )
+    return out
+
+
+def _eta_rows(factor, rows) -> np.ndarray:
+    """Rows ``rows`` of eta from its :func:`_eta_factors` factor ``(b_s, c)``.
+
+    einsum without optimisation sums each value over the nodes in one order
+    whatever the number of rows, so a band of rows gets the bits of the same
+    rows of the whole grid; a BLAS product does not for one-row bands.
+    """
+    b_s, c = factor
+    return np.einsum("ik,kj->ij", b_s[rows], c, optimize=False)
 
 
 # --------------------------------------------------------------------------
@@ -361,15 +459,9 @@ def _eta(table: NeffTable, omega_p: float, ws, wi) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def _segment_eta(table: NeffTable, omega_p: float, ws, wi, eta_mode: str):
-    """One distinct diameter's four-mode overlap on the (ws, wi) grid: ``(eta, bound)``.
-
-    For ``eta_mode='per_point'`` ``eta`` is the real grid of :func:`_eta` and
-    ``bound`` is None; for ``'center'`` ``eta`` is the grid-centre value and
-    ``bound`` the corner-sampled relative error of using it everywhere.
-    """
-    if eta_mode == "per_point":
-        return _eta(table, omega_p, ws, wi), None
+def _center_eta(table: NeffTable, omega_p: float, ws, wi):
+    """The grid-centre overlap of one diameter and the corner-sampled relative
+    error of using it everywhere: ``(eta, bound)`` for ``eta_mode='center'``."""
     ends_s = np.array([0.5 * (ws[0] + ws[-1]), ws[0], ws[-1]])
     ends_i = np.array([0.5 * (wi[0] + wi[-1]), wi[0], wi[-1]])
     probe = _eta(table, omega_p, ends_s, ends_i)
@@ -422,9 +514,11 @@ def _phase_matching_info(segmented, grid, omega_p, eta_mode):
     """Phase-matching sum and the corner-sampled eta bound (None unless eta_mode='center').
 
     Every distinct diameter's table comes from one stacked solve
-    (``ModeBank.tables``); the error of one it could not build is raised at
-    that diameter's place in the walk, so errors keep their order.  Tables
-    and eta (a real grid, 8 bytes per value, or a scalar for
+    (``ModeBank.tables``), and for eta_mode='per_point' its eta factor from
+    one more (:func:`_eta_factors`); the error of one that could not be built
+    is raised at that diameter's place in the walk, so errors keep their
+    order.  Tables and eta factors (m x n_i reals, 8 bytes each, with one
+    n_s x m matrix per node count shared by all; a scalar for
     eta_mode='center') are built before the first band and held to the end,
     beside the complex result and the band-sized arrays of ``_SUM_BLOCK``.
     So a diameter below cutoff is reported before any term is formed, and so
@@ -436,18 +530,20 @@ def _phase_matching_info(segmented, grid, omega_p, eta_mode):
     ws, wi = grid.signal_omega, grid.idler_omega
     if np.any(ws[:, None] + wi[None, :] - omega_p <= 0):
         raise ValueError("grid reaches non-positive returned pump frequencies")
-    bank = ModeBank(ws[0], ws[-1], wi[0], wi[-1], omega_p,
-                    ws[0] + wi[0] - omega_p, ws[-1] + wi[-1] - omega_p)
+    span = (ws[0], ws[-1], wi[0], wi[-1], omega_p, ws[0] + wi[0] - omega_p, ws[-1] + wi[-1] - omega_p)
     length = segmented.segment_length
     distinct = list(dict.fromkeys(reversed(segmented.segments)))
-    stacked = dict(zip(distinct, bank.tables(distinct)))
+    stacked = dict(zip(distinct, ModeBank(*span).tables(distinct)))
+    if eta_mode == "per_point":
+        built = [cs for cs in distinct if isinstance(stacked[cs], NeffTable)]
+        factors = dict(zip(built, _eta_factors(built, omega_p, 0.5 * (min(span) + max(span)), ws, wi)))
 
     # Walk the segments from the output end backwards so the running suffix
     # phase needs one complex multiply per segment.  The walk names each
     # segment's diameter by its index in ``overlaps``, which is cheaper to
     # look up in every band than a CrossSection.
     slots: dict[CrossSection, int] = {}
-    overlaps = []  # (table, eta) of each distinct diameter
+    overlaps = []  # (table, eta factor or centre eta) of each distinct diameter
     walk = []
     eta_bound = 0.0
     for q in reversed(range(segmented.n_segments)):
@@ -457,13 +553,17 @@ def _phase_matching_info(segmented, grid, omega_p, eta_mode):
                 table = stacked[cs]
                 if isinstance(table, DispersionError):
                     raise table
-                eta, bound = _segment_eta(table, omega_p, ws, wi, eta_mode)
+                if eta_mode == "per_point":
+                    eta = factors[cs]
+                    if isinstance(eta, DispersionError):
+                        raise eta
+                else:
+                    eta, bound = _center_eta(table, omega_p, ws, wi)
+                    eta_bound = max(eta_bound, bound)
             except NoGuidedModeError as err:
                 raise NoGuidedModeError(
                     f"segment {q} (diameter {cs.diameter*1e9:.1f} nm): {err}"
                 ) from err
-            if bound is not None:
-                eta_bound = max(eta_bound, bound)
             slots[cs] = len(overlaps)
             overlaps.append((table, eta))
         walk.append(slots[cs])
@@ -485,7 +585,7 @@ def _phase_matching_info(segmented, grid, omega_p, eta_mode):
             else:
                 table, eta = overlaps[d]
                 base, step = _segment_terms(table, omegas, located, length,
-                                            eta[band] if eta_mode == "per_point" else eta)
+                                            _eta_rows(eta, band) if eta_mode == "per_point" else eta)
             if last_use[d] > t:
                 again[d] = (base, step)
             part += base * suffix
@@ -506,21 +606,27 @@ def phase_matching(
     Each segment of length l contributes
     ``l sinc(dk l / 2) exp(i dk l / 2) eta`` times the accumulated phase
     ``exp(i sum_later dk l)`` of the segments between it and the output, with
-    ``sinc(x) = sin(x)/x``.  ``eta_mode='per_point'`` (default) evaluates the
-    four-mode overlap at every grid point; ``'center'`` uses the grid-center
-    value per segment (cheaper; corner-sampled error bound available through
+    ``sinc(x) = sin(x)/x``.  ``eta_mode='per_point'`` (default) gives every
+    grid point the four-mode overlap, interpolated from first-kind Chebyshev
+    nodes in each axis to within 1e-9 of its peak, or of its own rounding
+    noise where that is larger (checked at held-out grid points; see
+    ``_ETA_TOL``); ``'center'`` uses the grid-center value per
+    segment (cheaper; corner-sampled error bound available through
     :func:`jsa` metadata).
 
     The sum runs in bands of signal rows, each band building its segment
     terms and walking every segment before the next band starts.  Each grid
     value still sees the same operations in the same order as a whole-grid
     sum, so the result does not depend on the band size.  Memory is the
-    result, one n_eff table and one real eta grid (8 bytes per value; a
-    scalar for ``'center'``) per distinct diameter, and band-sized
+    result, one n_eff table and one eta factor of m x n_idler reals (m = 16
+    nodes, 32 for a diameter that needs them; a scalar for ``'center'``) per
+    distinct diameter, one n_signal x m matrix shared by all, and band-sized
     temporaries; it does not grow with the number of segments.
 
     Raises NoGuidedModeError naming the offending segment and frequencies if
-    any grid frequency is below cutoff somewhere along the taper.
+    any grid frequency is below cutoff somewhere along the taper, and
+    SolverConvergenceError naming the diameter whose overlap misses its
+    held-out check even at 32 nodes per axis.
     """
     total, _ = _phase_matching_info(segmented, grid, omega_p, eta_mode)
     return total
@@ -548,8 +654,15 @@ def pump_function(pump: PumpSpec, grid: SpectralGrid) -> np.ndarray:
             )
             break
 
-    total = ws[:, None] + wi[None, :]
-    return peak * np.exp(-((total - 2.0 * w0) ** 2) / (4.0 * sigma**2))
+    # peak * exp(-((ws + wi - 2 w0)^2) / (4 sigma^2)), step by step in one buffer
+    envelope = np.add.outer(ws, wi)
+    envelope -= 2.0 * w0
+    np.square(envelope, out=envelope)
+    np.negative(envelope, out=envelope)
+    envelope /= 4.0 * sigma**2
+    np.exp(envelope, out=envelope)
+    envelope *= peak
+    return envelope
 
 
 def jsa(
@@ -571,7 +684,7 @@ def jsa(
     metadata = {
         "eta_mode": eta_mode,
         "eta_center_relative_error_bound": eta_bound,
-        "tolerances": {"neff_table_midpoint_abs": _TABLE_TOL},
+        "tolerances": {"neff_table_midpoint_abs": _TABLE_TOL, "eta_nodes_relative": _ETA_TOL},
     }
     # in place, so the product is not held beside matched; the same bits as envelope * matched
     return JsaGrid(grid, np.multiply(envelope, matched, out=matched), metadata)

@@ -465,6 +465,32 @@ def write_marginals_csv_repr(path, signal_omega, signal_weight, idler_omega, idl
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+# --- four-mode overlap: every grid point's own n_eff ----------------------------
+
+
+def eta_per_point(cross_section, omega_p, ws, wi):
+    """eta[signal, idler] at every point of the (ws, wi) grid, each n_eff from
+    a direct solve (``_solve_many``), on the package's ``_quad_nodes`` rule:
+    the per-point path that the package's Chebyshev-node interpolant replaces.
+    The rule's decay scale takes the pump's w twice and, for signal and idler,
+    the w at the centre of the span the package's n_eff tables cover (every
+    frequency the grid's four waves reach)."""
+    from taperfwm.biphoton import _quad_nodes
+    from taperfwm.dispersion import _solve_many, _transverse_params, batch_field_matrix
+
+    ends = np.array([ws[0], ws[-1], wi[0], wi[-1], omega_p,
+                     ws[0] + wi[0] - omega_p, ws[-1] + wi[-1] - omega_p])
+    mid = 0.5 * (ends.min() + ends.max())
+    n_p, n_mid = _solve_many(cross_section, np.array([omega_p, mid]))
+    w_p = _transverse_params(cross_section, omega_p, n_p)[1]
+    w_mid = _transverse_params(cross_section, mid, n_mid)[1]
+    r, weights = _quad_nodes(cross_section.diameter / 2.0, float(2.0 * w_p + w_mid + w_mid))
+    u_p = batch_field_matrix(cross_section, np.array([omega_p]), np.array([n_p]), r)[0]
+    u_s, u_i = (batch_field_matrix(cross_section, axis, _solve_many(cross_section, axis), r)
+                for axis in (ws, wi))
+    return u_s @ (weights * u_p**2 * u_i).T
+
+
 # --- phase matching: the whole-grid segment sum before row bands ---------------
 
 
@@ -479,8 +505,8 @@ def segment_sum_loop(segmented, grid, omega_p, eta_mode):
     The segment terms come from the package's own helpers; only the
     summation, one full-grid multiply-add per segment, is the reference.
     """
-    from taperfwm.biphoton import ModeBank, _eta, _phase_terms
-    from taperfwm.dispersion import C_VAC, CrossSection, NoGuidedModeError
+    from taperfwm.biphoton import ModeBank, _eta, _eta_factors, _eta_rows, _phase_terms
+    from taperfwm.dispersion import C_VAC, CrossSection, DispersionError, NoGuidedModeError
 
     if eta_mode not in ("per_point", "center"):
         raise ValueError(f"eta_mode must be 'per_point' or 'center', got {eta_mode!r}")
@@ -509,7 +535,11 @@ def segment_sum_loop(segmented, grid, omega_p, eta_mode):
                 k_s = ws * table(ws) / C_VAC
                 k_i = wi * table(wi) / C_VAC
                 if eta_mode == "per_point":
-                    eta = _eta(table, omega_p, ws, wi)
+                    mid = 0.5 * (table.knots[0] + table.knots[-1])
+                    (factor,) = _eta_factors([cs], omega_p, mid, ws, wi)
+                    if isinstance(factor, DispersionError):
+                        raise factor
+                    eta = _eta_rows(factor, slice(None))
                 else:
                     ends_s = np.array([0.5 * (ws[0] + ws[-1]), ws[0], ws[-1]])
                     ends_i = np.array([0.5 * (wi[0] + wi[-1]), wi[0], wi[-1]])

@@ -283,6 +283,98 @@ class TestOverlapIntegral:
                 arr[0] = 0.0
 
 
+def record_eta_factors(monkeypatch) -> dict:
+    """Record the eta factor (or error) that biphoton computes for each cross-section."""
+    factors = {}
+    build = biphoton._eta_factors
+
+    def recorded(cross_sections, *args):
+        out = build(cross_sections, *args)
+        factors.update(zip(cross_sections, out))
+        return out
+
+    monkeypatch.setattr(biphoton, "_eta_factors", recorded)
+    return factors
+
+
+WIDE_SIGNAL, WIDE_IDLER = (600e-9, 1050e-9), (1070e-9, 3000e-9)
+
+
+class TestEtaNodes:
+    """phase_matching's eta, interpolated from Chebyshev nodes, against every
+    grid point's direct overlap (``oracles.eta_per_point``): within ``_ETA_TOL``
+    of the oracle's peak, except where eta's own rounding noise is larger."""
+
+    def eta_gaps(self, pump, seg, grid, monkeypatch) -> dict:
+        """Each distinct diameter's gap to the oracle, and its factor's node count."""
+        factors = record_eta_factors(monkeypatch)
+        phase_matching(seg, grid, pump.omega0)
+        assert set(factors) == set(seg.segments)
+        gaps = {}
+        for cs, factor in factors.items():
+            eta = biphoton._eta_rows(factor, slice(None))
+            exact = oracles.eta_per_point(cs, pump.omega0, grid.signal_omega, grid.idler_omega)
+            gaps[cs] = (np.max(np.abs(eta - exact)) / np.max(np.abs(exact)), factor[1].shape[0])
+        return gaps
+
+    def test_measured_profile(self, pump, monkeypatch):
+        seg = segment(load_profile(DATA / "measured_profile.txt"), 16)
+        grid = SpectralGrid.from_wavelength_windows(SIGNAL_WINDOW, IDLER_WINDOW, 256)
+        gaps = self.eta_gaps(pump, seg, grid, monkeypatch)
+        assert len(gaps) == 16
+        assert all(gap <= biphoton._ETA_TOL and m == biphoton._ETA_NODES for gap, m in gaps.values())
+
+    @pytest.mark.parametrize("diameter", [300e-9, 900e-9, 20e-6])
+    def test_uniform_waists(self, pump, monkeypatch, diameter):
+        grid = SpectralGrid.from_wavelength_windows(SIGNAL_WINDOW, IDLER_WINDOW, 256)
+        gaps = self.eta_gaps(pump, segment(uniform_profile(diameter), 3), grid, monkeypatch)
+        ((gap, m),) = gaps.values()
+        assert gap <= biphoton._ETA_TOL and m == biphoton._ETA_NODES
+
+    def test_wide_window_takes_the_second_pass(self, pump, monkeypatch):
+        # 16 nodes per axis miss the held-out check for a 500 nm waist here
+        grid = SpectralGrid.from_wavelength_windows(WIDE_SIGNAL, WIDE_IDLER, 256)
+        gaps = self.eta_gaps(pump, segment(uniform_profile(500e-9), 3), grid, monkeypatch)
+        ((gap, m),) = gaps.values()
+        assert gap <= biphoton._ETA_TOL and m == 2 * biphoton._ETA_NODES
+
+    def test_rounding_noise_sets_the_floor(self, pump, monkeypatch):
+        # one ulp of n_eff moves a 2 mm waist's eta by 3e-9 of its peak, so no
+        # evaluation meets 1e-9 there; the check allows _ETA_ULPS times that
+        seg = segment(uniform_profile(2e-3), 3)
+        grid = SpectralGrid.from_wavelength_windows(SIGNAL_WINDOW, IDLER_WINDOW, 64)
+        ((gap, m),) = self.eta_gaps(pump, seg, grid, monkeypatch).values()
+        assert biphoton._ETA_TOL < gap <= 1e-8 and m == biphoton._ETA_NODES
+        monkeypatch.setattr(biphoton, "_ETA_ULPS", 0)
+        with pytest.raises(dispersion.SolverConvergenceError, match="diameter 2000000.0 nm"):
+            phase_matching(seg, grid, pump.omega0)
+
+    def test_miss_at_both_passes_names_the_diameter(self, pump, monkeypatch):
+        monkeypatch.setattr(biphoton, "_ETA_TOL", 1e-300)
+        monkeypatch.setattr(biphoton, "_ETA_ULPS", 0)
+        grid = SpectralGrid.from_wavelength_windows(SIGNAL_WINDOW, IDLER_WINDOW, 8)
+        with pytest.raises(dispersion.SolverConvergenceError,
+                           match=r"^four-mode overlap missed its held-out check at diameter 900\.0 nm "
+                                 r"by .* \(> 1e-300\) even at 32 Chebyshev nodes per axis$"):
+            phase_matching(segment(uniform_profile(900e-9), 2), grid, pump.omega0)
+
+    def test_held_out_points_share_the_node_field_matrices(self, pump, monkeypatch):
+        # pump, signal and idler: three field matrices per diameter, each axis's
+        # with its nodes and its held-out points twice (as solved, n_eff one ulp up)
+        calls = []
+        build = biphoton.batch_field_matrix
+
+        def counted(cross_section, omegas, n_effs, r):
+            calls.append(np.size(omegas))
+            return build(cross_section, omegas, n_effs, r)
+
+        monkeypatch.setattr(biphoton, "batch_field_matrix", counted)
+        grid = SpectralGrid.from_wavelength_windows(SIGNAL_WINDOW, IDLER_WINDOW, 64)
+        phase_matching(stepped_taper(), grid, pump.omega0)
+        columns = biphoton._ETA_NODES + 2 * biphoton._ETA_CHECKS
+        assert calls == [1, columns, columns] * 4
+
+
 class TestModeBank:
     def test_spans_every_frequency_given(self):
         grid = ModeBank(3.0e15, 1.5e15, 2.0e15)._grid
@@ -538,10 +630,12 @@ class TestSegmentSumBands:
         phase_matching(stepped_taper(), grid, pump.omega0)
         assert len(calls) == 4 and len(set(calls)) == 4
 
+    # each diameter's eta pass: the pump, the span centre and 16 nodes and 5
+    # held-out grid points per axis
     @pytest.mark.parametrize("nodes, tol, passes", [
-        (32, None, [16 * (32 + 48 + 5)]),
+        (32, None, [16 * (32 + 48 + 5), 16 * (2 + 2 * (16 + 5))]),
         # from 11 nodes, 14 of the 16 diameters miss 4e-10 and are solved again at 22
-        (11, 4e-10, [16 * (11 + 48 + 5), 14 * 22]),
+        (11, 4e-10, [16 * (11 + 48 + 5), 14 * 22, 16 * (2 + 2 * (16 + 5))]),
     ], ids=["default", "refined"])
     def test_one_root_pass_per_refinement(self, pump, monkeypatch, nodes, tol, passes):
         seg = segment(load_profile(DATA / "measured_profile.txt"), 16)
@@ -561,7 +655,8 @@ class TestSegmentSumBands:
         grid = SpectralGrid.from_wavelength_windows(SIGNAL_WINDOW, IDLER_WINDOW, 8)
         total = phase_matching(seg, grid, pump.omega0)
         # the first pass holds every diameter's nodes, grid and five held-out
-        # midpoints, the second the doubled nodes of those that missed the check
+        # midpoints, the next the doubled nodes of those that missed the check,
+        # and the last every diameter's eta columns
         assert sizes == passes
         assert len(calls) == 16 and len(set(calls)) == 16
         monkeypatch.setattr(dispersion, "_root", root)
@@ -610,12 +705,13 @@ class TestSegmentSumBands:
 
 
 class TestSegmentSumMemory:
-    """The sum holds one real eta grid per distinct diameter plus band-sized arrays.
+    """The sum holds one m x n_idler eta factor per distinct diameter plus band-sized arrays.
 
     Peaks are traced with tracemalloc, which numpy reports its buffers to, on
-    a 192 x 192 grid in bands of 21 rows (4096 values).  The whole-grid
-    arrays that every call holds (the complex result, one eta grid, the
-    field matrices of ``_eta``) cancel in the differences.
+    a 192 x 192 grid in bands of 21 rows (4096 values).  The arrays that
+    every call holds (the complex result, the n_signal x m interpolation
+    matrix, the field matrices of one diameter's nodes) cancel in the
+    differences.
     """
 
     N = 192
@@ -639,14 +735,15 @@ class TestSegmentSumMemory:
         # one band's temporaries: four complex arrays of BLOCK values
         assert hundred - one <= 4 * 16 * self.BLOCK
 
-    def test_each_distinct_diameter_adds_one_real_grid(self, pump, monkeypatch):
+    def test_each_distinct_diameter_adds_one_node_factor(self, pump, monkeypatch):
         set_sum_block(monkeypatch, self.BLOCK)
         linear = TaperProfile(np.array([0.0, 0.014]), np.array([900e-9, 1000e-9]))
         self.traced_peak(pump, segment(linear, 2))  # first-call caches
         two, ten = (self.traced_peak(pump, segment(linear, n)) for n in (2, 10))
-        # 8 B per value of eta, plus 64 KB of slack for the n_eff table (30 KB at
-        # 753 nodes) and small objects; a complex (base, step) pair would be 32 B
-        assert (ten - two) / 8 <= 8 * self.N**2 + 65536
+        # 8 B per value of the m x N factor, plus 64 KB of slack for the n_eff
+        # table (30 KB at 753 knots) and small objects; a real eta grid would be
+        # 8 N^2 B
+        assert (ten - two) / 8 <= 8 * biphoton._ETA_NODES * self.N + 65536
 
 
 class TestPumpFunction:
@@ -710,6 +807,29 @@ class TestPumpFunction:
             counts.append(int(np.sum(envelope >= 0.5 * envelope.max())))
         assert counts[0] > counts[1] > counts[2]
 
+    def test_same_bits_as_the_whole_grid_expression(self, pump, grid128):
+        ws, wi, w0, sigma = grid128.signal_omega, grid128.idler_omega, pump.omega0, pump.sigma
+        total = ws[:, None] + wi[None, :]
+        want = sigma * np.sqrt(np.pi) * np.exp(-((total - 2.0 * w0) ** 2) / (4.0 * sigma**2))
+        got = pump_function(pump, grid128)
+        assert np.count_nonzero(got == 0.0) > got.size // 8  # underflowed cells too
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_one_grid_of_memory(self, pump):
+        # the envelope is formed in its own buffer: one real grid, plus numpy's
+        # buffer of 8192 values per operand (128 KB) for the broadcast sum and
+        # small objects
+        grid = window_grid(192, 160)
+        pump_function(pump, grid)  # first-call caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            pump_function(pump, grid)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 192 * 160 + 160 * 1024
+
     def test_coverage_warning_on_clipped_band(self, pump):
         tight = SpectralGrid.from_wavelength_windows(
             (879.9e-9, 880.1e-9), (1338.8e-9, 1339.1e-9), 8
@@ -728,7 +848,8 @@ class TestJsa:
         assert meta == {
             "eta_mode": "per_point",
             "eta_center_relative_error_bound": None,
-            "tolerances": {"neff_table_midpoint_abs": biphoton._TABLE_TOL},
+            "tolerances": {"neff_table_midpoint_abs": biphoton._TABLE_TOL,
+                           "eta_nodes_relative": biphoton._ETA_TOL},
         }
 
     def test_amplitude_finite_and_shaped(self, jsa_885, grid128):

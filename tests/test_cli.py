@@ -584,6 +584,22 @@ class TestJsi:
         assert err.rstrip().endswith("(> 1e-16) even at degree 63 (64 Chebyshev nodes)")
         assert not out.exists()
 
+    def test_eta_held_out_miss_names_the_diameter(self, tmp_path, capsys, monkeypatch):
+        # no overlap interpolant meets a 1e-300 held-out check, even from 32 nodes per axis
+        monkeypatch.setattr(biphoton, "_ETA_TOL", 1e-300)
+        monkeypatch.setattr(biphoton, "_ETA_ULPS", 0)
+        profile = tmp_path / "two.profile"
+        profile.write_text("0 900e-9\n0.007 900e-9\n0.0071 885e-9\n0.014 885e-9\n")
+        out = tmp_path / "out"
+        assert run("jsi", "--profile", profile, "--n_segments", 2, "--grid_points", 8,
+                   "--out_dir", out) == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        # the walk from the output end meets the 885 nm segment first
+        assert err.startswith("domain error: four-mode overlap missed its held-out check "
+                              "at diameter 885.0 nm by ")
+        assert err.rstrip().endswith("(> 1e-300) even at 32 Chebyshev nodes per axis")
+        assert not out.exists()
+
     @pytest.mark.parametrize("n_segments, grid_points, size", [
         (2**45, 8, "256. TiB"),  # 2**45 segment midpoints
         (2, 2**23, "512. TiB"),  # a 2**23 x 2**23 grid
