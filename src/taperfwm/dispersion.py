@@ -805,9 +805,10 @@ def neff_table(cross_section: CrossSection, omega_grid: Sequence[float]) -> Neff
     over the grid's range; the table is the cubic Hermite interpolant through
     its values and slopes at knots 16 times denser than ``omega_grid``.  It
     must reproduce direct solves at five held-out midpoints to 1e-10
-    (``_TABLE_TOL``), from 64 nodes if not from 32.  The grid's own points are
-    solved too, so that a point below cutoff is named.  This is the
-    one-diameter case of :func:`neff_tables`.
+    (``_TABLE_TOL``), from 64 nodes if not from 32; a table whose series meets
+    that check but whose knots do not gets no second pass.  The grid's own
+    points are solved too, so that a point below cutoff is named.  This is
+    the one-diameter case of :func:`neff_tables`.
 
     Args:
         cross_section: Waveguide geometry.
@@ -816,8 +817,9 @@ def neff_table(cross_section: CrossSection, omega_grid: Sequence[float]) -> Neff
 
     Raises:
         NoGuidedModeError: Any grid point below cutoff (message lists them).
-        SolverConvergenceError: The held-out check fails even from 64 nodes
-            (message names the diameter).
+        SolverConvergenceError: The held-out check fails even from 64 nodes,
+            or the series meets it and the knots are too coarse (message
+            names the diameter).
         ExtrapolationError: On later queries outside the grid range.
     """
     (table,) = neff_tables([cross_section], omega_grid)
@@ -835,8 +837,9 @@ def neff_tables(cross_sections: Sequence[CrossSection], omega_grid: Sequence[flo
     cross-section's columns pass the checks of :func:`_checked_roots`, and
     its table, a Chebyshev series and cubic Hermite on fixed knots, the
     held-out check; those that miss it go through one more stacked pass at
-    twice the nodes.  All tables of one call share one :attr:`~NeffTable.knots`
-    array.
+    twice the nodes, unless the series itself meets the check at the
+    held-out points, so that only the knots miss.  All tables of one call
+    share one :attr:`~NeffTable.knots` array.
 
     Returns one entry per cross-section: its table, or the DispersionError
     that building it raises, which :func:`neff_table` raises.  A cross-section
@@ -853,6 +856,7 @@ def neff_tables(cross_sections: Sequence[CrossSection], omega_grid: Sequence[flo
         if not pending:
             break
         at_nodes, values, slopes = _chebyshev_maps(omega_grid[0], omega_grid[-1], nodes, knots)
+        series_at_checks = _chebyshev_maps(omega_grid[0], omega_grid[-1], nodes, checks)[1]
         # the first pass also solves the grid, to name its points below cutoff, and the checks
         omegas = np.concatenate((at_nodes, omega_grid, checks)) if nodes == _TABLE_NODES else at_nodes
         retry = []
@@ -867,6 +871,14 @@ def neff_tables(cross_sections: Sequence[CrossSection], omega_grid: Sequence[flo
             gaps[k] = np.max(np.abs(table.at(table.locate(checks)) - held_out[k]))
             if gaps[k] <= _TABLE_TOL:
                 built[k] = table
+            elif np.max(np.abs(series_at_checks @ y + mean - held_out[k])) <= _TABLE_TOL:
+                # more nodes cannot mend a miss that only the knots make
+                built[k] = SolverConvergenceError(
+                    f"neff_table missed its held-out check for HE11 at diameter "
+                    f"{cross_sections[k].diameter * 1e9:.1f} nm by {gaps[k]:.3e} (> {_TABLE_TOL:g}), "
+                    f"though its {nodes}-node Chebyshev series meets it: the knots, "
+                    f"{_TABLE_REFINE} per grid interval, are too coarse for this grid"
+                )
             else:
                 retry.append(k)
         pending = retry

@@ -18,7 +18,7 @@ import json
 import math
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -54,6 +54,7 @@ DEFAULT_CHANNELS = frozenset(range(1, 4))
 _CHANNEL_LO, _CHANNEL_HI = min(DEFAULT_CHANNELS), max(DEFAULT_CHANNELS)
 
 _BINARY_MAGIC = b"TTAG1"
+_BINARY_RECORD = np.dtype([("channel", "u1"), ("ticks", "<u8")])
 _INT64_MAX = np.iinfo(np.int64).max
 _INT64_MAX_TEXT = str(_INT64_MAX).encode()
 # A text field: ASCII digits with an optional minus sign, which is parsed
@@ -61,8 +62,16 @@ _INT64_MAX_TEXT = str(_INT64_MAX).encode()
 _INTEGER = re.compile(r"-?[0-9]+")
 # Pairs handled per block of coincidence_histogram; bounds its working set.
 _PAIR_BLOCK = 1 << 16
-# Records formatted per write by the text writers; bounds their working set.
+# Records formatted per write by the text writers, and packed per write by
+# write_tags_binary; bounds their working set.
 _TEXT_BLOCK = 1 << 16
+# Records compared per step of the order check, and clicks per step of the
+# jump table and gap test of _dead_time_filter.
+_ORDER_BLOCK = 1 << 16
+_DEAD_TIME_BLOCK = 1 << 16
+# Uniforms per draw of _poisson_hot: its largest buffer, 2 MB.  At 1 << 16
+# the per-draw numpy calls cost about 10% of its time.
+_UNIFORM_BLOCK = 1 << 18
 # Largest mean pairs per pulse for which simulate_tags rebuilds Poisson counts
 # from uniforms (_poisson_hot); above it rng.poisson is faster.
 _REBUILD_MAX_MU = 0.3
@@ -88,15 +97,25 @@ class TagStream:
     (timestamp, channel); ties are broken by channel id.  ``duration_ticks``
     is the length of the acquisition; left as None it becomes the observed
     span, last minus first timestamp plus one tick (0 for no records).
+
+    A stream holds 9 bytes per record: ``uint8`` channels and ``int64``
+    timestamps.  Arrays of those types are kept as given, and checking them
+    adds only ``_ORDER_BLOCK``-sized temporaries; other arrays are converted.
+    ``_ordered`` is for callers that have just checked the order themselves
+    (:func:`parse_tags`); it skips the order check.
     """
 
     channels: np.ndarray
     timestamps: np.ndarray
     tick_duration: float = TICK_SECONDS
     duration_ticks: Optional[int] = None
+    _ordered: InitVar[bool] = False
 
-    def __post_init__(self):
-        ch, ts = (_exact_int64(getattr(self, name), name) for name in ("channels", "timestamps"))
+    def __post_init__(self, _ordered):
+        ch = np.asarray(self.channels)
+        if ch.dtype != np.uint8:
+            ch = _exact_int64(ch, "channels")
+        ts = _exact_int64(self.timestamps, "timestamps")
         if ch.shape != ts.shape or ch.ndim != 1:
             raise ValueError("channels and timestamps must be parallel 1-D arrays")
         if not self.tick_duration > 0:
@@ -108,16 +127,16 @@ class TagStream:
                     f"channel {ch[unknown]} not in declared set {sorted(DEFAULT_CHANNELS)}")
             if ts.min() < 0:
                 raise ValueError("timestamps must be non-negative")
-            dt = np.diff(ts)
-            if np.any(dt < 0):
+            back, ties = (0, 0) if _ordered else _disorder(ch, ts)
+            if back:
                 raise ValueError("timestamps must be non-decreasing")
-            if np.any((dt == 0) & (np.diff(ch) < 0)):
+            if ties:
                 raise ValueError("equal timestamps must be ordered by channel")
         if self.duration_ticks is None:
             # in Python ints: in int64 the span can wrap
             span = int(ts[-1]) - int(ts[0]) + 1 if ts.size else 0
             object.__setattr__(self, "duration_ticks", span)
-        object.__setattr__(self, "channels", ch.astype(np.uint8))
+        object.__setattr__(self, "channels", ch.astype(np.uint8, copy=False))
         object.__setattr__(self, "timestamps", ts)
 
     def __len__(self) -> int:
@@ -131,6 +150,8 @@ class TagStream:
 def _exact_int64(values, name: str) -> np.ndarray:
     """``values`` as an int64 array; ValueError naming the first value that the conversion changes."""
     values = np.asarray(values)
+    if values.dtype == np.int64:
+        return values
     with np.errstate(invalid="ignore"):  # NaN and inf convert to garbage, caught below
         out = values.astype(np.int64, copy=False)
     changed = (out != values) | (values.dtype == bool)
@@ -149,6 +170,19 @@ def _first_unknown_channel(ch: np.ndarray) -> Optional[int]:
     if not ch.size or (ch.min() >= _CHANNEL_LO and ch.max() <= _CHANNEL_HI):
         return None
     return int(np.argmax(~np.isin(ch, list(DEFAULT_CHANNELS))))
+
+
+def _disorder(ch: np.ndarray, ts: np.ndarray):
+    """Counts of the records that break the (timestamp, channel) order: those
+    earlier than the record before them, and those at its timestamp with a
+    lower channel.  Compares ``_ORDER_BLOCK`` records at a time."""
+    back = ties = 0
+    for lo in range(1, ts.size, _ORDER_BLOCK):
+        hi = min(lo + _ORDER_BLOCK, ts.size)
+        t, before = ts[lo:hi], ts[lo - 1:hi - 1]
+        back += int(np.count_nonzero(t < before))
+        ties += int(np.count_nonzero((t == before) & (ch[lo:hi] < ch[lo - 1:hi - 1])))
+    return back, ties
 
 
 # ---------------------------------------------------------------------------
@@ -172,49 +206,52 @@ def parse_tags(source) -> TagStream:
         ch, ts, tick = _parse_binary(data)
     else:
         ch, ts, tick = _parse_plain(data) or _parse_lines(data)
-    out_of_order = 0
-    if ts.size > 1:
-        later = (ts[1:] < ts[:-1]) | ((ts[1:] == ts[:-1]) & (ch[1:] < ch[:-1]))
-        out_of_order = int(np.count_nonzero(later))
+    out_of_order = sum(_disorder(ch, ts))
     if out_of_order:
         warnings.warn(f"{out_of_order} out-of-order records sorted", TagOrderWarning)
         order = np.lexsort((ch, ts))
         ch, ts = ch[order], ts[order]
-    return TagStream(ch, ts, tick)
+    return TagStream(ch, ts, tick, _ordered=True)
 
 
 def _parse_plain(data: bytes):
     """Fast path for a body of plain ``channel<TAB>ticks`` lines after the
-    leading comment lines, through ``np.fromstring``; the comment lines go
-    through the line loop.  Returns None for any other input and for any
-    fault, which the line loop then reports with its line number."""
+    leading comment lines, through ``np.fromstring`` on a view of the body;
+    the comment lines go through the line loop.  Returns None for any other
+    input and for any fault, which the line loop then reports with its line
+    number."""
     head_end = 0
     while data.startswith(b"#", head_end) and (nl := data.find(b"\n", head_end)) >= 0:
         head_end = nl + 1
-    body = data[head_end:]
-    if not _is_plain_body(body):
+    if not _is_plain_body(data, head_end):
         return None
     head_ch, _, tick = _parse_lines(data[:head_end])
+    # fromstring refuses a memoryview but takes an array: a view, not a copy, of the body
+    body = np.frombuffer(data, dtype=np.uint8, offset=head_end)
     values = np.fromstring(body, dtype=np.int64, sep=" ")
-    if head_ch.size or values.size != 2 * body.count(b"\n"):  # an empty field
+    if head_ch.size or values.size != 2 * data.count(b"\n", head_end):  # an empty field
         return None
     # fromstring saturates a field of 2**63 or more to 2**63 - 1
     saturated = np.flatnonzero(values == _INT64_MAX)
     if saturated.size:
-        tokens = body.split()
+        tokens = data[head_end:].split()
         if any(tokens[i].lstrip(b"0") != _INT64_MAX_TEXT for i in saturated.tolist()):
             return None
     fields = values.reshape(-1, 2)
     if _first_unknown_channel(fields[:, 0]) is not None:
         return None
-    return fields[:, 0], fields[:, 1].copy(), tick
+    return fields[:, 0].astype(np.uint8), fields[:, 1].copy(), tick
 
 
-def _is_plain_body(body: bytes) -> bool:
-    """Whether ``body`` is lines of ``[0-9]*\\t[0-9]*\\n``: it ends in a newline
-    and with the digits removed only tab-newline pairs remain."""
-    skeleton = body.translate(None, b"0123456789")
-    return body.endswith(b"\n") and skeleton == b"\t\n" * (len(skeleton) // 2)
+def _is_plain_body(data: bytes, start: int = 0) -> bool:
+    """Whether ``data[start:]`` is lines of ``[0-9]*\\t[0-9]*\\n``: it ends in a
+    newline and with the digits removed only tab-newline pairs remain."""
+    digits = b"0123456789"
+    skeleton = data.translate(None, digits)
+    head = len(data[:start].translate(None, digits))
+    rest = len(skeleton) - head
+    return (len(data) > start and data.endswith(b"\n") and rest % 2 == 0
+            and skeleton.startswith(b"\t\n" * (rest // 2), head))
 
 
 def _parse_lines(data: bytes):
@@ -274,8 +311,8 @@ def _parse_binary(data: bytes):
     body = data[header:]
     if len(body) % 9:
         raise TagParseError(f"byte {header + 9 * (len(body) // 9)}: truncated 9-byte record")
-    rec = np.frombuffer(body, dtype=np.dtype([("channel", "u1"), ("ticks", "<u8")]))
-    ch = rec["channel"].astype(np.int64)
+    rec = np.frombuffer(body, dtype=_BINARY_RECORD)
+    ch = rec["channel"].copy()  # a stream holding a view would keep the file's bytes alive
     raw_ts = rec["ticks"]
     i = _first_unknown_channel(ch)
     if i is not None:
@@ -339,11 +376,16 @@ def write_tags_text(stream: TagStream, path) -> None:
 
 
 def write_tags_binary(stream: TagStream, path) -> None:
+    """The ``TTAG1`` header, then the 9-byte records packed ``_TEXT_BLOCK`` at a time."""
     tick_fs = _whole_tick(stream.tick_duration, 1e15, "fs", 2**32)
-    rec = np.empty(len(stream), dtype=np.dtype([("channel", "u1"), ("ticks", "<u8")]))
-    rec["channel"] = stream.channels
-    rec["ticks"] = stream.timestamps
-    Path(path).write_bytes(_BINARY_MAGIC + tick_fs.to_bytes(4, "little") + rec.tobytes())
+    rec = np.empty(min(len(stream), _TEXT_BLOCK), dtype=_BINARY_RECORD)
+    with open(path, "wb") as f:
+        f.write(_BINARY_MAGIC + tick_fs.to_bytes(4, "little"))
+        for start in range(0, len(stream), _TEXT_BLOCK):
+            packed = rec[:len(stream) - start]
+            packed["channel"] = stream.channels[start:start + packed.size]
+            packed["ticks"] = stream.timestamps[start:start + packed.size]
+            f.write(packed.view(np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -652,11 +694,13 @@ def _poisson_hot(rng: np.random.Generator, mu: float, count: int):
     factors before the last.  So a uniform at most e^−mu always closes a
     pulse, and only runs of higher uniforms need products; they are resolved
     one element of every run per round.  Each pending pulse needs at least one
-    more uniform, so a batch of ``count − done`` uniforms never draws past the
-    last pulse, and a pulse left open at the end of a batch carries its
-    product and count into the next.  The generator ends where
-    ``rng.poisson`` leaves it.  Above ``_REBUILD_MAX_MU`` the runs grow long
-    and ``rng.poisson`` itself is faster; mu = 0 draws nothing.
+    more uniform, so a batch of at most ``count − done`` uniforms never draws
+    past the last pulse, and a pulse left open at the end of a batch carries
+    its product and count into the next.  Batches hold at most
+    ``_UNIFORM_BLOCK`` uniforms, drawn into one reused buffer, and the
+    generator ends where ``rng.poisson`` leaves it.  Above
+    ``_REBUILD_MAX_MU`` the runs grow long and ``rng.poisson`` itself is
+    faster; mu = 0 draws nothing.
     """
     if not 0 < mu <= _REBUILD_MAX_MU:
         pairs = rng.poisson(mu, count)
@@ -666,8 +710,9 @@ def _poisson_hot(rng: np.random.Generator, mu: float, count: int):
     done = 0  # pulses closed so far
     open_prod, open_n = 1.0, 0  # product and count of the pulse left open
     index, counts = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    uniforms = np.empty(min(count, _UNIFORM_BLOCK))
     while done < count:
-        u = rng.random(count - done)
+        u = rng.random(out=uniforms[:count - done])
         high = np.flatnonzero(u > floor)
         grows = _grows_pulse(u, high, floor, open_prod if open_n else 1.0)
         closed = u.size - int(np.count_nonzero(grows))
@@ -746,21 +791,28 @@ def _dead_time_filter(ticks: np.ndarray, dead_ticks: float) -> np.ndarray:
     past ``t + ceil(dead_ticks)``; the jumps from all of those sure clicks
     advance together until ``_SCALAR_CHAINS`` chains are left, which are then
     walked one by one, and each chain of jumps ends on the next sure click or
-    past the last one.  Offsets from the first click are unsigned, so adding
-    the threshold cannot overflow.  Unique ticks are at least one apart, so a
-    dead time of at most one tick keeps every click.
+    past the last one.  As unsigned integers the ticks take the threshold,
+    which is at most their span, without overflow.  Unique ticks are at least
+    one apart, so a dead time of at most one tick keeps every click.
+
+    The jump table (8 bytes per click) and the kept flags (1 byte) are filled
+    ``_DEAD_TIME_BLOCK`` clicks at a time, so no other array of the input's
+    size is made besides the chains of sure clicks and the result.
     """
     if dead_ticks <= 1 or ticks.size == 0:
         return ticks
     if dead_ticks > int(ticks[-1]) - int(ticks[0]):
         return ticks[:1]
-    offsets = (ticks - ticks[0]).view(np.uint64)
+    unsigned = ticks.view(np.uint64)
     threshold = np.uint64(math.ceil(dead_ticks))
-    nxt = np.searchsorted(offsets, offsets + threshold, side="left")
+    nxt = np.empty(ticks.size, dtype=np.intp)
     # one entry past the end, set, so that a jump past the last click ends its chain
     kept = np.ones(ticks.size + 1, dtype=bool)
-    np.greater_equal(np.diff(offsets), threshold, out=kept[1:-1])
-    del offsets
+    for lo in range(0, ticks.size, _DEAD_TIME_BLOCK):
+        hi = min(lo + _DEAD_TIME_BLOCK, ticks.size)
+        nxt[lo:hi] = np.searchsorted(unsigned, unsigned[lo:hi] + threshold, side="left")
+        # a click is sure when the jump from the click before it lands on it
+        np.equal(nxt[lo:hi], np.arange(lo + 1, hi + 1), out=kept[lo + 1:hi + 1])
     chain = np.flatnonzero(kept[:-1])
     while chain.size > _SCALAR_CHAINS:
         chain = nxt[chain]
@@ -788,6 +840,14 @@ def simulate_tags(config: SimulationConfig) -> TagStream:
     from ``rng.random`` (:func:`_poisson_hot`) with exactly the uniforms
     ``rng.poisson`` would use, so they equal its counts.  The same seed and
     numpy version give the same bytes.
+
+    Memory: besides the returned stream (9 bytes per click), the clicks of
+    every chunk are held until their channel is merged, 8 bytes each before
+    the dead time, with one chunk's draws, of which ``_UNIFORM_BLOCK``
+    uniforms at a time.  Then one channel at a time holds its sorted clicks
+    and the dead-time jump table (8 bytes per click each), and the merge an
+    8-byte sort order per click.  A multi-chunk stream with 100 ns of dead
+    time peaks about 22 bytes per click above the stream, writing included.
     """
     rng = np.random.default_rng(config.seed)
     n_pulses = config.n_pulses
@@ -833,20 +893,29 @@ def simulate_tags(config: SimulationConfig) -> TagStream:
             clicks[channel].append(np.rint(t / tick).astype(np.int64))
 
     dead_ticks = config.dead_time / tick
-    all_ch, all_ts = [], []
+    runs = []
     for channel in (1, 2, 3):
         # jitter and darks arrive unsorted; same-tick arrivals collapse to one click
-        ticks = np.sort(np.concatenate(clicks[channel]))
+        ticks = np.concatenate(clicks.pop(channel))
+        ticks.sort()
         first = np.ones(ticks.size, dtype=bool)
         np.not_equal(ticks[1:], ticks[:-1], out=first[1:])
-        ticks = _dead_time_filter(ticks[first], dead_ticks)
-        all_ch.append(np.full(ticks.size, channel, dtype=np.int64))
-        all_ts.append(ticks)
+        if not first.all():
+            ticks = ticks[first]
+        del first
+        runs.append(_dead_time_filter(ticks, dead_ticks))
+        del ticks
 
-    ch = np.concatenate(all_ch)
-    ts = np.concatenate(all_ts)
-    order = np.lexsort((ch, ts))
-    ch, ts = ch[order], ts[order]
+    # the runs are in channel order, so a stable sort breaks ties by channel;
+    # the timestamps are then sorted in place, which gives ts[order] without
+    # another array of the stream's size
+    sizes = [run.size for run in runs]
+    ts = np.concatenate(runs)
+    del runs
+    order = np.argsort(ts, kind="stable")
+    ch = np.repeat(np.arange(1, 4, dtype=np.uint8), sizes)[order]
+    del order
+    ts.sort()
     return TagStream(ch, ts, tick, math.ceil(config.duration / tick))
 
 

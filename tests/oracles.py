@@ -8,6 +8,7 @@ is meaningful.
 
 import json
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -404,6 +405,14 @@ def write_tags_text_records(stream, path):
         f.write(f"#tick_ps {round(stream.tick_duration * 1e12)}\n")
         f.write("".join(f"{c}\t{t}\n" for c, t in
                         zip(stream.channels.tolist(), stream.timestamps.tolist())))
+
+
+def write_tags_binary_records(stream, path):
+    """TTAG1 file: the magic, the tick in femtoseconds, one ``struct.pack`` per record."""
+    with open(path, "wb") as f:
+        f.write(b"TTAG1" + struct.pack("<I", round(stream.tick_duration * 1e15)))
+        f.write(b"".join(struct.pack("<BQ", c, t) for c, t in
+                         zip(stream.channels.tolist(), stream.timestamps.tolist())))
 
 
 def write_coincidence_csv_records(hist, path):

@@ -508,6 +508,30 @@ class TestNeffTables:
             assert f"at diameter {cs.diameter * 1e9:.1f} nm by " in str(err)
             assert str(err).endswith("even at degree 21 (22 Chebyshev nodes)")
 
+    @pytest.mark.parametrize("diameter, grid, gap", [
+        (1.4e-6, np.linspace(omega_of(2000e-9), omega_of(700e-9), 12), "3.388e-10"),
+        (900e-9, np.array([omega_of(1600e-9), omega_of(800e-9)]), "6.276e-07"),
+    ], ids=["12_points_1.4um", "2_points_900nm"])
+    def test_coarse_knots_fail_without_a_second_pass(self, monkeypatch, diameter, grid, gap):
+        # The 32-node series meets the held-out check on these grids and only
+        # the Hermite knots miss it; from 64 nodes they missed by the same gap,
+        # so the table fails after one stacked solve, not two.
+        passes = []
+        solve_stacked = dispersion._solve_stacked
+
+        def counting(cross_sections, omegas):
+            passes.append(omegas.size)
+            return solve_stacked(cross_sections, omegas)
+
+        monkeypatch.setattr(dispersion, "_solve_stacked", counting)
+        with pytest.raises(SolverConvergenceError) as err:
+            neff_table(CrossSection(diameter), grid)
+        assert type(err.value) is SolverConvergenceError and len(passes) == 1
+        assert str(err.value) == (
+            f"neff_table missed its held-out check for HE11 at diameter {diameter * 1e9:.1f} nm "
+            f"by {gap} (> 1e-10), though its 32-node Chebyshev series meets it: the knots, "
+            f"16 per grid interval, are too coarse for this grid")
+
     def test_below_cutoff_diameter_returns_its_error(self):
         # the error names the grid's own frequencies below cutoff, not the dense grid's
         diameters = [CrossSection(900e-9), CrossSection(120e-9), CrossSection(885e-9)]

@@ -6,6 +6,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -105,6 +106,41 @@ class TestTagRecordAndStream:
         assert len(parse_tags(b"1\t5\n3\t9\n")) == 2
         rec = b"\x02" + (7).to_bytes(8, "little")
         assert len(parse_tags(b"TTAG1" + (81000).to_bytes(4, "little") + rec)) == 1
+
+    def test_arrays_of_the_stored_types_are_kept(self, monkeypatch):
+        # uint8 channels are checked as they are, not widened to int64
+        exact_int64 = tags._exact_int64
+        widened = []
+
+        def recording(values, name):
+            widened.append(name)
+            return exact_int64(values, name)
+
+        monkeypatch.setattr(tags, "_exact_int64", recording)
+        ch, ts = np.array([1, 2, 3], dtype=np.uint8), np.array([0, 4, 4])
+        s = TagStream(ch, ts)
+        assert s.channels is ch and s.timestamps is ts and widened == ["timestamps"]
+        with pytest.raises(ValueError, match=r"^channel 4 not in declared set \[1, 2, 3\]$"):
+            TagStream(np.array([1, 4], dtype=np.uint8), np.arange(2))
+        with pytest.raises(ValueError, match="ordered by channel"):
+            TagStream(np.array([3, 1], dtype=np.uint8), np.array([5, 5]))
+
+    @pytest.mark.parametrize("block", [1, 2, 5])
+    @pytest.mark.parametrize("at", [1, 2, 5, 9])
+    def test_order_checked_across_blocks(self, monkeypatch, block, at):
+        monkeypatch.setattr(tags, "_ORDER_BLOCK", block)
+        ch, ts = np.ones(10, np.int64), np.arange(10) + 5
+        TagStream(ch, ts)
+        back = ts.copy()
+        back[at] = back[at - 1] - 1
+        with pytest.raises(ValueError, match="non-decreasing"):
+            TagStream(ch, back)
+        tie = ts.copy()
+        tie[at] = tie[at - 1]
+        swapped = ch.copy()
+        swapped[at - 1] = 3
+        with pytest.raises(ValueError, match="ordered by channel"):
+            TagStream(swapped, tie)
 
     def test_nonpositive_tick_rejected(self):
         with pytest.raises(ValueError, match="tick_duration"):
@@ -254,6 +290,42 @@ class TestParseTags:
             _w.simplefilter("error")
             s = parse_tags(b"1\t1\n2\t1\n1\t8\n")
         assert s.timestamps.tolist() == [1, 1, 8]
+
+    def test_one_order_check_per_parse(self, monkeypatch):
+        disorder = tags._disorder
+        checks = []
+
+        def counting(ch, ts):
+            checks.append(disorder(ch, ts))
+            return checks[-1]
+
+        monkeypatch.setattr(tags, "_disorder", counting)
+        binary = b"TTAG1" + (81000).to_bytes(4, "little") + b"".join(
+            bytes([c]) + t.to_bytes(8, "little") for c, t in ((3, 5), (1, 5), (2, 9)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TagOrderWarning)
+            for data, disorder_found in ((b"1\t5\n3\t5\n", (0, 0)), (b"3\t5\n1\t5\n2\t1\n", (1, 1)),
+                                         (b"1\t5\n3\t5\n# end\n", (0, 0)), (binary, (0, 1))):
+                checks.clear()
+                stream = parse_tags(data)
+                assert checks == [disorder_found]
+                assert sum(tags._disorder(stream.channels, stream.timestamps)) == 0
+
+    def test_plain_text_parsed_without_a_copy_of_the_body(self):
+        # 2e5 records of 22 bytes: the values (16 bytes a record), the
+        # timestamps (8) and the channels (1) peak together, 25.0 bytes a
+        # record measured; with a copy of the body it was 46.0
+        n = 200_000
+        data = b"#tick_ps 81\n" + tag_text(zip(np.arange(n) % 3 + 1, np.arange(n) * 4099 + 2**62))
+        tracemalloc.start()
+        try:
+            stream = parse_tags(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(stream) == n and stream.channels.dtype == np.uint8
+        assert len(data) == 12 + 22 * n
+        assert peak <= 32 * n
 
     def test_text_roundtrip(self, tmp_path):
         stream = sim(2000, jitter_std=120e-12, seed=5)
@@ -849,8 +921,11 @@ class TestDeadTimeFilter:
         assert kept.tolist() == oracles.dead_time_loop(ticks, dead).tolist()
 
     def test_walk_holds_no_list_of_every_target(self):
-        # numpy's working set is three int64 arrays of the input's size; a
-        # Python list of all 10**6 jump targets would add over 36 MB to it
+        # past the input and the result, the jump table (8 bytes a click) and
+        # the kept flags (1 byte) are the only arrays of the input's size, as
+        # the tables are filled in blocks (three block-sized temporaries:
+        # search keys, positions and indices); a Python list of all 10**6
+        # jump targets would add over 36 MB
         ticks = 3 * np.arange(1_000_000, dtype=np.int64)
         tracemalloc.start()
         try:
@@ -861,6 +936,44 @@ class TestDeadTimeFilter:
             tracemalloc.stop()
         assert kept.tolist() == ticks[::100].tolist()
         assert peak < 4 * ticks.nbytes
+        assert peak <= 9 * ticks.size + kept.nbytes + 3 * 8 * tags._DEAD_TIME_BLOCK
+
+    @settings(max_examples=100, deadline=None)
+    @given(ticks=sorted_ticks, dead=st.integers(2, 60).map(float) | st.floats(1.0, 400.0),
+           block=st.integers(1, 9))
+    def test_any_table_block_equals_loop(self, ticks, dead, block):
+        # the jump table and the gap test filled a few clicks at a time, so
+        # chains of jumps and sure clicks cross many block edges
+        with mock.patch.object(tags, "_DEAD_TIME_BLOCK", block):
+            kept = tags._dead_time_filter(ticks, dead)
+        assert kept.tolist() == oracles.dead_time_loop(ticks, dead).tolist()
+
+    @pytest.mark.parametrize("edge_gap", [1, 9, 10])
+    def test_sure_click_and_jumps_at_the_table_block_edge(self, edge_gap):
+        # clicks one tick apart over two blocks and a bit, with a gap of
+        # edge_gap before the first click of the second block.  At a 10-tick
+        # dead time that click is sure after a gap of 10; after 9 the chain
+        # from the first click jumps across the edge onto it, and after 1 over it
+        n = tags._DEAD_TIME_BLOCK
+        gaps = np.ones(2 * n + 7, dtype=np.int64)
+        gaps[n] = edge_gap
+        ticks = np.cumsum(gaps)
+        kept = tags._dead_time_filter(ticks, 10.0)
+        assert kept.tolist() == oracles.dead_time_loop(ticks, 10.0).tolist()
+        assert (ticks[n] in kept) == (edge_gap > 1) and kept[0] == ticks[0]
+
+
+def open_pulses(u, floor):
+    """For each uniform of numpy's multiplication method, whether the pulse
+    it multiplies into is still open after it."""
+    opened = np.empty(u.size, dtype=bool)
+    prod = 1.0
+    for i, x in enumerate(u.tolist()):
+        prod *= x
+        opened[i] = prod > floor
+        if not opened[i]:
+            prod = 1.0
+    return opened
 
 
 class TestPoissonHot:
@@ -903,6 +1016,21 @@ class TestPoissonHot:
         assert u[61] <= floor < u[62] and u[62] * u[63] > floor
         u = np.random.default_rng(170).random(3)
         assert 1.0 * u[0] * u[1] > floor >= 1.0 * u[0] * u[1] * u[2]
+
+    @pytest.mark.parametrize("block, seed", [(1, 28), (2, 1), (7, 4), (tags._UNIFORM_BLOCK, 3)])
+    def test_pulses_open_across_uniform_blocks(self, monkeypatch, block, seed):
+        # more pulses than two blocks of uniforms at mu = 0.3: the first two
+        # batches are whole blocks, and at these seeds a pulse is left open at
+        # the end of each, so its product carries across the block edge
+        monkeypatch.setattr(tags, "_UNIFORM_BLOCK", block)
+        opened = open_pulses(np.random.default_rng(seed).random(2 * block), math.exp(-0.3))
+        assert opened[block - 1] and opened[2 * block - 1]
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        index, n_pairs = tags._poisson_hot(rng, 0.3, 2 * block + 11)
+        ref_index, ref_pairs = oracles.poisson_hot(ref, 0.3, 2 * block + 11)
+        assert index.tolist() == ref_index.tolist()
+        assert n_pairs.tolist() == ref_pairs.tolist()
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestSimulateTags:
@@ -1009,6 +1137,28 @@ class TestSimulateTags:
         assert counts_by_channel(stream) == counts
         assert digest.hexdigest() == expected
 
+    def test_memory_above_the_stream_is_bounded_per_click(self, tmp_path):
+        # 2.5e6 pulses in three chunks at mu = 0.3 and 100 ns of dead time:
+        # about a million clicks.  Above the stream it returns, simulating and
+        # writing it hold each chunk's clicks (8 bytes a click before the dead
+        # time), one channel's sorted clicks and jump table, the merge's sort
+        # order, and blocks of uniforms and records: 21.6 bytes a click
+        # measured, against 67.5 with whole-stream temporaries.
+        config = SimulationConfig(duration=2_500_000 * REP, mean_pairs_per_pulse=0.3,
+                                  herald_transmittance=0.9, signal_transmittance=0.9,
+                                  dead_time=100e-9, seed=5)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            stream = simulate_tags(config)
+            write_tags_binary(stream, tmp_path / "tags.bin")
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        held = stream.channels.nbytes + stream.timestamps.nbytes
+        assert held == 9 * len(stream) and len(stream) > 10**6
+        assert peak - held <= 24 * len(stream)
+
     def test_thermal_statistics_differ_from_poisson(self):
         a = sim(200_000, pair_statistics="poisson", seed=31)
         b = sim(200_000, pair_statistics="thermal", seed=31)
@@ -1106,6 +1256,22 @@ class TestTextWriters:
         stream = sim(3000, jitter_std=120e-12, seed=4)
         assert len(stream) % block or block == 1
         self.assert_same_bytes(write_tags_text, oracles.write_tags_text_records,
+                               stream, tmp_path)
+
+    @settings(max_examples=40, deadline=None)
+    @given(records=st.lists(st.tuples(st.integers(1, 3),
+                                      st.integers(0, 2**63 - 1) | st.integers(0, 1000))))
+    @example(records=[])
+    def test_tags_binary_equals_per_record_writer(self, tmp_path_factory, records):
+        self.assert_same_bytes(write_tags_binary, oracles.write_tags_binary_records,
+                               from_records(records), tmp_path_factory.mktemp("bin"))
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_tags_binary_across_block_edges(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(tags, "_TEXT_BLOCK", block)
+        stream = sim(3000, jitter_std=120e-12, seed=4)
+        assert len(stream) % block or block == 1
+        self.assert_same_bytes(write_tags_binary, oracles.write_tags_binary_records,
                                stream, tmp_path)
 
     def test_empty_stream_writes_the_header_only(self, tmp_path):
